@@ -51,13 +51,7 @@ int main(int argc, char** argv) {
   }
   Netlist netlist = std::move(std::get<Netlist>(parsed));
   // Unit delays per LUT if the file carries none.
-  for (std::size_t i = 0; i < netlist.node_count(); ++i) {
-    const NodeId id{static_cast<std::uint32_t>(i)};
-    if (netlist.node(id).kind == NodeKind::kLut &&
-        !netlist.node(id).fanins.empty() && netlist.node(id).delay == 0) {
-      netlist.set_node_delay(id, 10);
-    }
-  }
+  set_default_lut_delays(netlist, 10);
 
   std::fprintf(stderr, "in:  FF=%zu LUT=%zu period=%lld\n",
                netlist.register_count(), netlist.stats().luts,

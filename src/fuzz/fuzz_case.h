@@ -37,14 +37,16 @@
 
 namespace mcrt {
 
-/// The five engine pairs the fuzzer cross-checks (ROADMAP: serial vs bulk
-/// vs serve execution, monolithic vs windowed retiming, compact vs legacy
-/// cores, C-slowed vs replicated stream semantics).
+/// The five engine pairs the fuzzer cross-checks: serial vs bulk vs serve
+/// execution, monolithic vs windowed retiming, production engines vs
+/// independent references, C-slowed vs replicated stream semantics. The
+/// enum order is the sampling order (case seed modulo kOracleCount).
 enum class OracleKind : std::uint8_t {
   kSerialVsBulk,       ///< execute_flow_job vs BulkRunner, byte identity
   kBulkVsServe,        ///< BulkRunner vs a live `mcrt serve` round-trip
   kMonoVsWindowed,     ///< retime(...) vs retime-windowed(...) flows
-  kCompactVsLegacy,    ///< FEAS/FlowMap/equivalence compact vs legacy engines
+  kEngineVsReference,  ///< word vs scalar sim, FEAS vs W/D + Bellman-Ford,
+                       ///< FlowMap depth vs exhaustive cut enumeration
   kCslowVsReplicated,  ///< retime(cslow=C) vs C independent copies (stream
                        ///< interleave sim + ternary BMC + period dominance)
 };

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -15,18 +16,19 @@
 #include "cslow/stream_check.h"
 #include "mcretime/lower.h"
 #include "mcretime/mc_retime.h"
-#include "netlist/structural_hash.h"
 #include "pipeline/bulk_runner.h"
 #include "pipeline/flow_script.h"
 #include "pipeline/job_executor.h"
 #include "pipeline/passes.h"
 #include "retime/minperiod.h"
+#include "retime/period_constraints.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "sim/equivalence.h"
 #include "tech/decompose.h"
 #include "tech/flowmap.h"
 #include "tech/sta.h"
+#include "verify/cut_depth.h"
 #include "verify/ternary_bmc.h"
 
 namespace mcrt {
@@ -415,26 +417,72 @@ OracleVerdict mono_vs_windowed(const FuzzCase& c,
   return v;
 }
 
-// --- compact vs legacy cores ------------------------------------------------
+// --- production engines vs independent references ---------------------------
 
-/// Mirrors the retime pass's d=10 preprocessing so the FEAS leg solves the
-/// same graph the scripted flows do.
-Netlist with_default_delays(const Netlist& input) {
-  Netlist n = input;
-  for (std::size_t i = 0; i < n.node_count(); ++i) {
-    const NodeId id{static_cast<std::uint32_t>(i)};
-    const Node& node = std::as_const(n).node(id);
-    if (node.kind == NodeKind::kLut && node.function.input_count() >= 1 &&
-        node.delay == 0) {
-      n.set_node_delay(id, 10);
-    }
-  }
-  return n;
+/// Leg 2: CSR FEAS min-period vs Leiserson-Saxe's W/D period constraints
+/// solved by Bellman-Ford, on the case's lowered graph with its bounds
+/// dropped (FEAS solves the unbounded problem). The FEAS optimum must be
+/// the smallest candidate period the W/D check accepts.
+void check_minperiod_vs_wd(const FuzzCase& c, const OracleOptions& options,
+                           OracleVerdict& v) {
+  Netlist delayed = c.netlist;
+  set_default_lut_delays(delayed, 10);  // the retime pass's d=10
+  const McPrepared prepared = prepare_mc_graph(delayed, McRetimeOptions{});
+  const RetimeGraph graph =
+      lower_to_retime_graph(prepared.graph, prepared.bounds).without_bounds();
+  const RetimeSolution feas =
+      minperiod_retime(graph, FeasImpl::kCsr, options.cancel);
+  const std::string illegal = graph.check_legal(feas.r);
+  const std::int64_t achieved = illegal.empty() ? graph.period(feas.r) : 0;
+  add_leg(v, "feas-legality", illegal.empty() && achieved <= feas.period,
+          illegal.empty()
+              ? str_format("labels give %lld, claimed %lld",
+                           static_cast<long long>(achieved),
+                           static_cast<long long>(feas.period))
+              : illegal);
+  if (v.legs.back().pass) v.legs.back().detail.clear();
+
+  const std::vector<std::int64_t> candidates =
+      candidate_periods(graph, options.cancel);
+  const auto at =
+      std::lower_bound(candidates.begin(), candidates.end(), feas.period);
+  const bool accepted =
+      bounded_feasible(graph, feas.period, nullptr, options.cancel)
+          .has_value();
+  const bool below_rejected =
+      at == candidates.begin() ||
+      !bounded_feasible(graph, *(at - 1), nullptr, options.cancel);
+  add_leg(v, "minperiod-vs-wd", accepted && below_rejected,
+          str_format("FEAS optimum %lld: W/D %s it and %s the candidate below",
+                     static_cast<long long>(feas.period),
+                     accepted ? "accepts" : "rejects",
+                     below_rejected ? "rejects" : "accepts"));
+  if (v.legs.back().pass) v.legs.back().detail.clear();
 }
 
-OracleVerdict compact_vs_legacy(const FuzzCase& c,
-                                const PassRegistry& registry,
-                                const OracleOptions& options) {
+/// Leg 3: FlowMap's depth on the decomposed circuit vs exhaustive k-cut
+/// enumeration, the definition its labels optimise.
+void check_flowmap_vs_cuts(const FuzzCase& c, const OracleOptions& options,
+                           OracleVerdict& v) {
+  const Netlist binary = decompose_to_binary(c.netlist);
+  FlowMapOptions map_options;
+  map_options.cancel = options.cancel;
+  const FlowMapResult mapped = flowmap_map(binary, map_options);
+  const auto reference = exhaustive_cut_depth(binary, map_options.k);
+  if (!reference) {
+    add_skipped(v, "flowmap-depth-vs-cuts", "cut enumeration above its cap");
+    return;
+  }
+  add_leg(v, "flowmap-depth-vs-cuts", mapped.depth == *reference,
+          mapped.depth == *reference
+              ? std::string{}
+              : str_format("FlowMap depth %u, exhaustive cut depth %u",
+                           mapped.depth, *reference));
+}
+
+OracleVerdict engine_vs_reference(const FuzzCase& c,
+                                  const PassRegistry& registry,
+                                  const OracleOptions& options) {
   OracleVerdict v;
 
   // Leg 1: the scripted flow must preserve behaviour, and the word-parallel
@@ -468,77 +516,20 @@ OracleVerdict compact_vs_legacy(const FuzzCase& c,
                                rs.compared_defined_outputs));
   }
 
-  // Leg 2: the CSR and legacy FEAS cores must find the same minimum
-  // period, and both labelings must be legal and meet it.
   try {
-    const Netlist delayed = with_default_delays(c.netlist);
-    const McPrepared prepared = prepare_mc_graph(delayed, McRetimeOptions{});
-    const RetimeGraph graph =
-        lower_to_retime_graph(prepared.graph, prepared.bounds);
-    const RetimeSolution csr =
-        minperiod_retime(graph, FeasImpl::kCsr, options.cancel);
-    const RetimeSolution legacy =
-        minperiod_retime(graph, FeasImpl::kLegacy, options.cancel);
-    add_leg(v, "feas-agreement",
-            csr.feasible == legacy.feasible && csr.period == legacy.period,
-            str_format("csr: feasible=%d period=%lld, "
-                       "legacy: feasible=%d period=%lld",
-                       csr.feasible ? 1 : 0,
-                       static_cast<long long>(csr.period),
-                       legacy.feasible ? 1 : 0,
-                       static_cast<long long>(legacy.period)));
-    if (v.legs.back().pass) v.legs.back().detail.clear();
-    if (csr.feasible && legacy.feasible) {
-      const std::string csr_legal = graph.check_legal(csr.r);
-      const std::string legacy_legal = graph.check_legal(legacy.r);
-      add_leg(v, "feas-legality",
-              csr_legal.empty() && legacy_legal.empty(),
-              csr_legal.empty() ? legacy_legal : csr_legal);
-      const std::int64_t csr_period = graph.period(csr.r);
-      const std::int64_t legacy_period = graph.period(legacy.r);
-      add_leg(v, "feas-period-met",
-              csr_period <= csr.period && legacy_period <= legacy.period,
-              str_format("csr labels give %lld (claimed %lld), "
-                         "legacy labels give %lld (claimed %lld)",
-                         static_cast<long long>(csr_period),
-                         static_cast<long long>(csr.period),
-                         static_cast<long long>(legacy_period),
-                         static_cast<long long>(legacy.period)));
-      if (v.legs.back().pass) v.legs.back().detail.clear();
-    }
+    check_minperiod_vs_wd(c, options, v);
   } catch (const CancelledError&) {
     throw;
   } catch (const std::exception& e) {
-    add_leg(v, "feas-agreement", false,
+    add_leg(v, "minperiod-vs-wd", false,
             std::string("engine threw: ") + e.what());
   }
-
-  // Leg 3: the legacy and compact FlowMap engines must produce the same
-  // mapping (structural hash, depth, LUT count) on the decomposed circuit.
   try {
-    const Netlist binary = decompose_to_binary(c.netlist);
-    FlowMapOptions compact_opt;
-    compact_opt.cancel = options.cancel;
-    FlowMapOptions legacy_opt = compact_opt;
-    legacy_opt.legacy_engine = true;
-    const FlowMapResult compact = flowmap_map(binary, compact_opt);
-    const FlowMapResult legacy = flowmap_map(binary, legacy_opt);
-    const bool same =
-        structural_hash(compact.mapped) == structural_hash(legacy.mapped) &&
-        compact.depth == legacy.depth &&
-        compact.lut_count == legacy.lut_count;
-    add_leg(v, "flowmap-agreement", same,
-            same ? std::string{}
-                 : str_format("compact: %s depth=%u luts=%zu, "
-                              "legacy: %s depth=%u luts=%zu",
-                              structural_hash(compact.mapped).hex().c_str(),
-                              compact.depth, compact.lut_count,
-                              structural_hash(legacy.mapped).hex().c_str(),
-                              legacy.depth, legacy.lut_count));
+    check_flowmap_vs_cuts(c, options, v);
   } catch (const CancelledError&) {
     throw;
   } catch (const std::exception& e) {
-    add_leg(v, "flowmap-agreement", false,
+    add_leg(v, "flowmap-depth-vs-cuts", false,
             std::string("engine threw: ") + e.what());
   }
   return v;
@@ -681,8 +672,8 @@ OracleVerdict run_oracle(const FuzzCase& c, const OracleOptions& options) {
       return bulk_vs_serve(c, registry, options);
     case OracleKind::kMonoVsWindowed:
       return mono_vs_windowed(c, registry, options);
-    case OracleKind::kCompactVsLegacy:
-      return compact_vs_legacy(c, registry, options);
+    case OracleKind::kEngineVsReference:
+      return engine_vs_reference(c, registry, options);
     case OracleKind::kCslowVsReplicated:
       return cslow_vs_replicated(c, registry, options);
   }

@@ -2,8 +2,8 @@
 //
 // Every oracle decomposes into named "legs" — individual checks such as
 // canonical-report byte identity, result-BLIF byte identity, input-vs-result
-// simulation equivalence, minperiod agreement of the FEAS cores, or
-// structural-hash identity of the FlowMap engines. A leg either passes or
+// simulation equivalence, FEAS min-period vs the W/D constraint solve, or
+// FlowMap depth vs exhaustive cut enumeration. A leg either passes or
 // carries a human-readable mismatch description; the verdict aggregates
 // them so a fuzz report (and a shrinker re-run) can say exactly *which*
 // promise between the engines broke, not just that something did.

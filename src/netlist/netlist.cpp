@@ -1,6 +1,7 @@
 #include "netlist/netlist.h"
 
 #include <cassert>
+#include <utility>
 
 #include "base/strings.h"
 
@@ -265,6 +266,17 @@ Netlist::Stats Netlist::stats() const {
     if (ff.async_ctrl.valid()) ++s.with_async;
   }
   return s;
+}
+
+void set_default_lut_delays(Netlist& netlist, std::int64_t delay) {
+  for (std::uint32_t v = 0; v < netlist.node_count(); ++v) {
+    const NodeId id{v};
+    const Node& node = std::as_const(netlist).node(id);
+    if (node.kind == NodeKind::kLut && !node.fanins.empty() &&
+        node.delay == 0) {
+      netlist.set_node_delay(id, delay);
+    }
+  }
 }
 
 }  // namespace mcrt

@@ -226,4 +226,11 @@ class Netlist {
   mutable std::uint64_t hash_lo_ = 0;
 };
 
+/// Gives every delay-less LUT with at least one input the delay `delay`.
+/// BLIF files and generated workloads carry no delays, so this is how the
+/// retime passes and `mcrt timing` make the period objective meaningful;
+/// LUTs that already have a delay (a mapped netlist) and constants keep
+/// theirs.
+void set_default_lut_delays(Netlist& netlist, std::int64_t delay);
+
 }  // namespace mcrt

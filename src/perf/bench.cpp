@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <random>
 #include <string_view>
 #include <vector>
 
@@ -13,23 +12,17 @@
 #include "cslow/stream_check.h"
 #include "fuzz/case_gen.h"
 #include "mcretime/lower.h"
-#include "mcretime/maximal_retiming.h"
 #include "mcretime/mc_retime.h"
-#include "mcretime/mcgraph.h"
-#include "retime/feas.h"
 #include "retime/minperiod.h"
-#include "retime/period_constraints.h"
-#include "sim/parallel_simulator.h"
-#include "sim/simulator.h"
-#include "sim/word_simulator.h"
 #include "window/windowed_retime.h"
 #include "workload/generator.h"
 
 namespace mcrt {
 namespace {
 
-// The pinned circuit list: Table-1-sized profiles plus the randomized
-// corpus. Quick mode keeps a representative slice so CI smoke stays cheap.
+// The pinned workload circuits of the C-slow suite: Table-1-sized profiles
+// plus the randomized corpus. Quick mode keeps a representative slice so CI
+// smoke stays cheap.
 std::vector<CircuitProfile> bench_suite(const BenchOptions& options) {
   std::vector<CircuitProfile> suite = paper_suite();
   if (options.quick && suite.size() > 3) suite.resize(3);
@@ -50,41 +43,11 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
-// Rebuilds the graph without its class bounds so minperiod_retime takes the
-// pure-FEAS path: the benchmark isolates the feasibility/min-period loop,
-// which is what the CSR engine rewrote. Bounded residual solving is shared
-// Bellman-Ford code and would only dilute the comparison.
-RetimeGraph strip_bounds(const RetimeGraph& bounded) {
-  RetimeGraph graph;
-  for (std::size_t v = 1; v < bounded.vertex_count(); ++v) {
-    graph.add_vertex(bounded.delay(VertexId{static_cast<std::uint32_t>(v)}));
-  }
-  const Digraph& dg = bounded.digraph();
-  for (std::size_t e = 0; e < bounded.edge_count(); ++e) {
-    const EdgeId id{static_cast<std::uint32_t>(e)};
-    graph.add_edge(dg.from(id), dg.to(id), bounded.weight(id));
-  }
-  return graph;
-}
-
 double geomean(const std::vector<double>& values) {
   if (values.empty()) return 0;
   double log_sum = 0;
   for (const double v : values) log_sum += std::log(std::max(v, 1e-12));
   return std::exp(log_sum / static_cast<double>(values.size()));
-}
-
-// Minimum wall-clock over `reps` runs of `body` (min is the standard noise
-// rejector for micro-benchmarks: every rep does identical work).
-template <typename Fn>
-double time_min(int reps, Fn&& body) {
-  double best = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    Timer timer;
-    body();
-    best = std::min(best, timer.seconds());
-  }
-  return best;
 }
 
 Json phases_json(const PhaseProfile& profile) {
@@ -95,191 +58,16 @@ Json phases_json(const PhaseProfile& profile) {
   return object;
 }
 
-Json bench_retime_circuit(const CircuitProfile& profile, int reps) {
-  PhaseProfile phases;
-  Netlist circuit;
-  {
-    ScopedPhase phase(phases, "generate");
-    circuit = generate_circuit(profile);
-    // Workload circuits come delay-less (delays are the tech mapper's job);
-    // give LUTs the default unit the retime pass uses so FEAS has a real
-    // timing problem instead of the all-zero-delay degenerate case.
-    for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
-      const NodeId id{v};
-      if (circuit.node(id).kind == NodeKind::kLut) {
-        circuit.set_node_delay(id, 10);
-      }
+// Workload circuits come delay-less; unit-delay LUTs give the retimers a
+// real timing problem. Constants get the delay too, which is this
+// bench's own convention (the retime pass leaves them at 0).
+void apply_unit_delays(Netlist& circuit) {
+  for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
+    const NodeId id{v};
+    if (circuit.node(id).kind == NodeKind::kLut) {
+      circuit.set_node_delay(id, 10);
     }
   }
-  RetimeGraph graph;
-  std::vector<std::int64_t> candidates;
-  {
-    ScopedPhase phase(phases, "lower");
-    const McGraph mc = build_mc_graph(circuit);
-    const MaximalRetimingResult maximal = compute_mc_bounds(mc);
-    graph = strip_bounds(lower_to_retime_graph(mc, maximal.bounds));
-    candidates = candidate_periods(graph);
-  }
-  // Probe schedule: a deterministic decimation of the exact-path-delay
-  // candidates (feasible and infeasible alike) so the timed region is pure
-  // FEAS — binary-search bookkeeping and candidate generation are shared
-  // code identical for both engines and would only dilute the ratio.
-  std::vector<std::int64_t> probes;
-  const std::size_t max_probes = 48;
-  const std::size_t stride = std::max<std::size_t>(
-      1, (candidates.size() + max_probes - 1) / max_probes);
-  for (std::size_t i = 0; i < candidates.size(); i += stride) {
-    probes.push_back(candidates[i]);
-  }
-
-  const double legacy_seconds = time_min(reps, [&] {
-    for (const std::int64_t phi : probes) {
-      feas_check(graph, phi, FeasImpl::kLegacy);
-    }
-  });
-  const double csr_seconds = time_min(reps, [&] {
-    for (const std::int64_t phi : probes) {
-      feas_check(graph, phi, FeasImpl::kCsr);
-    }
-  });
-  phases.add("legacy", legacy_seconds);
-  phases.add("csr", csr_seconds);
-
-  // Label-for-label agreement on every probe *and* on the full min-period
-  // search: the two engines compute the same unique fixed point (see
-  // retime/feas.h).
-  bool identical = true;
-  for (const std::int64_t phi : probes) {
-    const auto legacy_r = feas_check(graph, phi, FeasImpl::kLegacy);
-    const auto csr_r = feas_check(graph, phi, FeasImpl::kCsr);
-    if (legacy_r.has_value() != csr_r.has_value() ||
-        (legacy_r.has_value() && *legacy_r != *csr_r)) {
-      identical = false;
-    }
-  }
-  const RetimeSolution legacy_solution =
-      minperiod_retime(graph, FeasImpl::kLegacy);
-  const RetimeSolution csr_solution = minperiod_retime(graph, FeasImpl::kCsr);
-  identical = identical && legacy_solution.feasible == csr_solution.feasible &&
-              legacy_solution.period == csr_solution.period &&
-              legacy_solution.r == csr_solution.r;
-
-  Json entry = Json::object();
-  entry.set("circuit", profile.name);
-  entry.set("vertices", graph.vertex_count());
-  entry.set("edges", graph.edge_count());
-  entry.set("probes", probes.size());
-  entry.set("period", legacy_solution.period);
-  entry.set("legacy_seconds", legacy_seconds);
-  entry.set("csr_seconds", csr_seconds);
-  entry.set("speedup", legacy_seconds / std::max(csr_seconds, 1e-12));
-  entry.set("identical", identical);
-  entry.set("phases", phases_json(phases));
-  return entry;
-}
-
-Json bench_sim_circuit(const CircuitProfile& profile, int reps,
-                       std::size_t cycles, std::uint64_t seed) {
-  PhaseProfile phases;
-  Netlist circuit;
-  {
-    ScopedPhase phase(phases, "generate");
-    circuit = generate_circuit(profile);
-  }
-  std::vector<NetId> input_nets;
-  for (const NodeId id : circuit.inputs()) {
-    input_nets.push_back(circuit.node(id).output);
-  }
-
-  // Fully defined stimulus: 64 independent patterns per cycle per input.
-  // Registers start at X in every engine, so outputs agree trit-for-trit.
-  std::mt19937_64 rng(seed ^ fnv1a(profile.name));
-  std::vector<std::vector<TritWord>> stimulus(cycles);
-  for (std::size_t c = 0; c < cycles; ++c) {
-    stimulus[c].resize(input_nets.size());
-    for (std::size_t i = 0; i < input_nets.size(); ++i) {
-      const std::uint64_t ones = rng();
-      stimulus[c][i] = TritWord{ones, ~ones};
-    }
-  }
-
-  // Scalar baseline: the 64 patterns cost 64 separate runs.
-  std::vector<std::vector<std::vector<Trit>>> scalar_outputs(64);
-  const double scalar_seconds = time_min(reps, [&] {
-    Simulator sim(circuit);
-    for (unsigned lane = 0; lane < 64; ++lane) {
-      sim.reset_to_unknown();
-      scalar_outputs[lane].clear();
-      for (std::size_t c = 0; c < cycles; ++c) {
-        for (std::size_t i = 0; i < input_nets.size(); ++i) {
-          sim.set_input(input_nets[i], stimulus[c][i].lane(lane));
-        }
-        scalar_outputs[lane].push_back(sim.step());
-      }
-    }
-  });
-
-  // Legacy word engine (pointer-chasing over the Netlist). Construction is
-  // timed: a fresh engine per workload is how the callers use it.
-  std::vector<std::vector<TritWord>> parallel_outputs;
-  const double parallel_seconds = time_min(reps, [&] {
-    ParallelSimulator sim(circuit);
-    sim.reset_to_unknown();
-    parallel_outputs.clear();
-    for (std::size_t c = 0; c < cycles; ++c) {
-      for (std::size_t i = 0; i < input_nets.size(); ++i) {
-        sim.set_input(input_nets[i], stimulus[c][i]);
-      }
-      parallel_outputs.push_back(sim.step());
-    }
-  });
-
-  // Compact-core word engine; the timed region includes the compact build.
-  std::vector<std::vector<TritWord>> word_outputs;
-  const double word_seconds = time_min(reps, [&] {
-    WordSimulator sim(circuit);
-    sim.reset_to_unknown();
-    word_outputs.clear();
-    for (std::size_t c = 0; c < cycles; ++c) {
-      for (std::size_t i = 0; i < input_nets.size(); ++i) {
-        sim.set_input(input_nets[i], stimulus[c][i]);
-      }
-      word_outputs.push_back(sim.step());
-    }
-  });
-  phases.add("scalar", scalar_seconds);
-  phases.add("parallel", parallel_seconds);
-  phases.add("word", word_seconds);
-
-  // Bit-identical words vs the legacy word engine, lane-exact vs scalar.
-  bool identical = word_outputs == parallel_outputs;
-  for (unsigned lane = 0; identical && lane < 64; ++lane) {
-    for (std::size_t c = 0; identical && c < cycles; ++c) {
-      for (std::size_t o = 0; o < word_outputs[c].size(); ++o) {
-        if (word_outputs[c][o].lane(lane) != scalar_outputs[lane][c][o]) {
-          identical = false;
-          break;
-        }
-      }
-    }
-  }
-
-  Json entry = Json::object();
-  entry.set("circuit", profile.name);
-  entry.set("nets", circuit.net_count());
-  entry.set("registers", circuit.register_count());
-  entry.set("cycles", cycles);
-  entry.set("patterns", 64);
-  entry.set("scalar_seconds", scalar_seconds);
-  entry.set("parallel_seconds", parallel_seconds);
-  entry.set("word_seconds", word_seconds);
-  entry.set("speedup_vs_scalar",
-            scalar_seconds / std::max(word_seconds, 1e-12));
-  entry.set("speedup_vs_parallel",
-            parallel_seconds / std::max(word_seconds, 1e-12));
-  entry.set("identical", identical);
-  entry.set("phases", phases_json(phases));
-  return entry;
 }
 
 struct WindowBenchCase {
@@ -318,12 +106,7 @@ Json bench_window_case(const WindowBenchCase& bench_case,
     ScopedPhase phase(phases, "generate");
     circuit = generate_circuit(
         scaled_profile(bench_case.target_gates, seed + bench_case.target_gates));
-    for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
-      const NodeId id{v};
-      if (circuit.node(id).kind == NodeKind::kLut) {
-        circuit.set_node_delay(id, 10);
-      }
-    }
+    apply_unit_delays(circuit);
   }
 
   // Shared preparation (mc-graph, §4.1 bounds, lowering) is excluded from
@@ -409,17 +192,6 @@ Json bench_window_case(const WindowBenchCase& bench_case,
   entry.set("identical", identical);
   entry.set("phases", phases_json(phases));
   return entry;
-}
-
-// Workload circuits come delay-less; unit-delay LUTs give the retimers a
-// real timing problem (same convention as the retime/window benches).
-void apply_unit_delays(Netlist& circuit) {
-  for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
-    const NodeId id{v};
-    if (circuit.node(id).kind == NodeKind::kLut) {
-      circuit.set_node_delay(id, 10);
-    }
-  }
 }
 
 // Feedback kernels: the shapes C-slowing exists for. Each is a ring of
@@ -694,26 +466,6 @@ Json assemble(const char* schema, const BenchOptions& options, int reps,
 }
 
 }  // namespace
-
-Json run_retime_bench(const BenchOptions& options) {
-  const int reps = options.quick ? 3 : 5;
-  Json::Array entries;
-  for (const CircuitProfile& profile : bench_suite(options)) {
-    entries.push_back(bench_retime_circuit(profile, reps));
-  }
-  return assemble(kBenchRetimeSchema, options, reps, std::move(entries));
-}
-
-Json run_sim_bench(const BenchOptions& options) {
-  const int reps = options.quick ? 1 : 3;
-  const std::size_t cycles = options.quick ? 8 : 32;
-  Json::Array entries;
-  for (const CircuitProfile& profile : bench_suite(options)) {
-    entries.push_back(
-        bench_sim_circuit(profile, reps, cycles, options.seed));
-  }
-  return assemble(kBenchSimSchema, options, reps, std::move(entries));
-}
 
 Json run_window_bench(const BenchOptions& options) {
   // Macro-scale runs (seconds to minutes): one rep per engine.

@@ -1,17 +1,10 @@
-// Benchmark harness for the data-oriented core: a pinned workload suite
-// timed against the legacy engines, emitted as schema-versioned JSON so the
-// perf trajectory is tracked in-repo (BENCH_retime.json / BENCH_sim.json at
-// the repo root, regenerated by tools/update_bench_baseline.sh).
+// Benchmark harness: pinned workload suites emitted as schema-versioned
+// JSON so the perf trajectory is tracked in-repo (BENCH_window.json and
+// BENCH_cslow.json at the repo root, regenerated by
+// tools/update_bench_baseline.sh). The paper's end-to-end flow is measured
+// separately, by the flowbench/ package that BENCHMARK.json runs.
 //
-// Three reports:
-//  - retime: minperiod_retime on the lowered mc-graphs of the paper suite
-//    plus workload::random_suite, FeasImpl::kLegacy vs FeasImpl::kCsr.
-//    Bounds are stripped before timing so the number isolates the FEAS
-//    binary-search loop (the bounded residual solve is Bellman-Ford either
-//    way and identical between engines).
-//  - sim: 64-pattern ternary simulation, scalar Simulator (one run per
-//    pattern) and pointer-chasing ParallelSimulator vs the bit-parallel
-//    WordSimulator on the compact core, identical stimulus.
+// Two reports:
 //  - window: retime_windowed's label solve vs the monolithic minperiod
 //    solver on workload::scaled_profile designs (BENCH_window.json). Small
 //    entries run the monolithic solver to completion, so their speedups are
@@ -38,14 +31,16 @@
 //    peripheral retiming could do better) — and excluded from the
 //    headline geomean, which measures the recoverable rest.
 //
-// Every timed pair is also *verified* per circuit (identical periods and
-// labels; bit-identical output words), so a bench run doubles as a
-// coarse-grained differential — `identical` is part of the schema and
-// validate_bench_report() rejects documents where any entry diverged.
+// Every entry is also *verified* (legal stitched labels and period
+// dominance for window; stream equivalence and the period floor for
+// cslow), so a bench run doubles as a coarse-grained differential —
+// `identical` is part of the schema and validate_bench_report() rejects
+// documents where any entry failed its check.
 //
 // Regression gating compares speedup *ratios*, never wall-clock, so the
-// committed baselines are machine-independent: CI fails only when the
-// compact engines lose ground relative to the legacy ones on the same host.
+// committed baselines are machine-independent: the window ratio pits two
+// engines against each other on the same host, and the cslow ratios are
+// deterministic solver outputs.
 #pragma once
 
 #include <cstdint>
@@ -56,23 +51,16 @@
 
 namespace mcrt {
 
-inline constexpr const char* kBenchRetimeSchema = "mcrt-bench-retime/1";
-inline constexpr const char* kBenchSimSchema = "mcrt-bench-sim/1";
 inline constexpr const char* kBenchWindowSchema = "mcrt-bench-window/1";
 inline constexpr const char* kBenchCslowSchema = "mcrt-bench-cslow/1";
 
 struct BenchOptions {
   /// Trimmed circuit list and fewer repetitions; the CI smoke setting.
   bool quick = false;
-  /// Seed for workload::random_suite and the simulation stimulus.
+  /// Seed for workload::random_suite, the scaled designs and the stream
+  /// stimulus.
   std::uint64_t seed = 1;
 };
-
-/// Runs the retiming benchmark; returns a kBenchRetimeSchema document.
-Json run_retime_bench(const BenchOptions& options);
-
-/// Runs the simulation benchmark; returns a kBenchSimSchema document.
-Json run_sim_bench(const BenchOptions& options);
 
 /// Runs the windowed-vs-monolithic retiming benchmark; returns a
 /// kBenchWindowSchema document. Quick mode keeps the uncapped entries only

@@ -199,18 +199,9 @@ PassResult RetimePass::run(FlowContext& context) {
     return *failed;
   }
   if (default_lut_delay_ > 0) {
-    // BLIF carries no delays: give delay-less LUTs the default so the
-    // period objective is meaningful. Mapped netlists are untouched.
-    // (This runs after the C-slow transform, so decomposition muxes get
-    // the default delay too.)
-    Netlist& n = context.netlist();
-    for (std::size_t i = 0; i < n.node_count(); ++i) {
-      const NodeId id{static_cast<std::uint32_t>(i)};
-      if (n.node(id).kind == NodeKind::kLut && !n.node(id).fanins.empty() &&
-          n.node(id).delay == 0) {
-        n.set_node_delay(id, default_lut_delay_);
-      }
-    }
+    // This runs after the C-slow transform, so decomposition muxes get the
+    // default delay too.
+    set_default_lut_delays(context.netlist(), default_lut_delay_);
   }
   McRetimeOptions options = options_;
   options.cancel = context.cancel;
@@ -298,14 +289,7 @@ PassResult RetimeWindowedPass::run(FlowContext& context) {
     return *failed;
   }
   if (default_lut_delay_ > 0) {
-    Netlist& n = context.netlist();
-    for (std::size_t i = 0; i < n.node_count(); ++i) {
-      const NodeId id{static_cast<std::uint32_t>(i)};
-      if (n.node(id).kind == NodeKind::kLut && !n.node(id).fanins.empty() &&
-          n.node(id).delay == 0) {
-        n.set_node_delay(id, default_lut_delay_);
-      }
-    }
+    set_default_lut_delays(context.netlist(), default_lut_delay_);
   }
   WindowedRetimeOptions options = options_;
   options.base.cancel = context.cancel;

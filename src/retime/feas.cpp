@@ -1,17 +1,14 @@
 #include "retime/feas.h"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
-
-#include "graph/topo.h"
 
 namespace mcrt {
 namespace {
 
 /// One FEAS probe's worth of scratch, allocated once per call and reused
 /// across rounds (a probe runs up to |V| - 1 rounds; reallocating the five
-/// arrays per round dominated the legacy profile on small graphs).
+/// arrays per round would dominate on small graphs).
 struct FeasScratch {
   std::vector<std::int64_t> arrival;
   std::vector<std::uint32_t> indegree;
@@ -150,74 +147,6 @@ std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
       *std::max_element(scratch.arrival.begin(), scratch.arrival.end());
   if (period > phi) return std::nullopt;
   return r;
-}
-
-std::optional<std::vector<std::int64_t>> feas_check_legacy(
-    const RetimeGraph& graph, std::int64_t phi) {
-  const std::size_t n = graph.vertex_count();
-  const Digraph& g = graph.digraph();
-  std::vector<std::int64_t> r(n, 0);
-
-  for (std::size_t round = 0; round + 1 < n; ++round) {
-    // Arrival times over zero-weight edges of the retimed graph; host
-    // out-edges are blocked (environment closure, not combinational paths).
-    auto zero_weight = [&](EdgeId e) {
-      return g.from(e) != graph.host() && graph.retimed_weight(e, r) == 0;
-    };
-    const auto arrival = dag_longest_path(
-        g, [&](VertexId v) { return graph.delay(v); }, zero_weight);
-    if (!arrival) {
-      throw std::logic_error("FEAS: zero-weight cycle");
-    }
-    bool any = false;
-    for (std::size_t v = 0; v < n; ++v) {
-      if ((*arrival)[v] > phi) {
-        ++r[v];
-        any = true;
-      }
-    }
-    if (!any) break;  // fixed point: current r realizes some period <= phi
-    std::deque<std::uint32_t> queue;
-    std::vector<bool> queued(n, false);
-    for (std::size_t v = 0; v < n; ++v) {
-      queue.push_back(static_cast<std::uint32_t>(v));
-      queued[v] = true;
-    }
-    while (!queue.empty()) {
-      const VertexId u{queue.front()};
-      queue.pop_front();
-      queued[u.index()] = false;
-      for (const EdgeId e : g.out_edges(u)) {
-        const VertexId v = g.to(e);
-        const std::int64_t needed = r[u.index()] - graph.weight(e);
-        if (r[v.index()] < needed) {
-          r[v.index()] = needed;
-          if (!queued[v.index()]) {
-            queued[v.index()] = true;
-            queue.push_back(v.value());
-          }
-        }
-      }
-    }
-  }
-  const std::int64_t base = r[graph.host().index()];
-  if (base != 0) {
-    for (auto& label : r) label -= base;
-  }
-  for (std::size_t e = 0; e < g.edge_count(); ++e) {
-    if (graph.retimed_weight(EdgeId{static_cast<std::uint32_t>(e)}, r) < 0) {
-      return std::nullopt;
-    }
-  }
-  if (graph.period(r) > phi) return std::nullopt;
-  return r;
-}
-
-std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
-                                                    std::int64_t phi,
-                                                    FeasImpl impl) {
-  return impl == FeasImpl::kCsr ? feas_check(graph, phi)
-                                : feas_check_legacy(graph, phi);
 }
 
 }  // namespace mcrt

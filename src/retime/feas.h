@@ -4,16 +4,13 @@
 // retiming graph in O(V * E): repeatedly compute combinational arrival
 // times under the current tentative retiming and increment r(v) for every
 // vertex whose arrival exceeds phi. After |V| - 1 rounds, phi is feasible
-// iff the retimed clock period is at most phi.
+// iff the retimed clock period is at most phi. The engine iterates over
+// the RetimeGraph's flat CSR view with scratch arrays reused across rounds.
 //
-// Two interchangeable engines compute the same fixed point:
-//  - feas_check() iterates over the RetimeGraph's flat CSR view with
-//    reused scratch arrays — the production path (BENCH_retime.json tracks
-//    its speedup);
-//  - feas_check_legacy() walks the Digraph through std::function callbacks
-//    — kept compiled as the differential oracle (tests assert identical
-//    labels; the arrival fixed point is unique, so both engines agree
-//    label-for-label, not just on feasibility).
+// Its independent reference is the W/D formulation: Leiserson-Saxe's
+// period constraints solved by Bellman-Ford (bounded_feasible() in
+// minperiod.h). tests/retime/feas_differential_test.cpp checks that both
+// accept exactly the same periods.
 //
 // FEAS cannot honor per-vertex retiming bounds; the bounded feasibility
 // check lives in minperiod.cpp (difference-constraint formulation).
@@ -27,21 +24,14 @@
 
 namespace mcrt {
 
-/// Which FEAS engine a caller (minperiod, bench) probes with.
-enum class FeasImpl { kCsr, kLegacy };
+/// The FEAS engine minperiod_retime() probes with. There is one; the enum
+/// and minperiod_retime()'s parameter stay because callers outside this
+/// library (the flow benchmark) pass FeasImpl::kCsr explicitly.
+enum class FeasImpl { kCsr };
 
 /// Returns the retiming labels achieving period <= phi, or std::nullopt if
-/// phi is infeasible for the graph (ignoring bounds). CSR engine.
+/// phi is infeasible for the graph (ignoring bounds).
 std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
                                                     std::int64_t phi);
-
-/// The seed's pointer-chasing implementation; identical results.
-std::optional<std::vector<std::int64_t>> feas_check_legacy(
-    const RetimeGraph& graph, std::int64_t phi);
-
-/// Engine-selecting dispatch.
-std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
-                                                    std::int64_t phi,
-                                                    FeasImpl impl);
 
 }  // namespace mcrt

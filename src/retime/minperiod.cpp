@@ -40,7 +40,7 @@ std::optional<std::vector<std::int64_t>> bounded_feasible(
   return r;
 }
 
-RetimeSolution minperiod_retime(const RetimeGraph& graph, FeasImpl impl,
+RetimeSolution minperiod_retime(const RetimeGraph& graph, FeasImpl /*impl*/,
                                 const CancelToken* cancel) {
   RetimeSolution result;
   const std::int64_t current = graph.period();
@@ -68,7 +68,7 @@ RetimeSolution minperiod_retime(const RetimeGraph& graph, FeasImpl impl,
     while (a < b) {
       poll_cancel(cancel);
       const std::size_t mid = a + (b - a) / 2;
-      if (feas_check(graph, candidates[mid], impl)) {
+      if (feas_check(graph, candidates[mid])) {
         b = mid;
       } else {
         a = mid + 1;
@@ -79,7 +79,7 @@ RetimeSolution minperiod_retime(const RetimeGraph& graph, FeasImpl impl,
 
   if (!graph.has_bounds()) {
     if (unbounded_lo < candidates.size() && candidates[unbounded_lo] < current) {
-      if (auto r = feas_check(graph, candidates[unbounded_lo], impl)) {
+      if (auto r = feas_check(graph, candidates[unbounded_lo])) {
         best_r = normalize_to_host(std::move(*r), graph);
         best_phi = candidates[unbounded_lo];
       }

@@ -21,8 +21,7 @@ namespace mcrt {
 /// The returned labels are normalized to r(host) = 0 and legal w.r.t.
 /// bounds. `feasible` is false only if the graph is malformed (a single
 /// vertex slower than every period bound cannot happen with finite delays).
-/// `impl` selects the FEAS engine for the unbounded probes (the legacy
-/// engine exists for differential tests and the bench's speedup baseline).
+/// `impl` names the FEAS engine for the unbounded probes (see FeasImpl).
 /// `cancel` (may be null) is polled per probe and inside constraint
 /// generation, so one oversized monolithic solve cannot stall a batch or a
 /// window deadline.

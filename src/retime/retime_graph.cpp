@@ -75,6 +75,19 @@ void RetimeGraph::set_bounds(VertexId v, std::int64_t lower,
   if (lower > -kNoBound || upper < kNoBound) has_bounds_ = true;
 }
 
+RetimeGraph RetimeGraph::without_bounds() const {
+  RetimeGraph out;
+  out.reserve(vertex_count(), edge_count());
+  for (std::uint32_t v = 1; v < vertex_count(); ++v) {
+    out.add_vertex(delay_[v], names_[v]);
+  }
+  for (std::uint32_t e = 0; e < edge_count(); ++e) {
+    const EdgeId id{e};
+    out.add_edge(graph_.from(id), graph_.to(id), weight_[e]);
+  }
+  return out;
+}
+
 std::int64_t RetimeGraph::retimed_weight(
     EdgeId e, const std::vector<std::int64_t>& r) const {
   return weight_[e.index()] + r[graph_.to(e).index()] -

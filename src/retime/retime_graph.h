@@ -75,6 +75,9 @@ class RetimeGraph {
     return upper_[v.index()];
   }
   [[nodiscard]] bool has_bounds() const noexcept { return has_bounds_; }
+  /// The same vertices, edges, delays and weights (ids preserved) with every
+  /// bound dropped: the unbounded problem FEAS solves.
+  [[nodiscard]] RetimeGraph without_bounds() const;
 
   /// w_r(e) for a retiming labeling.
   [[nodiscard]] std::int64_t retimed_weight(

@@ -5,9 +5,10 @@
 namespace mcrt {
 namespace {
 
-/// tritword_eval on the flat arena: same dual-rail lift (a lane is 1 iff no
-/// consistent completion of its X pins reaches the off-set), reading the
-/// truth table as a raw positional word.
+/// One LUT over 64 lanes, reading the truth table as a raw positional word.
+/// Dual-rail lift: a lane is 1 iff no consistent completion of its X pins
+/// reaches the off-set (and symmetrically for 0), the word-parallel form of
+/// the lift the ternary BMC uses.
 TritWord eval_flat(std::uint64_t bits, std::uint32_t arity,
                    const TritWord* pins) {
   std::uint64_t on_reachable = 0;
@@ -28,6 +29,16 @@ TritWord eval_flat(std::uint64_t bits, std::uint32_t arity,
 }
 
 }  // namespace
+
+TritWord tritword_ite(TritWord ctrl, TritWord a, TritWord b) {
+  const std::uint64_t x = ~ctrl.ones & ~ctrl.zeros;
+  TritWord out;
+  out.ones = (ctrl.ones & a.ones) | (ctrl.zeros & b.ones) |
+             (x & a.ones & b.ones);
+  out.zeros = (ctrl.ones & a.zeros) | (ctrl.zeros & b.zeros) |
+              (x & a.zeros & b.zeros);
+  return out;
+}
 
 WordSimulator::WordSimulator(const Netlist& netlist)
     : WordSimulator(CompactNetlist(netlist)) {}
@@ -101,7 +112,7 @@ void WordSimulator::settle() {
     // Without async overrides nothing feeds back within a cycle: register
     // outputs and inputs are constants for the sweep and the topological
     // pass finalizes every net, so the first sweep is the fixed point the
-    // iterative engines converge to.
+    // iteration below would converge to.
     sweep();
     return;
   }

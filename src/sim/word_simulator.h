@@ -1,10 +1,12 @@
 // Bit-parallel ternary simulation on the data-oriented compact core.
 //
-// Semantically identical to sim/parallel_simulator.h — 64 independent
-// stimulus vectors per pass, dual-rail (ones, zeros) encoding, the same
-// EN/sync/async register-class semantics expressed as masked ite updates,
-// the same settle bound and X-degrade policy — but it iterates the
-// CompactNetlist's flat arrays instead of chasing Netlist pointers:
+// 64 independent stimulus vectors per pass: every signal carries a TritWord,
+// a dual-rail (ones, zeros) pair whose bit v is vector v's value (1, 0, or X
+// when neither bit is set). The EN/sync/async register-class semantics are
+// expressed as masked ite updates, with the scalar simulator's settle bound
+// and X-degrade policy, so every lane behaves exactly like one run of
+// sim/simulator.h at ~64x the throughput. The engine iterates the
+// CompactNetlist's flat arrays:
 //  - truth tables come from the flat uint64 arena (no TruthTable objects);
 //  - fanins are CSR spans read into a fixed 6-slot pin buffer (no per-node
 //    vector rebuilding);
@@ -13,18 +15,50 @@
 //    controls can feed back into their own cones; without them the first
 //    pass *is* the fixed point, so the verification iteration is skipped).
 //
-// The cross-engine differential (tests/sim/sim_differential_test.cpp)
-// asserts bit-identical words against ParallelSimulator and lane-exact
-// agreement with the scalar Simulator on every register class.
+// Its reference is the scalar Simulator: tests/sim/sim_differential_test.cpp
+// asserts lane-exact agreement on outputs and register state for every
+// register class.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "netlist/compact.h"
-#include "sim/parallel_simulator.h"
 
 namespace mcrt {
+
+/// 64 ternary values: bit v set in `ones` = vector v is 1; in `zeros` = 0;
+/// in neither = X. `ones & zeros` must stay empty.
+struct TritWord {
+  std::uint64_t ones = 0;
+  std::uint64_t zeros = 0;
+
+  static TritWord all(Trit t) {
+    switch (t) {
+      case Trit::kOne: return {~0ull, 0};
+      case Trit::kZero: return {0, ~0ull};
+      case Trit::kUnknown: return {0, 0};
+    }
+    return {0, 0};
+  }
+  [[nodiscard]] Trit lane(unsigned v) const {
+    if ((ones >> v) & 1) return Trit::kOne;
+    if ((zeros >> v) & 1) return Trit::kZero;
+    return Trit::kUnknown;
+  }
+  void set_lane(unsigned v, Trit t) {
+    const std::uint64_t bit = std::uint64_t{1} << v;
+    ones &= ~bit;
+    zeros &= ~bit;
+    if (t == Trit::kOne) ones |= bit;
+    if (t == Trit::kZero) zeros |= bit;
+  }
+  bool operator==(const TritWord&) const = default;
+};
+
+/// Lane-wise ternary if-then-else: ctrl ? a : b, and where ctrl is X the
+/// merge of a and b (defined only where they agree).
+TritWord tritword_ite(TritWord ctrl, TritWord a, TritWord b);
 
 class WordSimulator {
  public:

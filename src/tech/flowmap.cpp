@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 #include <stdexcept>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "flow/maxflow.h"
 #include "netlist/compact.h"
@@ -15,392 +13,12 @@ namespace {
 
 /// Mapping works on nets: every combinational node output is a candidate
 /// LUT output; PIs, constants and register Q nets are boundary sources.
-/// This is the seed implementation, kept compiled as the differential
-/// oracle for the compact-core engine below (options.legacy_engine).
-class LegacyFlowMapper {
- public:
-  LegacyFlowMapper(const Netlist& input, const FlowMapOptions& options)
-      : input_(input), options_(options) {}
-
-  FlowMapResult run() {
-    collect_boundaries();
-    compute_labels();
-    return realize();
-  }
-
- private:
-  struct NetInfo {
-    bool boundary = false;        ///< source: PI / const / register Q
-    NodeId driver;                ///< driving LUT node (if not boundary)
-    std::uint32_t label = 0;      ///< FlowMap label (boundary: 0)
-    std::vector<NetId> cut;       ///< chosen k-feasible cut (LUT inputs)
-  };
-
-  void collect_boundaries() {
-    info_.resize(input_.net_count());
-    for (const NodeId in : input_.inputs()) {
-      info_[input_.node(in).output.index()].boundary = true;
-    }
-    for (const Register& ff : input_.registers()) {
-      info_[ff.q.index()].boundary = true;
-    }
-    for (std::size_t n = 0; n < input_.node_count(); ++n) {
-      const Node& node = input_.nodes()[n];
-      if (node.kind != NodeKind::kLut) continue;
-      if (node.fanins.size() > options_.k) {
-        throw std::invalid_argument(
-            "flowmap: subject graph is not k-bounded");
-      }
-      if (node.fanins.empty()) {
-        // Constants are boundary sources with label 0 and no LUT.
-        info_[node.output.index()].boundary = true;
-        continue;
-      }
-      info_[node.output.index()].driver = NodeId{static_cast<uint32_t>(n)};
-    }
-  }
-
-  /// Transitive fanin cone of `target` up to boundary nets.
-  /// Returns cone nets in topological order (inputs excluded).
-  std::vector<NetId> cone_of(NetId target) const {
-    std::vector<NetId> cone;
-    std::vector<NetId> stack{target};
-    std::unordered_set<std::uint32_t> seen{target.value()};
-    while (!stack.empty()) {
-      const NetId net = stack.back();
-      stack.pop_back();
-      cone.push_back(net);
-      const Node& node = input_.node(info_[net.index()].driver);
-      for (const NetId f : node.fanins) {
-        if (info_[f.index()].boundary) continue;
-        if (seen.insert(f.value()).second) stack.push_back(f);
-      }
-    }
-    return cone;
-  }
-
-  void compute_labels() {
-    const auto order = input_.combinational_order();
-    if (!order) throw std::invalid_argument("flowmap: cyclic netlist");
-    for (const NodeId id : *order) {
-      poll_cancel(options_.cancel);
-      const Node& node = input_.node(id);
-      if (node.kind != NodeKind::kLut || node.fanins.empty()) continue;
-      compute_label(node.output);
-    }
-  }
-
-  void compute_label(NetId target) {
-    NetInfo& target_info = info_[target.index()];
-    const Node& node = input_.node(target_info.driver);
-    // p = max label over fanins.
-    std::uint32_t p = 0;
-    for (const NetId f : node.fanins) {
-      p = std::max(p, info_[f.index()].label);
-    }
-    if (p == 0) {
-      // All fanins are boundaries; the trivial cut is always k-feasible for
-      // a k-bounded node.
-      target_info.label = 1;
-      target_info.cut.assign(node.fanins.begin(), node.fanins.end());
-      dedupe(target_info.cut);
-      return;
-    }
-    // Build the flow network over the cone: collapse target and all cone
-    // nets with label == p into the sink; test max-flow <= k.
-    const std::vector<NetId> cone = cone_of(target);
-    std::unordered_set<std::uint32_t> cone_set;
-    for (const NetId n : cone) cone_set.insert(n.value());
-    // Cone input nets (boundaries or nets outside cone... all non-boundary
-    // fanins are in the cone by construction, so inputs = boundary fanins).
-    std::set<std::uint32_t> input_nets;
-    for (const NetId n : cone) {
-      for (const NetId f : input_.node(info_[n.index()].driver).fanins) {
-        if (info_[f.index()].boundary) input_nets.insert(f.value());
-      }
-    }
-    // Node ids in the flow network: 0 = source, 1 = sink (collapsed
-    // cluster), then two per cuttable net (in, out).
-    std::unordered_map<std::uint32_t, std::uint32_t> net_to_flow;
-    std::uint32_t next = 2;
-    auto flow_in = [&](std::uint32_t net) { return net_to_flow.at(net); };
-    auto flow_out = [&](std::uint32_t net) { return net_to_flow.at(net) + 1; };
-    std::vector<std::uint32_t> cuttable;
-    for (const std::uint32_t net : input_nets) {
-      net_to_flow.emplace(net, next);
-      next += 2;
-      cuttable.push_back(net);
-    }
-    for (const NetId n : cone) {
-      if (info_[n.index()].label == p) continue;  // part of the sink cluster
-      if (n == target) continue;
-      net_to_flow.emplace(n.value(), next);
-      next += 2;
-      cuttable.push_back(n.value());
-    }
-    MaxFlow flow(next);
-    std::vector<std::size_t> net_arc(input_.net_count(), ~std::size_t{0});
-    for (const std::uint32_t net : cuttable) {
-      net_arc[net] = flow.add_arc(flow_in(net), flow_out(net), 1);
-    }
-    const std::int64_t kInf = 1 << 20;
-    for (const std::uint32_t net : input_nets) {
-      flow.add_arc(0, flow_in(net), kInf);
-    }
-    auto sink_or_out = [&](NetId n) -> std::uint32_t {
-      // Nets in the collapsed cluster map to the sink itself.
-      if (n == target || (cone_set.count(n.value()) &&
-                          info_[n.index()].label == p)) {
-        return 1;
-      }
-      return flow_out(n.value());
-    };
-    auto sink_or_in = [&](NetId n) -> std::uint32_t {
-      if (n == target || (cone_set.count(n.value()) &&
-                          info_[n.index()].label == p)) {
-        return 1;
-      }
-      return flow_in(n.value());
-    };
-    for (const NetId n : cone) {
-      const Node& gate = input_.node(info_[n.index()].driver);
-      const std::uint32_t head = sink_or_in(n);
-      for (const NetId f : gate.fanins) {
-        const std::uint32_t tail = sink_or_out(f);
-        if (tail == head) continue;  // both inside the cluster
-        flow.add_arc(tail, head, kInf);
-      }
-    }
-    const std::int64_t max_flow =
-        flow.solve(0, 1, static_cast<std::int64_t>(options_.k) + 1);
-    if (max_flow <= options_.k) {
-      // Min cut = cuttable nets whose in-side is reachable but out-side is
-      // not (saturated net arcs crossing the cut).
-      target_info.label = p;
-      target_info.cut.clear();
-      for (const std::uint32_t net : cuttable) {
-        if (flow.source_side(flow_in(net)) &&
-            !flow.source_side(flow_out(net))) {
-          target_info.cut.push_back(NetId{net});
-        }
-      }
-      assert(!target_info.cut.empty());
-    } else {
-      target_info.label = p + 1;
-      target_info.cut.assign(node.fanins.begin(), node.fanins.end());
-      dedupe(target_info.cut);
-    }
-  }
-
-  static void dedupe(std::vector<NetId>& nets) {
-    std::sort(nets.begin(), nets.end());
-    nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-  }
-
-  /// Evaluates the cone function of `root` restricted to `cut` under the
-  /// assignment `values` (bit i = value of cut[i]).
-  bool eval_cone(NetId root, const std::vector<NetId>& cut,
-                 std::uint32_t values) const {
-    std::unordered_map<std::uint32_t, bool> cache;
-    for (std::size_t i = 0; i < cut.size(); ++i) {
-      cache[cut[i].value()] = (values >> i) & 1;
-    }
-    return eval_net(root, cache);
-  }
-
-  bool eval_net(NetId net,
-                std::unordered_map<std::uint32_t, bool>& cache) const {
-    if (auto it = cache.find(net.value()); it != cache.end()) {
-      return it->second;
-    }
-    const NetInfo& info = info_[net.index()];
-    if (info.boundary) {
-      // Constant boundary nets evaluate to their constant; other boundary
-      // nets must be in the cut (cache) - reaching here is a logic error
-      // unless the net is a constant.
-      const auto constant = input_.const_value(net);
-      if (!constant) {
-        throw std::logic_error("flowmap: cone evaluation escaped its cut");
-      }
-      cache[net.value()] = *constant;
-      return *constant;
-    }
-    const Node& node = input_.node(info.driver);
-    std::uint32_t bits = 0;
-    for (std::size_t i = 0; i < node.fanins.size(); ++i) {
-      if (eval_net(node.fanins[i], cache)) bits |= 1u << i;
-    }
-    const bool value = node.function.eval(bits);
-    cache[net.value()] = value;
-    return value;
-  }
-
-  /// Trivial cut of a net: the driving node's fanins, deduplicated.
-  std::vector<NetId> trivial_cut(NetId net) const {
-    const Node& node = input_.node(info_[net.index()].driver);
-    std::vector<NetId> cut(node.fanins.begin(), node.fanins.end());
-    dedupe(cut);
-    return cut;
-  }
-
-  /// Chooses the cut to realize per needed net. With area recovery, a net
-  /// with depth slack reuses its (cheap, non-duplicating) trivial cut:
-  /// nets are visited in reverse topological order, so every consumer has
-  /// already registered its requirement, and the choice
-  ///     trivial  iff  1 + max fanin label <= need(net)
-  /// keeps realized depth <= need(net) by induction (an optimal cut's
-  /// depth is bounded by the net's own label <= need).
-  std::unordered_map<std::uint32_t, std::vector<NetId>> choose_cuts(
-      const std::vector<NetId>& roots) {
-    std::unordered_map<std::uint32_t, std::uint32_t> need;
-    for (const NetId root : roots) {
-      if (info_[root.index()].boundary) continue;
-      auto [it, inserted] =
-          need.emplace(root.value(), info_[root.index()].label);
-      if (!inserted) {
-        it->second = std::min(it->second, info_[root.index()].label);
-      }
-    }
-    std::unordered_map<std::uint32_t, std::vector<NetId>> chosen;
-    const auto order = input_.combinational_order();
-    for (auto it = order->rbegin(); it != order->rend(); ++it) {
-      const Node& node = input_.node(*it);
-      if (node.kind != NodeKind::kLut || node.fanins.empty()) continue;
-      const NetId net = node.output;
-      const auto need_it = need.find(net.value());
-      if (need_it == need.end()) continue;  // not needed by any consumer
-      const NetInfo& info = info_[net.index()];
-      std::vector<NetId> cut;
-      if (options_.area_recovery) {
-        // Reuse-only recovery: fall back to the trivial cut when (a) depth
-        // slack allows it and (b) every non-boundary fanin is already
-        // demanded by some other consumer - then the trivial cut duplicates
-        // nothing and simply taps logic that exists anyway. Without (b)
-        // the trivial cut would fragment the cone into small LUTs.
-        std::uint32_t fanin_label = 0;
-        bool all_reused = true;
-        for (const NetId f : node.fanins) {
-          fanin_label = std::max(fanin_label, info_[f.index()].label);
-          if (!info_[f.index()].boundary && !need.count(f.value())) {
-            all_reused = false;
-          }
-        }
-        if (all_reused && fanin_label + 1 <= need_it->second) {
-          cut = trivial_cut(net);
-        }
-      }
-      if (cut.empty()) cut = info.cut;
-      for (const NetId c : cut) {
-        if (info_[c.index()].boundary) continue;
-        const std::uint32_t required = need_it->second - 1;
-        auto [cit, inserted] = need.emplace(c.value(), required);
-        if (!inserted) cit->second = std::min(cit->second, required);
-      }
-      chosen.emplace(net.value(), std::move(cut));
-    }
-    return chosen;
-  }
-
-  FlowMapResult realize() {
-    FlowMapResult result;
-    Netlist& out = result.mapped;
-    std::unordered_map<std::uint32_t, NetId> net_map;  // old -> new
-    for (const NodeId in : input_.inputs()) {
-      net_map[input_.node(in).output.value()] =
-          out.add_input(input_.node(in).name);
-    }
-    // Constants carry over as constants.
-    for (const Node& node : input_.nodes()) {
-      if (node.kind == NodeKind::kLut && node.fanins.empty()) {
-        net_map[node.output.value()] =
-            out.add_const(node.function.eval(0), node.name);
-      }
-    }
-    for (const Register& ff : input_.registers()) {
-      net_map[ff.q.value()] = out.add_net(input_.net(ff.q).name);
-    }
-
-    // Roots: nets consumed by POs, register D pins and control pins.
-    std::vector<NetId> roots;
-    auto add_root = [&](NetId n) {
-      if (n.valid()) roots.push_back(n);
-    };
-    for (const NodeId po : input_.outputs()) {
-      add_root(input_.node(po).fanins[0]);
-    }
-    for (const Register& ff : input_.registers()) {
-      add_root(ff.d);
-      add_root(ff.clk);
-      add_root(ff.en);
-      add_root(ff.sync_ctrl);
-      add_root(ff.async_ctrl);
-    }
-
-    const auto chosen = choose_cuts(roots);
-
-    // Build the chosen LUTs in topological order (cut inputs come first).
-    const auto order = input_.combinational_order();
-    for (const NodeId id : *order) {
-      const Node& node = input_.node(id);
-      if (node.kind != NodeKind::kLut || node.fanins.empty()) continue;
-      const NetId net = node.output;
-      const auto it = chosen.find(net.value());
-      if (it == chosen.end()) continue;
-      const std::vector<NetId>& cut = it->second;
-      const auto cut_size = static_cast<std::uint32_t>(cut.size());
-      assert(cut_size <= options_.k && cut_size >= 1);
-      std::uint64_t bits = 0;
-      for (std::uint32_t row = 0; row < (1u << cut_size); ++row) {
-        if (eval_cone(net, cut, row)) bits |= std::uint64_t{1} << row;
-      }
-      std::vector<NetId> lut_fanins;
-      for (const NetId c : cut) lut_fanins.push_back(net_map.at(c.value()));
-      const NetId mapped = out.add_lut(TruthTable(cut_size, bits),
-                                       std::move(lut_fanins),
-                                       input_.net(net).name);
-      out.set_node_delay(NodeId{out.net(mapped).driver.index},
-                         options_.lut_delay);
-      net_map[net.value()] = mapped;
-      result.depth = std::max(result.depth, info_[net.index()].label);
-      ++result.lut_count;
-    }
-
-    for (const Register& ff : input_.registers()) {
-      Register spec;
-      spec.d = net_map.at(ff.d.value());
-      spec.q = net_map.at(ff.q.value());
-      spec.clk = net_map.at(ff.clk.value());
-      if (ff.en.valid()) spec.en = net_map.at(ff.en.value());
-      if (ff.sync_ctrl.valid()) spec.sync_ctrl = net_map.at(ff.sync_ctrl.value());
-      if (ff.async_ctrl.valid()) {
-        spec.async_ctrl = net_map.at(ff.async_ctrl.value());
-      }
-      spec.sync_val = ff.sync_val;
-      spec.async_val = ff.async_val;
-      spec.name = ff.name;
-      out.add_register(std::move(spec));
-    }
-    for (const NodeId po : input_.outputs()) {
-      const Node& node = input_.node(po);
-      out.add_output(node.name, net_map.at(node.fanins[0].value()));
-    }
-    return result;
-  }
-
-  const Netlist& input_;
-  const FlowMapOptions& options_;
-  std::vector<NetInfo> info_;
-};
-
-/// The production mapper: same algorithm, same cuts, same mapped netlist,
-/// but iterating the CompactNetlist's CSR spans with persistent
-/// epoch-stamped scratch instead of per-label hash containers (the legacy
-/// engine allocates an O(net_count) array plus several unordered maps for
-/// *every* label's max-flow). Orders that determine the result — cone DFS
-/// order, the sorted cone-input list, flow-arc insertion order, cut
-/// extraction order — replicate the legacy engine exactly, which is what
-/// makes the two engines emit identical netlists, not merely equivalent
-/// ones (tests/tech/flowmap_differential_test.cpp).
+/// The mapper iterates the CompactNetlist's CSR spans with persistent
+/// epoch-stamped scratch, so a label's max-flow costs O(cone) setup rather
+/// than per-label hash containers or an O(net_count) array. The orders that
+/// determine the result (cone DFS order, the sorted cone-input list,
+/// flow-arc insertion order, cut extraction order) are fixed, so the mapped
+/// netlist is deterministic.
 class CompactFlowMapper {
  public:
   CompactFlowMapper(const Netlist& input, const FlowMapOptions& options)
@@ -446,8 +64,8 @@ class CompactFlowMapper {
     }
   }
 
-  /// Transitive fanin cone of `target` up to boundary nets, in the legacy
-  /// engine's DFS order; cone membership is marked with the current epoch.
+  /// Transitive fanin cone of `target` up to boundary nets, in DFS order;
+  /// cone membership is marked with the current epoch.
   void cone_of(std::uint32_t target) {
     ++cone_epoch_;
     cone_.clear();
@@ -497,8 +115,7 @@ class CompactFlowMapper {
     // Build the flow network over the cone: collapse target and all cone
     // nets with label == p into the sink; test max-flow <= k.
     cone_of(target);
-    // Cone inputs = boundary fanins, in ascending net order (the legacy
-    // engine's std::set iteration order).
+    // Cone inputs = boundary fanins, in ascending net order.
     input_nets_.clear();
     for (const std::uint32_t n : cone_) {
       for (const std::uint32_t f : compact_.fanins(driver_[n])) {
@@ -622,9 +239,13 @@ class CompactFlowMapper {
     return cut;
   }
 
-  /// Chooses the cut to realize per needed net; flat-array port of the
-  /// legacy choose_cuts (same reverse-topological visit, same
-  /// area-recovery reuse rule, so the same cuts come out).
+  /// Chooses the cut to realize per needed net. With area recovery, a net
+  /// with depth slack reuses its (cheap, non-duplicating) trivial cut:
+  /// nets are visited in reverse topological order, so every consumer has
+  /// already registered its requirement, and the choice
+  ///     trivial  iff  1 + max fanin label <= need(net)
+  /// keeps realized depth <= need(net) by induction (an optimal cut's
+  /// depth is bounded by the net's own label <= need).
   void choose_cuts(const std::vector<std::uint32_t>& roots) {
     need_.assign(compact_.net_count(), kNone);
     chosen_.assign(compact_.net_count(), 0);
@@ -645,7 +266,8 @@ class CompactFlowMapper {
         // Reuse-only recovery: fall back to the trivial cut when (a) depth
         // slack allows it and (b) every non-boundary fanin is already
         // demanded by some other consumer - then the trivial cut duplicates
-        // nothing and simply taps logic that exists anyway.
+        // nothing and simply taps logic that exists anyway. Without (b)
+        // the trivial cut would fragment the cone into small LUTs.
         std::uint32_t fanin_label = 0;
         bool all_reused = true;
         for (const std::uint32_t f : fanins) {
@@ -780,10 +402,6 @@ class CompactFlowMapper {
 
 FlowMapResult flowmap_map(const Netlist& input,
                           const FlowMapOptions& options) {
-  if (options.legacy_engine) {
-    LegacyFlowMapper mapper(input, options);
-    return mapper.run();
-  }
   CompactFlowMapper mapper(input, options);
   return mapper.run();
 }

@@ -10,6 +10,11 @@
 // Mapping boundaries: primary inputs and register outputs are sources;
 // primary outputs, register D pins and register control pins (EN, sync,
 // async, clk) are roots. Registers pass through unchanged.
+//
+// The labels' independent reference is exhaustive k-cut enumeration
+// (verify/cut_depth.h), which computes the same minimum depth straight
+// from its definition; tests/tech/flowmap_differential_test.cpp compares
+// the two.
 #pragma once
 
 #include <cstdint>
@@ -31,11 +36,6 @@ struct FlowMapOptions {
   /// Cooperative cancellation: polled once per labeled node (each label is
   /// one small max-flow); a stop request unwinds with CancelledError.
   const CancelToken* cancel = nullptr;
-  /// Use the seed's pointer-chasing mapper instead of the compact-core
-  /// engine. Both produce identical mapped netlists (the differential test
-  /// pins this); the legacy path exists as that oracle and as the bench
-  /// baseline, not for production use.
-  bool legacy_engine = false;
 };
 
 struct FlowMapResult {

@@ -18,7 +18,7 @@ namespace {
 TEST(OracleName, RoundTripsAllKinds) {
   const OracleKind kinds[] = {
       OracleKind::kSerialVsBulk, OracleKind::kBulkVsServe,
-      OracleKind::kMonoVsWindowed, OracleKind::kCompactVsLegacy,
+      OracleKind::kMonoVsWindowed, OracleKind::kEngineVsReference,
       OracleKind::kCslowVsReplicated};
   std::set<std::string> names;
   for (OracleKind kind : kinds) {

@@ -24,7 +24,7 @@ FuzzCase chain_case(OracleKind oracle, const std::string& script) {
 TEST(Oracles, HealthyChainPassesEveryEnginePair) {
   for (OracleKind oracle :
        {OracleKind::kSerialVsBulk, OracleKind::kBulkVsServe,
-        OracleKind::kMonoVsWindowed, OracleKind::kCompactVsLegacy,
+        OracleKind::kMonoVsWindowed, OracleKind::kEngineVsReference,
         OracleKind::kCslowVsReplicated}) {
     const std::string script =
         oracle == OracleKind::kCslowVsReplicated

@@ -41,9 +41,9 @@
 #include "retime/period_constraints.h"
 #include "retime/retime_graph.h"
 #include "sim/equivalence.h"
-#include "sim/parallel_simulator.h"
 #include "sim/simulator.h"
 #include "sim/vcd.h"
+#include "sim/word_simulator.h"
 #include "tech/decompose.h"
 #include "tech/flowmap.h"
 #include "tech/sta.h"
@@ -52,6 +52,7 @@
 #include "transform/rewrite.h"
 #include "transform/strash.h"
 #include "transform/sweep.h"
+#include "verify/cut_depth.h"
 #include "verify/formal_equivalence.h"
 #include "verify/ternary_bmc.h"
 #include "workload/generator.h"

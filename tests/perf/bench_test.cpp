@@ -13,9 +13,9 @@ namespace {
 Json entry(const char* circuit, double speedup, bool identical = true) {
   Json e = Json::object();
   e.set("circuit", circuit);
-  e.set("legacy_seconds", 1.0);
-  e.set("csr_seconds", 1.0 / speedup);
-  e.set("speedup", speedup);
+  e.set("monolithic_seconds", 1.0);
+  e.set("windowed_seconds", 1.0 / speedup);
+  e.set("speedup_vs_monolithic", speedup);
   e.set("identical", identical);
   return e;
 }
@@ -28,7 +28,7 @@ Json report(std::initializer_list<Json> entries, double geomean) {
   summary.set("geomean_speedup", geomean);
   summary.set("all_identical", true);
   Json doc = Json::object();
-  doc.set("schema", kBenchRetimeSchema);
+  doc.set("schema", kBenchWindowSchema);
   doc.set("options", Json::object());
   doc.set("entries", Json(std::move(array)));
   doc.set("summary", std::move(summary));
@@ -37,28 +37,28 @@ Json report(std::initializer_list<Json> entries, double geomean) {
 
 TEST(BenchReportTest, ValidReportPasses) {
   const Json doc = report({entry("C1", 2.5), entry("C2", 3.0)}, 2.7);
-  EXPECT_EQ(validate_bench_report(doc, kBenchRetimeSchema), "");
+  EXPECT_EQ(validate_bench_report(doc, kBenchWindowSchema), "");
 }
 
 TEST(BenchReportTest, SchemaMismatchRejected) {
   const Json doc = report({entry("C1", 2.5)}, 2.5);
-  EXPECT_NE(validate_bench_report(doc, kBenchSimSchema), "");
+  EXPECT_NE(validate_bench_report(doc, kBenchCslowSchema), "");
 }
 
 TEST(BenchReportTest, DivergedEnginesRejected) {
   const Json doc = report({entry("C1", 2.5, /*identical=*/false)}, 2.5);
-  const std::string problem = validate_bench_report(doc, kBenchRetimeSchema);
+  const std::string problem = validate_bench_report(doc, kBenchWindowSchema);
   EXPECT_NE(problem.find("diverged"), std::string::npos) << problem;
 }
 
 TEST(BenchReportTest, EmptyAndMalformedRejected) {
-  EXPECT_NE(validate_bench_report(Json("nope"), kBenchRetimeSchema), "");
-  EXPECT_NE(validate_bench_report(report({}, 1.0), kBenchRetimeSchema), "");
+  EXPECT_NE(validate_bench_report(Json("nope"), kBenchWindowSchema), "");
+  EXPECT_NE(validate_bench_report(report({}, 1.0), kBenchWindowSchema), "");
   Json no_speedup = Json::object();
   no_speedup.set("circuit", "C1");
   no_speedup.set("identical", true);
   EXPECT_NE(validate_bench_report(report({no_speedup}, 1.0),
-                                  kBenchRetimeSchema),
+                                  kBenchWindowSchema),
             "");
 }
 

@@ -1,12 +1,18 @@
-#include "sim/parallel_simulator.h"
+// Direct tests of the 64-lane WordSimulator and its TritWord primitives.
+// Whole-circuit agreement with the scalar Simulator lives in
+// sim_differential_test.cpp; here each mechanism is pinned on its own:
+// lane access, the ternary ite, single-LUT evaluation with X pins, register
+// enables and injected register state.
+#include "sim/word_simulator.h"
 
 #include <gtest/gtest.h>
+
+#include <string>
+#include <vector>
 
 #include "../common/test_circuits.h"
 #include "base/rng.h"
 #include "sim/simulator.h"
-#include "transform/sweep.h"
-#include "workload/random_circuit.h"
 
 namespace mcrt {
 namespace {
@@ -25,28 +31,47 @@ TEST(TritWordTest, LaneAccess) {
 }
 
 TEST(TritWordTest, EvalMatchesScalarTernary) {
+  // One LUT per netlist, arity 1 to 5, driven with 64 random 0/1/X lanes:
+  // every lane of the word engine must equal a scalar Simulator run and
+  // the truth table's own ternary evaluation.
   Rng rng(3);
   const TruthTable tables[] = {
-      TruthTable::and_n(3),  TruthTable::xor_n(2), TruthTable::mux21(),
-      TruthTable::nor_n(4),  TruthTable::inverter(),
-      TruthTable(4, rng.next()), TruthTable(5, rng.next()),
+      TruthTable::inverter(),    TruthTable::xor_n(2),
+      TruthTable::and_n(3),      TruthTable::mux21(),
+      TruthTable::nor_n(4),      TruthTable(4, rng.next()),
+      TruthTable(5, rng.next()), TruthTable(5, rng.next()),
   };
   for (const TruthTable& f : tables) {
-    TritWord pins[6];
-    Trit scalar[6][64];
+    Netlist n;
+    std::vector<NetId> pins;
     for (std::uint32_t i = 0; i < f.input_count(); ++i) {
+      pins.push_back(n.add_input("i" + std::to_string(i)));
+    }
+    n.add_output("y", n.add_lut(f, pins));
+
+    std::vector<TritWord> words(pins.size());
+    for (TritWord& word : words) {
       for (unsigned lane = 0; lane < 64; ++lane) {
-        const Trit t = static_cast<Trit>(rng.below(3));
-        pins[i].set_lane(lane, t);
-        scalar[i][lane] = t;
+        word.set_lane(lane, static_cast<Trit>(rng.below(3)));
       }
     }
-    const TritWord out = tritword_eval(f, pins);
+    WordSimulator word_sim(n);
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      word_sim.set_input(pins[i], words[i]);
+    }
+    word_sim.settle();
+    const TritWord out = word_sim.output_values()[0];
+
+    Simulator scalar(n);
     for (unsigned lane = 0; lane < 64; ++lane) {
-      Trit lane_pins[6];
-      for (std::uint32_t i = 0; i < f.input_count(); ++i) {
-        lane_pins[i] = scalar[i][lane];
+      Trit lane_pins[TruthTable::kMaxInputs];
+      for (std::size_t i = 0; i < pins.size(); ++i) {
+        lane_pins[i] = words[i].lane(lane);
+        scalar.set_input(pins[i], lane_pins[i]);
       }
+      scalar.settle();
+      EXPECT_EQ(out.lane(lane), scalar.output_values()[0])
+          << f.to_string() << " lane " << lane;
       EXPECT_EQ(out.lane(lane), f.eval_ternary(lane_pins))
           << f.to_string() << " lane " << lane;
     }
@@ -54,12 +79,13 @@ TEST(TritWordTest, EvalMatchesScalarTernary) {
 }
 
 TEST(TritWordTest, MergeAndIteMatchScalar) {
+  // An X control selects the merge of both arms: defined only where they
+  // agree (trit_merge).
   const Trit values[] = {Trit::kZero, Trit::kOne, Trit::kUnknown};
   for (const Trit a : values) {
     for (const Trit b : values) {
-      TritWord wa = TritWord::all(a);
-      TritWord wb = TritWord::all(b);
-      EXPECT_EQ(tritword_merge(wa, wb).lane(0), trit_merge(a, b));
+      const TritWord wa = TritWord::all(a);
+      const TritWord wb = TritWord::all(b);
       for (const Trit c : values) {
         const TritWord out = tritword_ite(TritWord::all(c), wa, wb);
         Trit expected;
@@ -70,50 +96,13 @@ TEST(TritWordTest, MergeAndIteMatchScalar) {
         }
         EXPECT_EQ(out.lane(0), expected)
             << trit_char(c) << "?" << trit_char(a) << ":" << trit_char(b);
+        EXPECT_EQ(out.lane(63), expected);
       }
     }
   }
 }
 
-TEST(ParallelSimulatorTest, MatchesScalarSimulatorLaneByLane) {
-  // Drive the scalar simulator and lane 0..7 of the parallel one with the
-  // same stimulus across several cycles; every net value must agree.
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    const Netlist n = sweep(random_sequential_circuit(seed), nullptr);
-    std::vector<Simulator> scalar;
-    constexpr unsigned kLanes = 8;
-    for (unsigned lane = 0; lane < kLanes; ++lane) scalar.emplace_back(n);
-    ParallelSimulator parallel(n);
-
-    Rng rng(seed * 77);
-    for (int cycle = 0; cycle < 16; ++cycle) {
-      for (const NodeId in : n.inputs()) {
-        const NetId net = n.node(in).output;
-        TritWord word;
-        for (unsigned lane = 0; lane < kLanes; ++lane) {
-          const Trit t = static_cast<Trit>(rng.below(3));
-          scalar[lane].set_input(net, t);
-          word.set_lane(lane, t);
-        }
-        parallel.set_input(net, word);
-      }
-      std::vector<std::vector<Trit>> scalar_out;
-      for (unsigned lane = 0; lane < kLanes; ++lane) {
-        scalar_out.push_back(scalar[lane].step());
-      }
-      const auto parallel_out = parallel.step();
-      for (std::size_t o = 0; o < parallel_out.size(); ++o) {
-        for (unsigned lane = 0; lane < kLanes; ++lane) {
-          ASSERT_EQ(parallel_out[o].lane(lane), scalar_out[lane][o])
-              << "seed " << seed << " cycle " << cycle << " output " << o
-              << " lane " << lane;
-        }
-      }
-    }
-  }
-}
-
-TEST(ParallelSimulatorTest, RegisterSemantics) {
+TEST(WordSimulatorTest, RegisterSemantics) {
   // One enabled register, different stimulus per lane.
   Netlist n;
   const NetId clk = n.add_input("clk");
@@ -125,33 +114,42 @@ TEST(ParallelSimulatorTest, RegisterSemantics) {
   ff.en = en;
   const NetId q = n.add_register(std::move(ff));
   n.add_output("o", q);
-  ParallelSimulator sim(n);
+  WordSimulator sim(n);
   TritWord d_word;
   TritWord en_word;
   d_word.set_lane(0, Trit::kOne);   // lane 0: loads 1
   en_word.set_lane(0, Trit::kOne);
   d_word.set_lane(1, Trit::kOne);   // lane 1: enable off, holds X
   en_word.set_lane(1, Trit::kZero);
+  d_word.set_lane(2, Trit::kZero);  // lane 2: X enable, 0 vs X state merges
+  en_word.set_lane(2, Trit::kUnknown);
   sim.set_input(d, d_word);
   sim.set_input(en, en_word);
   sim.step();
   const auto out = sim.step();
   EXPECT_EQ(out[0].lane(0), Trit::kOne);
   EXPECT_EQ(out[0].lane(1), Trit::kUnknown);
+  EXPECT_EQ(out[0].lane(2), Trit::kUnknown);
+  EXPECT_EQ(sim.register_state(RegId{0}).lane(0), Trit::kOne);
+  EXPECT_EQ(sim.register_state(RegId{0}).lane(1), Trit::kUnknown);
 }
 
-TEST(ParallelSimulatorTest, StateInjection) {
+TEST(WordSimulatorTest, StateInjection) {
   const Netlist n = testing::chain_circuit(0, 1);
-  ParallelSimulator sim(n);
+  WordSimulator sim(n);
   TritWord w;
   w.set_lane(5, Trit::kOne);
   w.set_lane(6, Trit::kZero);
   sim.set_register_state(RegId{0}, w);
+  EXPECT_EQ(sim.register_state(RegId{0}), w);
   sim.settle();
   const auto out = sim.output_values();
   EXPECT_EQ(out[0].lane(5), Trit::kOne);
   EXPECT_EQ(out[0].lane(6), Trit::kZero);
   EXPECT_EQ(out[0].lane(7), Trit::kUnknown);
+  // reset_to_unknown() clears injected state on every lane.
+  sim.reset_to_unknown();
+  EXPECT_EQ(sim.register_state(RegId{0}), TritWord{});
 }
 
 }  // namespace

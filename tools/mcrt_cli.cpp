@@ -69,7 +69,7 @@
 //                                           differential fuzzing across the
 //                                           engine pairs (serial-vs-bulk,
 //                                           bulk-vs-serve, mono-vs-windowed,
-//                                           compact-vs-legacy,
+//                                           engine-vs-reference,
 //                                           cslow-vs-replicated): sample a
 //                                           random circuit + flow script,
 //                                           cross-check, minimize failures
@@ -82,16 +82,14 @@
 //                                           failure line is copy-pasteable.
 //   mcrt bench   [--quick] [--out-dir D] [--seed S]
 //                [--baseline D --max-regress F]
-//                                           compact-vs-legacy engine bench
-//                                           on the pinned workload suite;
-//                                           writes BENCH_retime.json,
-//                                           BENCH_sim.json and
+//                                           pinned-workload bench; writes
 //                                           BENCH_window.json (windowed vs
-//                                           monolithic retiming;
-//                                           docs/INTERNALS.md describes the
-//                                           schemas); with --baseline, fails
-//                                           on a speedup regression beyond
-//                                           --max-regress
+//                                           monolithic retiming) and
+//                                           BENCH_cslow.json (C-slow
+//                                           throughput; docs/INTERNALS.md
+//                                           describes the schemas); with
+//                                           --baseline, fails on a speedup
+//                                           regression beyond --max-regress
 //   mcrt loadtest [--quick] [--out-dir D] [--seed S]
 //                 [--baseline D --max-regress F]
 //                                           chaos load harness for the serve
@@ -198,7 +196,7 @@ int usage() {
                "          [--gates G] (adds one ~G-LUT scaled design)\n"
                "  fuzz:   mcrt fuzz [--budget-s S] [--cases N] [--seed S]\n"
                "          [--oracle <serial-vs-bulk|bulk-vs-serve|"
-               "mono-vs-windowed|compact-vs-legacy|cslow-vs-replicated>]\n"
+               "mono-vs-windowed|engine-vs-reference|cslow-vs-replicated>]\n"
                "          [--out-dir D] [--report F] [--canonical]\n"
                "          differential fuzzing across the engine pairs;\n"
                "          failures are minimized into reproducers in "
@@ -209,7 +207,8 @@ int usage() {
                "          written to <file> first (see docs/FUZZING.md)\n"
                "  bench:  mcrt bench [--quick] [--out-dir D] [--seed S]\n"
                "          [--baseline <dir> --max-regress <frac=0.20>]\n"
-               "          compact-vs-legacy benchmark; writes BENCH_*.json\n"
+               "          windowed and C-slow benchmarks; writes\n"
+               "          BENCH_window.json and BENCH_cslow.json\n"
                "  serve:  mcrt serve (--socket <path> | --port <n>) [--jobs N]\n"
                "          [--cache-mb M] [--disk-cache-dir D "
                "--disk-cache-mb M\n"
@@ -533,7 +532,7 @@ int cmd_corpus(const std::string& out_dir, std::size_t count,
 struct BenchFlags {
   bool quick = false;          ///< trimmed suite + fewer reps (CI smoke)
   std::string out_dir = ".";   ///< where BENCH_*.json land
-  std::uint64_t seed = 1;      ///< random_suite / stimulus seed
+  std::uint64_t seed = 1;      ///< workload / stimulus seed
   std::string baseline_dir;    ///< committed BENCH_*.json to gate against
   double max_regress = 0.20;   ///< allowed fractional speedup loss
 };
@@ -580,12 +579,6 @@ int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
     return report;
   };
 
-  const auto retime = run_one("retime", kBenchRetimeSchema,
-                              "BENCH_retime.json", run_retime_bench);
-  if (!retime) return 1;
-  const auto sim =
-      run_one("sim", kBenchSimSchema, "BENCH_sim.json", run_sim_bench);
-  if (!sim) return 1;
   const auto window = run_one("window", kBenchWindowSchema,
                               "BENCH_window.json", run_window_bench);
   if (!window) return 1;
@@ -625,9 +618,7 @@ int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
     }
     return regressions.empty() ? 0 : 1;
   };
-  int rc = gate(*retime, kBenchRetimeSchema, "BENCH_retime.json");
-  rc |= gate(*sim, kBenchSimSchema, "BENCH_sim.json");
-  rc |= gate(*window, kBenchWindowSchema, "BENCH_window.json");
+  int rc = gate(*window, kBenchWindowSchema, "BENCH_window.json");
   rc |= gate(*cslow, kBenchCslowSchema, "BENCH_cslow.json");
   if (rc == 0) std::printf("bench: no regression vs baseline\n");
   return rc;
@@ -1060,7 +1051,7 @@ int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
     if (!only.has_value()) {
       diag.error("fuzz", str_format(
           "unknown oracle '%s' (serial-vs-bulk, bulk-vs-serve, "
-          "mono-vs-windowed, compact-vs-legacy, cslow-vs-replicated)",
+          "mono-vs-windowed, engine-vs-reference, cslow-vs-replicated)",
           fuzz.oracle.c_str()));
       return 2;
     }
@@ -1490,13 +1481,7 @@ int main(int argc, char** argv) {
   }
   if (command == "timing") {
     Netlist timed = *input;
-    for (std::size_t i = 0; i < timed.node_count(); ++i) {
-      const NodeId id{static_cast<std::uint32_t>(i)};
-      if (timed.node(id).kind == NodeKind::kLut &&
-          !timed.node(id).fanins.empty() && timed.node(id).delay == 0) {
-        timed.set_node_delay(id, lut_delay);
-      }
-    }
+    set_default_lut_delays(timed, lut_delay);
     const auto paths = worst_paths(timed, 5);
     std::fputs(format_timing_report(timed, paths).c_str(), stdout);
     return 0;

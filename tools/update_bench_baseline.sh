@@ -1,7 +1,6 @@
 #!/bin/sh
 # Regenerates the committed bench documents:
-#   BENCH_retime.json / BENCH_sim.json / BENCH_window.json /
-#   BENCH_cslow.json / BENCH_serve.json
+#   BENCH_window.json / BENCH_cslow.json / BENCH_serve.json
 #                                        full-suite perf trajectory (repo root;
 #                                        the window report's headline entry runs
 #                                        a deadline-capped monolithic solve and
@@ -33,9 +32,8 @@ mkdir -p "$repo_root/bench/baseline"
 "$build_dir/tools/mcrt" loadtest --quick --out-dir "$repo_root/bench/baseline"
 
 echo "Updated:"
-for doc in BENCH_retime.json BENCH_sim.json BENCH_window.json \
-           BENCH_cslow.json BENCH_serve.json; do
+for doc in BENCH_window.json BENCH_cslow.json BENCH_serve.json; do
   echo "  $repo_root/$doc"
   echo "  $repo_root/bench/baseline/$doc"
 done
-echo "Review the speedup columns, then commit all ten files."
+echo "Review the speedup columns, then commit all six files."
