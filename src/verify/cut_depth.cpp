@@ -1,6 +1,7 @@
 #include "verify/cut_depth.h"
 
 #include <algorithm>
+#include <cstddef>
 #include <iterator>
 #include <limits>
 #include <set>
@@ -10,6 +11,12 @@ namespace mcrt {
 namespace {
 
 using Cut = std::vector<std::uint32_t>;  // sorted net indices
+
+/// Most minimal cuts any one net may have.
+constexpr std::size_t kMaxCuts = 2000;
+/// Most cut unions plus dominance tests spent on one gate. Both caps are
+/// checked as the work is done, so a gate past either costs bounded time.
+constexpr std::size_t kMaxWorkPerGate = std::size_t{1} << 24;
 
 /// Smaller cuts first, so every subset of a cut is visited before it.
 struct SmallerFirst {
@@ -21,8 +28,7 @@ struct SmallerFirst {
 }  // namespace
 
 std::optional<std::uint32_t> exhaustive_cut_depth(const Netlist& subject,
-                                                  std::uint32_t k,
-                                                  std::size_t max_cuts) {
+                                                  std::uint32_t k) {
   const auto order = subject.combinational_order();
   if (!order) return std::nullopt;
 
@@ -35,11 +41,13 @@ std::optional<std::uint32_t> exhaustive_cut_depth(const Netlist& subject,
   for (const NodeId id : *order) {
     const Node& node = subject.node(id);
     if (node.fanins.empty()) continue;  // constants are sources
+    std::size_t work = 0;
     std::set<Cut, SmallerFirst> merged{Cut{}};
     for (const NetId fanin : node.fanins) {
       std::set<Cut, SmallerFirst> next;
       for (const Cut& partial : merged) {
         for (const Cut& cut : cuts[fanin.index()]) {
+          if (++work > kMaxWorkPerGate) return std::nullopt;
           Cut joined;
           std::set_union(partial.begin(), partial.end(), cut.begin(),
                          cut.end(), std::back_inserter(joined));
@@ -53,14 +61,17 @@ std::optional<std::uint32_t> exhaustive_cut_depth(const Netlist& subject,
     // label, here or in any cut merged from it: keep the minimal ones.
     std::vector<Cut> minimal;
     for (const Cut& cut : merged) {
+      work += minimal.size();
+      if (work > kMaxWorkPerGate) return std::nullopt;
       const bool dominated =
           std::any_of(minimal.begin(), minimal.end(), [&](const Cut& small) {
             return std::includes(cut.begin(), cut.end(), small.begin(),
                                  small.end());
           });
-      if (!dominated) minimal.push_back(cut);
+      if (dominated) continue;
+      if (minimal.size() == kMaxCuts) return std::nullopt;
+      minimal.push_back(cut);
     }
-    if (minimal.size() > max_cuts) return std::nullopt;
     std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
     for (const Cut& cut : minimal) {
       std::uint32_t deepest_leaf = 0;

@@ -18,11 +18,11 @@
 // what FlowMapResult::depth reports.
 //
 // Enumeration is exponential in the worst case, so it is meant for the
-// small circuits of tests and fuzz cases and gives up once any net has
-// more than `max_cuts` minimal cuts.
+// small circuits of tests and fuzz cases. It gives up once any net has too
+// many minimal cuts, or merging one gate's fanin cuts takes too much work
+// (the caps are fixed in cut_depth.cpp).
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
 #include <optional>
 
@@ -30,11 +30,10 @@
 
 namespace mcrt {
 
-/// Minimum depth of any k-LUT mapping of `subject`, or std::nullopt if some
-/// net has more than `max_cuts` minimal k-feasible cuts (or none at all),
-/// or the netlist has a combinational cycle.
+/// Minimum depth of any k-LUT mapping of `subject`, or std::nullopt if the
+/// enumeration exceeds its caps, some net has no k-feasible cut, or the
+/// netlist has a combinational cycle.
 std::optional<std::uint32_t> exhaustive_cut_depth(const Netlist& subject,
-                                                  std::uint32_t k,
-                                                  std::size_t max_cuts = 2000);
+                                                  std::uint32_t k);
 
 }  // namespace mcrt

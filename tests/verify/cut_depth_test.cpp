@@ -92,8 +92,12 @@ TEST(CutDepthTest, WiresAndConstantsHaveDepthZero) {
 }
 
 TEST(CutDepthTest, GivesUpAboveTheCutCap) {
-  const Netlist tree = and_tree_circuit(16);
-  EXPECT_FALSE(exhaustive_cut_depth(tree, 4, /*max_cuts=*/2).has_value());
+  // At k=11 the root of a 64-leaf AND tree has thousands of minimal cuts,
+  // past the reference's cap; at k=4 the same tree has few and maps to
+  // depth 3 (4^3 = 64 leaves).
+  const Netlist tree = and_tree_circuit(64);
+  EXPECT_EQ(exhaustive_cut_depth(tree, 4), 3u);
+  EXPECT_FALSE(exhaustive_cut_depth(tree, 11).has_value());
 }
 
 }  // namespace
