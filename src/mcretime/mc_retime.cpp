@@ -59,10 +59,14 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
   std::vector<std::int64_t> labels;
   bool implemented = false;
   // Across justification-failure retries the target period usually stays
-  // valid: keep it (and its expensive period-constraint set) unless the new
-  // bound makes it infeasible.
+  // valid: keep it (and its period-constraint set, which min-area reuses)
+  // unless the new bound makes it infeasible. Retries only tighten bounds,
+  // so one W/D sweep (and one unbounded FEAS optimum, its lower end)
+  // serves every attempt: the table re-prunes under the current bounds.
   std::int64_t phi = -1;
   std::vector<DifferenceConstraint> period_constraints;
+  PeriodConstraintTable table;
+  const RetimeWorkCounters work_before = retime_work_counters();
   for (std::size_t attempt = 0; attempt < options.max_attempts; ++attempt) {
     poll_cancel(options.cancel);
     stats.attempts = attempt + 1;
@@ -85,16 +89,23 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
       bool have_labels = false;
       if (phi < 0 && options.target_period > 0) {
         // Try the requested target first; fall back to minimization if it
-        // is below the minimum feasible period.
-        std::vector<DifferenceConstraint> target_constraints;
-        generate_period_constraints(basic, options.target_period,
-                                    target_constraints, options.cancel);
-        if (auto r = bounded_feasible(basic, options.target_period,
-                                      &target_constraints)) {
-          labels = std::move(*r);
-          phi = options.target_period;
-          period_constraints = std::move(target_constraints);
-          have_labels = true;
+        // is below the minimum feasible period (below the unbounded
+        // optimum, the table's lower end, it certainly is).
+        if (!table.built()) {
+          table.build(basic, unbounded_min_period(basic, options.cancel),
+                      std::max(stats.period_before, options.target_period),
+                      options.cancel);
+        }
+        if (table.covers(options.target_period)) {
+          std::vector<DifferenceConstraint> target_constraints;
+          table.append(basic, options.target_period, target_constraints);
+          if (auto r = bounded_feasible(basic, options.target_period,
+                                        &target_constraints)) {
+            labels = std::move(*r);
+            phi = options.target_period;
+            period_constraints = std::move(target_constraints);
+            have_labels = true;
+          }
         }
       }
       if (!have_labels && phi >= 0) {
@@ -105,7 +116,7 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
       }
       if (!have_labels) {
         const RetimeSolution minperiod =
-            minperiod_retime(basic, FeasImpl::kCsr, options.cancel);
+            minperiod_retime(basic, FeasImpl::kCsr, options.cancel, &table);
         if (!minperiod.feasible) {
           result.error = "minperiod retiming infeasible";
           return result;
@@ -113,9 +124,12 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
         labels = minperiod.r;
         phi = minperiod.period;
         period_constraints.clear();
-        generate_period_constraints(basic, phi, period_constraints,
-                                    options.cancel);
+        table.append(basic, phi, period_constraints);
       }
+      stats.wd_sweeps =
+          retime_work_counters().wd_sweeps - work_before.wd_sweeps;
+      stats.feas_probes =
+          retime_work_counters().feas_probes - work_before.feas_probes;
       stats.period_after = phi;
       if (options.objective ==
           McRetimeOptions::Objective::kMinAreaMinPeriod) {

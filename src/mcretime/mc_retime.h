@@ -62,6 +62,13 @@ struct McRetimeStats {
   /// (compare with registers_after to measure model honesty; Fig. 4).
   std::int64_t register_estimate = 0;
   std::size_t attempts = 1;          ///< 1 = no recomputation needed
+  /// Deterministic work counters of steps 4-5 over all attempts: all-pairs
+  /// W/D sweeps (one per call: the period constraints are shared across
+  /// min-period probes, min-area and relocation retries) and feasibility
+  /// probes (FEAS runs plus difference-constraint solves).
+  /// retime_windowed() leaves both 0.
+  std::size_t wd_sweeps = 0;
+  std::size_t feas_probes = 0;
   RelocateStats relocate;
   /// Buckets: "graph" (steps 1-3), "retime" (4-5), "implement" (6).
   PhaseProfile profile;

@@ -223,6 +223,10 @@ PassResult RetimePass::run(FlowContext& context) {
   context.set_metric("retime.registers_after",
                      static_cast<std::int64_t>(s.registers_after));
   context.set_metric("retime.attempts", static_cast<std::int64_t>(s.attempts));
+  context.set_metric("retime.wd_sweeps",
+                     static_cast<std::int64_t>(s.wd_sweeps));
+  context.set_metric("retime.feas_probes",
+                     static_cast<std::int64_t>(s.feas_probes));
   if (auto failed = finish_cslow(context, cslow_, cslow_stage)) return *failed;
   const std::string cslow_note =
       cslow_ > 0 ? str_format("cslow=%u ", cslow_) : std::string();

@@ -1,8 +1,7 @@
 #include "retime/minperiod.h"
 
 #include <algorithm>
-
-#include "retime/period_constraints.h"
+#include <numeric>
 
 namespace mcrt {
 namespace {
@@ -14,6 +13,29 @@ std::vector<std::int64_t> normalize_to_host(std::vector<std::int64_t> r,
     for (auto& value : r) value -= base;
   }
   return r;
+}
+
+/// Solves circuit + bound constraints (already at the front of
+/// `constraints`) plus the period constraints behind them.
+std::optional<std::vector<std::int64_t>> solve_at(
+    const RetimeGraph& graph, std::int64_t phi,
+    const std::vector<DifferenceConstraint>& constraints) {
+  ++retime_work_counters().feas_probes;
+  auto solution =
+      solve_difference_constraints(graph.vertex_count(), constraints);
+  if (!solution) return std::nullopt;
+  auto r = normalize_to_host(std::move(*solution), graph);
+  // Defensive: the labels must actually realize phi (guards against any
+  // constraint-generation gap turning into silent wrong answers).
+  if (graph.period(r) > phi) return std::nullopt;
+  return r;
+}
+
+/// One FEAS probe, counted.
+std::optional<std::vector<std::int64_t>> feas_probe(const RetimeGraph& graph,
+                                                    std::int64_t phi) {
+  ++retime_work_counters().feas_probes;
+  return feas_check(graph, phi);
 }
 
 }  // namespace
@@ -30,88 +52,84 @@ std::optional<std::vector<std::int64_t>> bounded_feasible(
   } else {
     generate_period_constraints(graph, phi, constraints, cancel);
   }
-  auto solution =
-      solve_difference_constraints(graph.vertex_count(), constraints);
-  if (!solution) return std::nullopt;
-  auto r = normalize_to_host(std::move(*solution), graph);
-  // Defensive: the labels must actually realize phi (guards against any
-  // constraint-generation gap turning into silent wrong answers).
-  if (graph.period(r) > phi) return std::nullopt;
-  return r;
+  return solve_at(graph, phi, constraints);
 }
 
-RetimeSolution minperiod_retime(const RetimeGraph& graph, FeasImpl /*impl*/,
-                                const CancelToken* cancel) {
-  RetimeSolution result;
+std::int64_t unbounded_min_period(const RetimeGraph& graph,
+                                  const CancelToken* cancel) {
+  // Every path delay is a sum of vertex delays, hence a multiple of g, and
+  // at least the largest single delay; the current period is achievable.
+  std::int64_t g = 0;
+  std::int64_t max_delay = 0;
+  for (const std::int64_t d : graph.delays()) {
+    g = std::gcd(g, d);
+    max_delay = std::max(max_delay, d);
+  }
   const std::int64_t current = graph.period();
-
-  // Candidate periods are exact path delays; binary search over them keeps
-  // every probe meaningful and the result exactly achievable.
-  const std::vector<std::int64_t> candidates = candidate_periods(graph, cancel);
-
-  // Phase 1: unbounded optimum via FEAS (cheap probes). It is a lower bound
-  // for the bounded problem.
-  std::size_t lo = 0;
-  std::size_t hi = candidates.size();  // exclusive; current period feasible
-  {
-    // Find index of `current` (feasible upper bound).
-    const auto it =
-        std::lower_bound(candidates.begin(), candidates.end(), current);
-    hi = static_cast<std::size_t>(it - candidates.begin());
-  }
-  std::vector<std::int64_t> best_r(graph.vertex_count(), 0);
-  std::int64_t best_phi = current;
-  std::size_t unbounded_lo = lo;
-  {
-    std::size_t a = lo;
-    std::size_t b = hi;  // candidates[hi] == current is known feasible
-    while (a < b) {
-      poll_cancel(cancel);
-      const std::size_t mid = a + (b - a) / 2;
-      if (feas_check(graph, candidates[mid])) {
-        b = mid;
-      } else {
-        a = mid + 1;
-      }
-    }
-    unbounded_lo = a;
-  }
-
-  if (!graph.has_bounds()) {
-    if (unbounded_lo < candidates.size() && candidates[unbounded_lo] < current) {
-      if (auto r = feas_check(graph, candidates[unbounded_lo])) {
-        best_r = normalize_to_host(std::move(*r), graph);
-        best_phi = candidates[unbounded_lo];
-      }
-    }
-    result.feasible = true;
-    result.period = best_phi;
-    result.r = std::move(best_r);
-    return result;
-  }
-
-  // Phase 2: bounded search in [unbounded optimum, current period].
-  std::size_t a = unbounded_lo;
-  std::size_t b = hi;  // current period is feasible with r = 0 under bounds
-                       // (bounds admit 0 by construction)
-  std::optional<std::vector<std::int64_t>> best;
+  if (g == 0 || current <= max_delay) return current;
+  std::int64_t a = max_delay / g;  // multiples a*g .. b*g, b*g feasible
+  std::int64_t b = current / g;
   while (a < b) {
     poll_cancel(cancel);
-    const std::size_t mid = a + (b - a) / 2;
-    if (auto r = bounded_feasible(graph, candidates[mid], nullptr, cancel)) {
-      best = std::move(r);
-      best_phi = candidates[mid];
+    const std::int64_t mid = a + (b - a) / 2;
+    if (feas_probe(graph, mid * g)) {
       b = mid;
     } else {
       a = mid + 1;
     }
   }
-  if (best) {
-    best_r = std::move(*best);
-  }
+  return a * g;
+}
+
+RetimeSolution minperiod_retime(const RetimeGraph& graph, FeasImpl /*impl*/,
+                                const CancelToken* cancel,
+                                PeriodConstraintTable* table) {
+  RetimeSolution result;
   result.feasible = true;
-  result.period = best ? best_phi : current;
-  result.r = std::move(best_r);
+  result.period = graph.period();
+  result.r.assign(graph.vertex_count(), 0);
+  const std::int64_t current = result.period;
+
+  if (!graph.has_bounds()) {
+    const std::int64_t best = unbounded_min_period(graph, cancel);
+    if (best < current) {
+      if (auto r = feas_probe(graph, best)) {
+        result.r = normalize_to_host(std::move(*r), graph);
+        result.period = best;
+      }
+    }
+    return result;
+  }
+
+  // Phase 2: bounded search over the path delays in [unbounded optimum,
+  // current period); the current period is feasible with r = 0 under
+  // bounds (bounds admit 0 by construction).
+  PeriodConstraintTable local;
+  if (table == nullptr) table = &local;
+  if (!table->covers(current)) {
+    table->build(graph, unbounded_min_period(graph, cancel), current, cancel);
+  }
+  const std::vector<std::int64_t>& candidates = table->candidates();
+  std::size_t a = 0;
+  std::size_t b = static_cast<std::size_t>(
+      std::lower_bound(candidates.begin(), candidates.end(), current) -
+      candidates.begin());
+  std::vector<DifferenceConstraint> circuit;
+  generate_circuit_constraints(graph, circuit);
+  std::vector<DifferenceConstraint> constraints;
+  while (a < b) {
+    poll_cancel(cancel);
+    const std::size_t mid = a + (b - a) / 2;
+    constraints = circuit;
+    table->append(graph, candidates[mid], constraints);
+    if (auto r = solve_at(graph, candidates[mid], constraints)) {
+      result.r = std::move(*r);
+      result.period = candidates[mid];
+      b = mid;
+    } else {
+      a = mid + 1;
+    }
+  }
   return result;
 }
 

@@ -240,6 +240,9 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
   // --- Implement, with windowed justification-failure retries --------------
   BoundOverlay tightened_upper;
   BoundOverlay tightened_lower;
+  // Global fallbacks re-solve `global` under ever tighter overlays: one W/D
+  // sweep serves them all.
+  PeriodConstraintTable fallback_table;
   McGraph relocated;
   bool implemented = false;
   for (std::size_t attempt = 0; attempt < options.base.max_attempts;
@@ -315,8 +318,8 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
         g.set_bounds(vid, std::max(lo, g.lower_bound(vid)),
                      g.upper_bound(vid));
       }
-      const RetimeSolution sol =
-          minperiod_retime(g, FeasImpl::kCsr, options.base.cancel);
+      const RetimeSolution sol = minperiod_retime(
+          g, FeasImpl::kCsr, options.base.cancel, &fallback_table);
       if (!sol.feasible || !g.check_legal(sol.r).empty()) {
         result.error = "windowed retiming: global fallback infeasible";
         return result;

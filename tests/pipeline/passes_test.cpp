@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <variant>
 
 #include "../common/test_circuits.h"
+#include "blif/blif.h"
 #include "cslow/stream_check.h"
 #include "mcretime/mc_retime.h"
 #include "pipeline/flow_context.h"
@@ -18,6 +20,10 @@
 #include "tech/flowmap.h"
 #include "transform/strash.h"
 #include "transform/sweep.h"
+
+#ifndef MCRT_TESTDATA_DIR
+#error "MCRT_TESTDATA_DIR must point at the repo's testdata directory"
+#endif
 
 namespace mcrt {
 namespace {
@@ -63,6 +69,34 @@ TEST(PassesTest, RetimePassFillsTypedStatsAndMetrics) {
             context.retime_stats->period_before);
   EXPECT_EQ(context.metric("retime.period_after"),
             context.retime_stats->period_after);
+}
+
+TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
+  // Corpus circuit r03 needs several relocation attempts under both
+  // objectives; every attempt, min-period probe and min-area solve must
+  // share one all-pairs W/D sweep. The counter is deterministic, so this
+  // guards the shared period-constraint table on any machine.
+  auto read = read_blif_file(std::string(MCRT_TESTDATA_DIR) +
+                             "/corpus/r03.blif");
+  ASSERT_TRUE(std::holds_alternative<Netlist>(read));
+  const Netlist input = sweep(std::get<Netlist>(read), nullptr);
+  for (const bool minperiod : {true, false}) {
+    FlowContext context(input);
+    RetimePass pass;
+    PassArgs args;
+    args.set("d", "10");
+    if (minperiod) args.set("minperiod", "");
+    std::string error;
+    ASSERT_TRUE(pass.configure(args, &error)) << error;
+    const PassResult result = pass.run(context);
+    ASSERT_TRUE(result.success) << result.error;
+    EXPECT_GE(context.metric("retime.attempts").value_or(0), 2)
+        << "r03 no longer exercises relocation retries";
+    EXPECT_EQ(context.metric("retime.wd_sweeps"), 1) << "minperiod "
+                                                     << minperiod;
+    EXPECT_GT(context.metric("retime.feas_probes").value_or(0),
+              context.metric("retime.attempts").value_or(0));
+  }
 }
 
 TEST(PassesTest, RetimePassHonorsScriptArguments) {
