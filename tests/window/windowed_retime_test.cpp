@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <variant>
+
 #include "../common/test_circuits.h"
+#include "blif/blif.h"
 #include "mcretime/lower.h"
 #include "netlist/structural_hash.h"
 #include "pipeline/diagnostics.h"
@@ -14,9 +17,14 @@
 #include "pipeline/pass_manager.h"
 #include "sim/equivalence.h"
 #include "tech/sta.h"
+#include "transform/sweep.h"
 #include "verify/ternary_bmc.h"
 #include "workload/generator.h"
 #include "workload/random_circuit.h"
+
+#ifndef MCRT_TESTDATA_DIR
+#error "MCRT_TESTDATA_DIR must point at the repo's testdata directory"
+#endif
 
 namespace mcrt {
 namespace {
@@ -102,6 +110,49 @@ TEST(WindowedRetimeTest, DeterministicInWorkerCount) {
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_EQ(a.stats.period_after, b.stats.period_after);
   EXPECT_EQ(a.netlist.register_count(), b.netlist.register_count());
+}
+
+TEST(WindowedRetimeTest, JustificationRetriesResolveWindowOrFallBack) {
+  // Corpus circuit r03 (after sweep, delay 10 per LUT): relocation fails
+  // on the first stitched labels, so each failed attempt tightens a bound
+  // and re-solves once, in the owning window or on the full graph.
+  auto read = read_blif_file(std::string(MCRT_TESTDATA_DIR) +
+                             "/corpus/r03.blif");
+  ASSERT_TRUE(std::holds_alternative<Netlist>(read));
+  const Netlist n = with_delays(sweep(std::get<Netlist>(read), nullptr));
+  struct Config {
+    std::size_t max_window;
+    McRetimeOptions::Objective objective;
+  };
+  for (const Config config :
+       {Config{64, McRetimeOptions::Objective::kMinPeriod},
+        Config{16, McRetimeOptions::Objective::kMinAreaMinPeriod}}) {
+    SCOPED_TRACE("window-size " + std::to_string(config.max_window));
+    std::vector<WindowedRetimeResult> runs;
+    for (const std::size_t jobs : {1, 4}) {
+      WindowedRetimeOptions options;
+      options.partition.max_window = config.max_window;
+      options.jobs = jobs;
+      options.base.objective = config.objective;
+      runs.push_back(retime_windowed(n, options));
+      const WindowedRetimeResult& r = runs.back();
+      ASSERT_TRUE(r.success) << r.error;
+      EXPECT_GE(r.stats.attempts, 2u)
+          << "r03 no longer exercises the windowed retry path";
+      EXPECT_EQ(r.window_stats.window_resolves +
+                    r.window_stats.global_fallbacks,
+                r.stats.attempts - 1);
+      const auto eq = check_sequential_equivalence(n, r.netlist, {});
+      EXPECT_TRUE(eq.equivalent) << eq.counterexample;
+    }
+    EXPECT_EQ(runs[0].labels, runs[1].labels);
+    EXPECT_EQ(runs[0].stats.attempts, runs[1].stats.attempts);
+    EXPECT_EQ(runs[0].window_stats.window_resolves,
+              runs[1].window_stats.window_resolves);
+    EXPECT_EQ(runs[0].stats.period_after, runs[1].stats.period_after);
+    EXPECT_EQ(runs[0].netlist.register_count(),
+              runs[1].netlist.register_count());
+  }
 }
 
 TEST(WindowedRetimeTest, SolveOnlyReturnsLegalLabels) {
