@@ -14,7 +14,10 @@
 // CPU-time breakdown across graph construction / retiming / implementation).
 #pragma once
 
+#include <functional>
+#include <map>
 #include <string>
+#include <vector>
 
 #include "base/cancel.h"
 #include "base/timer.h"
@@ -22,6 +25,7 @@
 #include "mcretime/register_class.h"
 #include "mcretime/relocate.h"
 #include "netlist/netlist.h"
+#include "retime/retime_graph.h"
 
 namespace mcrt {
 
@@ -89,13 +93,50 @@ struct McRetimeResult {
 struct McPrepared {
   McGraph graph;    ///< post-sharing mc-graph retiming is solved on
   McBounds bounds;  ///< per-vertex r_min/r_max, same vertex ids as `graph`
-  std::size_t separators = 0;
-  std::size_t num_classes = 0;
-  std::size_t possible_steps = 0;
 };
 
+/// When `stats` is given, also fills its registers_before, num_classes,
+/// possible_steps and separators.
 McPrepared prepare_mc_graph(const Netlist& input,
-                            const McRetimeOptions& options);
+                            const McRetimeOptions& options,
+                            McRetimeStats* stats = nullptr);
+
+/// The retiming bounds step 6 adds after justification failures (§5.2:
+/// "set a retiming bound on the vertex where the conflict occurred"), in
+/// global label space. Bounds only ever tighten.
+class BoundOverlay {
+ public:
+  /// Bounds the failing vertex to the moves relocation achieved there: an
+  /// upper bound after a failed backward move, a lower bound after a failed
+  /// forward one. When the vertex already has a bound at least that tight
+  /// no progress is possible: returns the "could not be bounded away" error
+  /// and leaves the overlay unchanged. Empty on progress.
+  std::string tighten(const RelocateResult& failure);
+  /// Intersects `graph`'s bounds with the overlay.
+  void apply(RetimeGraph& graph) const;
+
+ private:
+  std::map<std::uint32_t, std::int64_t> tightened_upper_;
+  std::map<std::uint32_t, std::int64_t> tightened_lower_;
+};
+
+/// Recomputes `labels` under `overlay` after relocation failed at vertex
+/// `failed`. Returns an error, empty on success.
+using McResolve = std::function<std::string(
+    const BoundOverlay& overlay, VertexId failed,
+    std::vector<std::int64_t>& labels)>;
+
+/// Step 6, shared by mc_retime() and retime_windowed(): relocates the
+/// registers of `graph` for `labels`; on a failure tightens the overlay and
+/// calls the driver's `resolve`, for at most options.max_attempts
+/// relocations. On success rebuilds the netlist into `out` and fills
+/// attempts, relocate, moved_layers and registers_after of `stats`.
+/// Returns an error, empty on success.
+std::string implement_retiming(const McGraph& graph, const Netlist& input,
+                               const McRetimeOptions& options,
+                               std::vector<std::int64_t>& labels,
+                               const McResolve& resolve, McRetimeStats& stats,
+                               Netlist& out);
 
 McRetimeResult mc_retime(const Netlist& input,
                          const McRetimeOptions& options = {});

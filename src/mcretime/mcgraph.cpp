@@ -4,7 +4,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "base/log.h"
 #include "base/strings.h"
 
 namespace mcrt {
@@ -177,27 +176,23 @@ McGraph build_mc_graph(const Netlist& netlist, const ClassOptions& options) {
     node_vertex[n] = g.add_vertex(kind, node.delay, id);
   }
 
-  // Control-tap vertices: one per distinct non-clock control net,
-  // in deterministic discovery order.
+  // Control-tap vertices: one per distinct non-clock control net, and one
+  // per clock net not driven by a primary input (pinned like every tap, so
+  // the clock logic keeps its timing), in deterministic discovery order.
   std::unordered_map<std::uint32_t, VertexId> taps;
   std::vector<std::pair<std::uint32_t, VertexId>> tap_list;
   for (const Register& ff : netlist.registers()) {
-    for (const NetId ctrl : {ff.en, ff.sync_ctrl, ff.async_ctrl}) {
+    const NetDriver& clk_driver = netlist.net(ff.clk).driver;
+    const bool clk_is_pi =
+        clk_driver.kind == NetDriver::Kind::kNode &&
+        netlist.node(NodeId{clk_driver.index}).kind == NodeKind::kInput;
+    const NetId derived_clk = clk_is_pi ? NetId{} : ff.clk;
+    for (const NetId ctrl : {derived_clk, ff.en, ff.sync_ctrl, ff.async_ctrl}) {
       if (!ctrl.valid() || taps.count(ctrl.value())) continue;
       const VertexId tap =
           g.add_vertex(McVertexKind::kControlTap, 0, NodeId{}, ctrl);
       taps.emplace(ctrl.value(), tap);
       tap_list.emplace_back(ctrl.value(), tap);
-    }
-    // Clock nets must come straight from primary inputs: retiming treats
-    // clocks as non-logic (paper §3.1 requires equal clocks per class; this
-    // implementation additionally assumes they are not derived signals).
-    const NetDriver& clk_driver = netlist.net(ff.clk).driver;
-    const bool clk_is_pi =
-        clk_driver.kind == NetDriver::Kind::kNode &&
-        netlist.node(NodeId{clk_driver.index}).kind == NodeKind::kInput;
-    if (!clk_is_pi) {
-      log_warn("register " + ff.name + ": clock is not a primary input");
     }
   }
 

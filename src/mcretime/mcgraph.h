@@ -11,7 +11,7 @@
 //    control signal (paper Fig. 2b), so control signals stay correct under
 //    retiming: the signal consumed by the registers of a class is the value
 //    at the *end* of the tap edge (after any registers retiming parks
-//    there);
+//    there). A clock not driven by a primary input gets one too;
 //  - kSeparator: zero-delay vertices inserted by the §4.2 register-sharing
 //    modification.
 #pragma once

@@ -103,8 +103,7 @@ struct BulkReport {
     return wall_seconds > 0 ? cpu_seconds / wall_seconds : 0.0;
   }
   /// The `mcrt bulk --report` JSON document (schema mcrt-bulk-report/3,
-  /// with an embedded provenance block; see pipeline/report_reader.h for
-  /// the back-compatible consumer).
+  /// with an embedded provenance block).
   [[nodiscard]] std::string to_json(const BulkJsonOptions& json = {}) const;
 };
 

@@ -79,7 +79,7 @@ std::optional<std::int64_t> PassArgs::int_value_in_range(
   return parsed;
 }
 
-bool PassArgs::expect_keys(std::initializer_list<std::string_view> known,
+bool PassArgs::expect_keys(std::span<const std::string_view> known,
                            std::string_view pass_name,
                            std::string* error) const {
   for (const auto& [key, value] : entries_) {

@@ -13,6 +13,7 @@
 #include <initializer_list>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -63,8 +64,13 @@ class PassArgs {
 
   /// True when every key is in `known`; otherwise sets *error naming the
   /// first stray key. Passes call this first in configure().
-  bool expect_keys(std::initializer_list<std::string_view> known,
+  bool expect_keys(std::span<const std::string_view> known,
                    std::string_view pass_name, std::string* error) const;
+  bool expect_keys(std::initializer_list<std::string_view> known,
+                   std::string_view pass_name, std::string* error) const {
+    return expect_keys(std::span(known.begin(), known.size()), pass_name,
+                       error);
+  }
 
   /// Script offset of the argument behind the most recent int_value /
   /// int_value_in_range / expect_keys failure (nullopt when none failed or

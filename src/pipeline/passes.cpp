@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 
 #include "base/strings.h"
@@ -100,153 +102,28 @@ PassResult MapPass::run(FlowContext& context) {
                                    mapped.depth));
 }
 
-namespace {
-
-// The optional C-slow front half shared by RetimePass / RetimeWindowedPass:
-// transform before the solve, metrics + (optional) stream verification after.
-struct CslowStage {
-  std::optional<Netlist> original;  ///< kept only when verification is on
-  CslowStats stats;
-};
-
-bool configure_cslow(const PassArgs& args, std::string* error,
-                     std::uint32_t* factor, bool* verify) {
+bool RetimePass::configure(const PassArgs& args, std::string* error) {
+  // The window keys lead, so `retime` takes the tail of the list.
+  static constexpr std::string_view kKeys[] = {
+      "window-size", "windows", "window-jobs", "refine", "target",
+      "minperiod",   "no-sharing", "d",        "cslow",  "cslow-verify"};
+  const std::span<const std::string_view> keys(kKeys);
+  if (!args.expect_keys(windowed_ ? keys : keys.subspan(4), name(), error)) {
+    return false;
+  }
   if (const auto c = args.int_value_in_range(
           "cslow", 1, static_cast<std::int64_t>(kMaxCslowFactor), error)) {
-    *factor = static_cast<std::uint32_t>(*c);
+    cslow_ = static_cast<std::uint32_t>(*c);
   } else if (args.contains("cslow")) {
     return false;
   }
   if (args.flag("cslow-verify")) {
-    if (*factor == 0) {
+    if (cslow_ == 0) {
       *error = "argument 'cslow-verify' needs cslow=C";
       return false;
     }
-    *verify = true;
+    cslow_verify_ = true;
   }
-  return true;
-}
-
-std::optional<PassResult> apply_cslow(FlowContext& context,
-                                      std::uint32_t factor, bool verify,
-                                      CslowStage* stage) {
-  if (factor == 0) return std::nullopt;
-  if (verify) stage->original = context.netlist();
-  CslowResult cs = cslow_transform(context.netlist(), factor);
-  if (!cs.success) return PassResult::fail("cslow: " + cs.error);
-  stage->stats = cs.stats;
-  context.replace_netlist(std::move(cs.netlist));
-  return std::nullopt;
-}
-
-std::optional<PassResult> finish_cslow(FlowContext& context,
-                                       std::uint32_t factor,
-                                       const CslowStage& stage) {
-  if (factor == 0) return std::nullopt;
-  context.set_metric("cslow.factor", static_cast<std::int64_t>(factor));
-  context.set_metric("cslow.registers_before",
-                     static_cast<std::int64_t>(stage.stats.registers_before));
-  context.set_metric("cslow.registers_after",
-                     static_cast<std::int64_t>(stage.stats.registers_after));
-  if (!stage.original.has_value()) return std::nullopt;
-  CslowVerifyOptions options;
-  options.cancel = context.cancel;
-  const CslowVerifyResult v =
-      verify_cslow(*stage.original, context.netlist(), factor, options);
-  if (!v.pass) {
-    return PassResult::fail(
-        str_format("cslow verification failed: %s%s%s", v.sim.reason.c_str(),
-                   v.bmc_detail.empty() ? "" : " / ", v.bmc_detail.c_str()));
-  }
-  if (v.sim.skipped) {
-    context.note("cslow stream simulation skipped: " + v.sim.reason);
-  }
-  if (v.bmc_skipped) context.note("cslow BMC skipped: " + v.bmc_detail);
-  context.set_metric("cslow.verified",
-                     (v.sim.skipped && v.bmc_skipped) ? 0 : 1);
-  return std::nullopt;
-}
-
-}  // namespace
-
-bool RetimePass::configure(const PassArgs& args, std::string* error) {
-  if (!args.expect_keys(
-          {"target", "minperiod", "no-sharing", "d", "cslow", "cslow-verify"},
-          name(), error)) {
-    return false;
-  }
-  if (!configure_cslow(args, error, &cslow_, &cslow_verify_)) return false;
-  if (const auto target = args.int_value("target", error)) {
-    options_.target_period = *target;
-  } else if (args.contains("target")) {
-    return false;
-  }
-  if (args.flag("minperiod")) {
-    options_.objective = McRetimeOptions::Objective::kMinPeriod;
-  }
-  if (args.flag("no-sharing")) options_.sharing_modification = false;
-  if (const auto d = args.int_value("d", error)) {
-    default_lut_delay_ = *d;
-  } else if (args.contains("d")) {
-    return false;
-  }
-  return true;
-}
-
-PassResult RetimePass::run(FlowContext& context) {
-  CslowStage cslow_stage;
-  if (auto failed = apply_cslow(context, cslow_, cslow_verify_, &cslow_stage)) {
-    return *failed;
-  }
-  if (default_lut_delay_ > 0) {
-    // This runs after the C-slow transform, so decomposition muxes get the
-    // default delay too.
-    set_default_lut_delays(context.netlist(), default_lut_delay_);
-  }
-  McRetimeOptions options = options_;
-  options.cancel = context.cancel;
-  McRetimeResult result = mc_retime(context.netlist(), options);
-  if (!result.success) {
-    return PassResult::fail("retiming failed: " + result.error);
-  }
-  context.replace_netlist(std::move(result.netlist));
-  context.retime_stats = result.stats;
-  const McRetimeStats& s = result.stats;
-  context.set_metric("retime.classes",
-                     static_cast<std::int64_t>(s.num_classes));
-  context.set_metric("retime.moved_layers",
-                     static_cast<std::int64_t>(s.moved_layers));
-  context.set_metric("retime.period_before", s.period_before);
-  context.set_metric("retime.period_after", s.period_after);
-  context.set_metric("retime.registers_before",
-                     static_cast<std::int64_t>(s.registers_before));
-  context.set_metric("retime.registers_after",
-                     static_cast<std::int64_t>(s.registers_after));
-  context.set_metric("retime.attempts", static_cast<std::int64_t>(s.attempts));
-  context.set_metric("retime.wd_sweeps",
-                     static_cast<std::int64_t>(s.wd_sweeps));
-  context.set_metric("retime.feas_probes",
-                     static_cast<std::int64_t>(s.feas_probes));
-  if (auto failed = finish_cslow(context, cslow_, cslow_stage)) return *failed;
-  const std::string cslow_note =
-      cslow_ > 0 ? str_format("cslow=%u ", cslow_) : std::string();
-  return PassResult::ok(str_format(
-      "%sclasses=%zu steps=%zu/%zu period %lld -> %lld ff %zu -> %zu "
-      "(attempts=%zu)",
-      cslow_note.c_str(), s.num_classes, s.moved_layers, s.possible_steps,
-      static_cast<long long>(s.period_before),
-      static_cast<long long>(s.period_after), s.registers_before,
-      s.registers_after, s.attempts));
-}
-
-bool RetimeWindowedPass::configure(const PassArgs& args, std::string* error) {
-  if (!args.expect_keys({"window-size", "windows", "window-jobs", "refine",
-                         "target", "minperiod", "no-sharing", "d", "cslow",
-                         "cslow-verify"},
-                        name(), error)) {
-    return false;
-  }
-  if (!configure_cslow(args, error, &cslow_, &cslow_verify_)) return false;
   const auto size_arg = [&](const char* key, std::size_t* out) {
     if (const auto v = args.int_value(key, error)) {
       if (*v < 0) {
@@ -287,29 +164,59 @@ bool RetimeWindowedPass::configure(const PassArgs& args, std::string* error) {
   return true;
 }
 
-PassResult RetimeWindowedPass::run(FlowContext& context) {
-  CslowStage cslow_stage;
-  if (auto failed = apply_cslow(context, cslow_, cslow_verify_, &cslow_stage)) {
-    return *failed;
+PassResult RetimePass::run(FlowContext& context) {
+  // C-slow first (src/cslow/): every register becomes a chain of C, and
+  // the retiming below rebalances the chains.
+  std::optional<Netlist> cslow_input;  ///< kept only when verifying
+  CslowStats cslow_stats;
+  if (cslow_ > 0) {
+    if (cslow_verify_) cslow_input = context.netlist();
+    CslowResult cs = cslow_transform(context.netlist(), cslow_);
+    if (!cs.success) return PassResult::fail("cslow: " + cs.error);
+    cslow_stats = cs.stats;
+    context.replace_netlist(std::move(cs.netlist));
   }
   if (default_lut_delay_ > 0) {
+    // This runs after the C-slow transform, so decomposition muxes get the
+    // default delay too.
     set_default_lut_delays(context.netlist(), default_lut_delay_);
   }
+  // The paper (§3.1) treats clocks as non-logic: flag clocks computed by
+  // logic, which the mc-graph keeps unretimed behind a pinned control tap.
+  const Netlist& netlist = context.netlist();
+  for (const Register& ff : netlist.registers()) {
+    const NetDriver& clk = netlist.net(ff.clk).driver;
+    if (clk.kind != NetDriver::Kind::kNode ||
+        netlist.node(NodeId{clk.index}).kind != NodeKind::kInput) {
+      context.warning("register " + ff.name +
+                      ": clock is not a primary input");
+    }
+  }
+
   WindowedRetimeOptions options = options_;
   options.base.cancel = context.cancel;
-  if (!options.progress) {
+  McRetimeStats s;
+  WindowedRetimeStats w;
+  if (windowed_) {
     options.progress = [&context](const std::string& line) {
       context.note(line);
     };
+    WindowedRetimeResult result = retime_windowed(netlist, options);
+    if (!result.success) {
+      return PassResult::fail("windowed retiming failed: " + result.error);
+    }
+    context.replace_netlist(std::move(result.netlist));
+    s = result.stats;
+    w = result.window_stats;
+  } else {
+    McRetimeResult result = mc_retime(netlist, options.base);
+    if (!result.success) {
+      return PassResult::fail("retiming failed: " + result.error);
+    }
+    context.replace_netlist(std::move(result.netlist));
+    s = result.stats;
   }
-  WindowedRetimeResult result = retime_windowed(context.netlist(), options);
-  if (!result.success) {
-    return PassResult::fail("windowed retiming failed: " + result.error);
-  }
-  context.replace_netlist(std::move(result.netlist));
-  context.retime_stats = result.stats;
-  const McRetimeStats& s = result.stats;
-  const WindowedRetimeStats& w = result.window_stats;
+  context.retime_stats = s;
   context.set_metric("retime.classes",
                      static_cast<std::int64_t>(s.num_classes));
   context.set_metric("retime.moved_layers",
@@ -321,24 +228,65 @@ PassResult RetimeWindowedPass::run(FlowContext& context) {
   context.set_metric("retime.registers_after",
                      static_cast<std::int64_t>(s.registers_after));
   context.set_metric("retime.attempts", static_cast<std::int64_t>(s.attempts));
-  context.set_metric("retime.windows", static_cast<std::int64_t>(w.windows));
-  context.set_metric("retime.cut_edges",
-                     static_cast<std::int64_t>(w.cut_edges));
-  context.set_metric("retime.window_timeouts",
-                     static_cast<std::int64_t>(w.window_timeouts));
-  context.set_metric("retime.refine_accepted",
-                     static_cast<std::int64_t>(w.refine_accepted));
-  if (auto failed = finish_cslow(context, cslow_, cslow_stage)) return *failed;
+  if (windowed_) {
+    context.set_metric("retime.windows",
+                       static_cast<std::int64_t>(w.windows));
+    context.set_metric("retime.cut_edges",
+                       static_cast<std::int64_t>(w.cut_edges));
+    context.set_metric("retime.window_timeouts",
+                       static_cast<std::int64_t>(w.window_timeouts));
+    context.set_metric("retime.refine_accepted",
+                       static_cast<std::int64_t>(w.refine_accepted));
+  } else {
+    context.set_metric("retime.wd_sweeps",
+                       static_cast<std::int64_t>(s.wd_sweeps));
+    context.set_metric("retime.feas_probes",
+                       static_cast<std::int64_t>(s.feas_probes));
+  }
+
+  if (cslow_ > 0) {
+    context.set_metric("cslow.factor", static_cast<std::int64_t>(cslow_));
+    context.set_metric("cslow.registers_before",
+                       static_cast<std::int64_t>(cslow_stats.registers_before));
+    context.set_metric("cslow.registers_after",
+                       static_cast<std::int64_t>(cslow_stats.registers_after));
+  }
+  if (cslow_input.has_value()) {
+    CslowVerifyOptions verify_options;
+    verify_options.cancel = context.cancel;
+    const CslowVerifyResult v = verify_cslow(*cslow_input, context.netlist(),
+                                             cslow_, verify_options);
+    if (!v.pass) {
+      return PassResult::fail(str_format(
+          "cslow verification failed: %s%s%s", v.sim.reason.c_str(),
+          v.bmc_detail.empty() ? "" : " / ", v.bmc_detail.c_str()));
+    }
+    if (v.sim.skipped) {
+      context.note("cslow stream simulation skipped: " + v.sim.reason);
+    }
+    if (v.bmc_skipped) context.note("cslow BMC skipped: " + v.bmc_detail);
+    context.set_metric("cslow.verified",
+                       (v.sim.skipped && v.bmc_skipped) ? 0 : 1);
+  }
   const std::string cslow_note =
       cslow_ > 0 ? str_format("cslow=%u ", cslow_) : std::string();
+  if (windowed_) {
+    return PassResult::ok(str_format(
+        "%swindows=%zu classes=%zu period %lld -> %lld ff %zu -> %zu "
+        "(cut=%zu refine=%zu/%zu attempts=%zu)",
+        cslow_note.c_str(), w.windows, s.num_classes,
+        static_cast<long long>(s.period_before),
+        static_cast<long long>(s.period_after), s.registers_before,
+        s.registers_after, w.cut_edges, w.refine_accepted,
+        w.refine_rounds_run, s.attempts));
+  }
   return PassResult::ok(str_format(
-      "%swindows=%zu classes=%zu period %lld -> %lld ff %zu -> %zu "
-      "(cut=%zu refine=%zu/%zu attempts=%zu)",
-      cslow_note.c_str(), w.windows, s.num_classes,
+      "%sclasses=%zu steps=%zu/%zu period %lld -> %lld ff %zu -> %zu "
+      "(attempts=%zu)",
+      cslow_note.c_str(), s.num_classes, s.moved_layers, s.possible_steps,
       static_cast<long long>(s.period_before),
       static_cast<long long>(s.period_after), s.registers_before,
-      s.registers_after, w.cut_edges, w.refine_accepted, w.refine_rounds_run,
-      s.attempts));
+      s.registers_after, s.attempts));
 }
 
 bool VerifyPass::configure(const PassArgs& args, std::string* error) {
@@ -457,7 +405,7 @@ void register_standard_passes(PassRegistry& registry) {
   registry.register_pass("retime",
                          [] { return std::make_unique<RetimePass>(); });
   registry.register_pass("retime-windowed", [] {
-    return std::make_unique<RetimeWindowedPass>();
+    return std::make_unique<RetimePass>(/*windowed=*/true);
   });
   registry.register_pass("verify",
                          [] { return std::make_unique<VerifyPass>(); });

@@ -23,6 +23,14 @@
 //                                 input-equivalent (it interleaves C
 //                                 streams), so flow-level equivalence spot
 //                                 checks and verify() do not apply.
+//   retime-windowed(window-size=1024,windows=0,window-jobs=0,refine=1,...)
+//                                 the same pass and arguments on the
+//                                 windowed driver (src/window/): bounded
+//                                 regions solved in parallel with frozen
+//                                 boundaries, stitched and refined.
+//                                 windows=0 derives the count from
+//                                 window-size; window-jobs=0 uses one
+//                                 worker per hardware thread
 //
 // Benches and tools that need the full option structs construct the pass
 // classes directly instead of going through script arguments.
@@ -103,70 +111,39 @@ class MapPass final : public Pass {
   FlowMapOptions options_;
 };
 
+/// One pass for both retime script names: `retime` calls mc_retime(),
+/// `retime-windowed` calls retime_windowed() and alone accepts the window
+/// arguments.
 class RetimePass final : public Pass {
  public:
   /// Script defaults: minarea at minimum period, sharing on, delay-less
   /// LUTs given delay 10 (matching the legacy `mcrt retime` subcommand).
-  RetimePass() = default;
+  /// `windowed` selects the `retime-windowed` driver.
+  explicit RetimePass(bool windowed = false) : windowed_(windowed) {}
   /// Programmatic use (benches): full options, and by default no delay
   /// rewriting — mapped netlists already carry the mapper's delays.
   explicit RetimePass(McRetimeOptions options,
                       std::int64_t default_lut_delay = 0)
-      : options_(options), default_lut_delay_(default_lut_delay) {}
-  [[nodiscard]] std::string_view name() const override { return "retime"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "multiple-class retiming (minarea at minimum feasible period)";
+      : default_lut_delay_(default_lut_delay) {
+    options_.base = options;
   }
-  bool configure(const PassArgs& args, std::string* error) override;
-  PassResult run(FlowContext& context) override;
-
-  /// Programmatic knob for benches/tools (same as cslow= / cslow-verify).
-  void set_cslow(std::uint32_t factor, bool verify = false) {
-    cslow_ = factor;
-    cslow_verify_ = verify;
-  }
-
- private:
-  McRetimeOptions options_;
-  std::int64_t default_lut_delay_ = 10;
-  std::uint32_t cslow_ = 0;  ///< 0 = off; C >= 1 = C-slow before retiming
-  bool cslow_verify_ = false;
-};
-
-/// Windowed multiple-class retiming (src/window/): partitions the mc-graph
-/// into bounded regions, solves them in parallel with frozen boundaries,
-/// stitches and refines. Script arguments:
-///
-///   retime-windowed(window-size=1024,windows=0,window-jobs=0,refine=1,
-///                   target=N,minperiod,no-sharing,d=10,cslow=C,cslow-verify)
-///
-/// windows=0 derives the count from window-size; window-jobs=0 uses one
-/// worker per hardware thread. cslow composes: the C-slow transform runs
-/// first, then the windowed solve rebalances the chains.
-class RetimeWindowedPass final : public Pass {
- public:
-  RetimeWindowedPass() = default;
-  explicit RetimeWindowedPass(WindowedRetimeOptions options,
-                              std::int64_t default_lut_delay = 0)
-      : options_(std::move(options)), default_lut_delay_(default_lut_delay) {}
   [[nodiscard]] std::string_view name() const override {
-    return "retime-windowed";
+    return windowed_ ? "retime-windowed" : "retime";
   }
   [[nodiscard]] std::string_view description() const override {
-    return "windowed multiple-class retiming (parallel bounded regions)";
+    return windowed_
+               ? "windowed multiple-class retiming (parallel bounded regions)"
+               : "multiple-class retiming (minarea at minimum feasible period)";
   }
   bool configure(const PassArgs& args, std::string* error) override;
   PassResult run(FlowContext& context) override;
 
-  void set_cslow(std::uint32_t factor, bool verify = false) {
-    cslow_ = factor;
-    cslow_verify_ = verify;
-  }
-
  private:
+  bool windowed_ = false;
+  /// `base` drives both names; the window fields only `retime-windowed`.
   WindowedRetimeOptions options_;
   std::int64_t default_lut_delay_ = 10;
-  std::uint32_t cslow_ = 0;
+  std::uint32_t cslow_ = 0;  ///< 0 = off; C >= 1 = C-slow before retiming
   bool cslow_verify_ = false;
 };
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
-#include <map>
 #include <memory>
 #include <optional>
 
 #include "mcretime/lower.h"
-#include "mcretime/rebuild.h"
 #include "retime/minarea.h"
 #include "retime/minperiod.h"
 #include "retime/period_constraints.h"
@@ -16,8 +13,6 @@
 
 namespace mcrt {
 namespace {
-
-using BoundOverlay = std::map<std::uint32_t, std::int64_t>;
 
 /// Solves one window for minimum period. Robust to bounds that exclude
 /// r = 0 (delta-space justification retries tighten past the current
@@ -44,29 +39,19 @@ std::int64_t shift_upper(std::int64_t bound, std::int64_t r) {
   return bound >= RetimeGraph::kNoBound ? bound : bound - r;
 }
 
-/// Copy of `global` with `r` applied to the weights and the bounds moved
-/// into delta space (a local label d stands for the global label
-/// r[v] + d), intersected with the justification-retry overlays, which
-/// live in global label space.
+/// Copy of `global` with `r` applied to the weights and the bounds of
+/// `bounded` (`global` or a copy with tighter bounds, which `r` may
+/// violate) moved into delta space: a local label d stands for the global
+/// label r[v] + d.
 RetimeGraph reweighted(const RetimeGraph& global,
                        const std::vector<std::int64_t>& r,
-                       const BoundOverlay& tight_lower,
-                       const BoundOverlay& tight_upper) {
+                       const RetimeGraph& bounded) {
   RetimeGraph g = global;
   g.apply(r);
   for (std::size_t v = 1; v < g.vertex_count(); ++v) {
     const VertexId vid{static_cast<std::uint32_t>(v)};
-    std::int64_t lo = global.lower_bound(vid);
-    std::int64_t hi = global.upper_bound(vid);
-    if (const auto it = tight_lower.find(static_cast<std::uint32_t>(v));
-        it != tight_lower.end()) {
-      lo = std::max(lo, it->second);
-    }
-    if (const auto it = tight_upper.find(static_cast<std::uint32_t>(v));
-        it != tight_upper.end()) {
-      hi = std::min(hi, it->second);
-    }
-    g.set_bounds(vid, shift_lower(lo, r[v]), shift_upper(hi, r[v]));
+    g.set_bounds(vid, shift_lower(bounded.lower_bound(vid), r[v]),
+                 shift_upper(bounded.upper_bound(vid), r[v]));
   }
   return g;
 }
@@ -78,7 +63,6 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
   WindowedRetimeResult result;
   McRetimeStats& stats = result.stats;
   WindowedRetimeStats& wstats = result.window_stats;
-  stats.registers_before = input.register_count();
   const auto say = [&](const std::string& line) {
     if (options.progress) options.progress(line);
   };
@@ -88,12 +72,9 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
   McBounds bounds;
   {
     ScopedPhase phase(stats.profile, "graph");
-    McPrepared prepared = prepare_mc_graph(input, options.base);
+    McPrepared prepared = prepare_mc_graph(input, options.base, &stats);
     mcg = std::move(prepared.graph);
     bounds = std::move(prepared.bounds);
-    stats.num_classes = prepared.num_classes;
-    stats.possible_steps = prepared.possible_steps;
-    stats.separators = prepared.separators;
   }
   const RetimeGraph global = lower_to_retime_graph(mcg, bounds);
   stats.period_before = global.period();
@@ -187,7 +168,7 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
     for (std::size_t round = 1; round <= options.refine_rounds; ++round) {
       poll_cancel(options.base.cancel);
       ++wstats.refine_rounds_run;
-      const RetimeGraph rg = reweighted(global, labels, {}, {});
+      const RetimeGraph rg = reweighted(global, labels, global);
       PartitionOptions shifted = options.partition;
       shifted.seed = options.partition.seed + round;
       const WindowPartition repart = partition_mc_graph(mcg, shifted);
@@ -212,7 +193,7 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
         McRetimeOptions::Objective::kMinAreaMinPeriod &&
         part.window_count() > 0) {
       poll_cancel(options.base.cancel);
-      const RetimeGraph rg = reweighted(global, labels, {}, {});
+      const RetimeGraph rg = reweighted(global, labels, global);
       std::vector<std::int64_t> delta(n, 0);
       run_windows(rg, part, delta, /*minarea_mode=*/true, phi);
       std::vector<std::int64_t> candidate = labels;
@@ -238,59 +219,20 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
   }
 
   // --- Implement, with windowed justification-failure retries --------------
-  BoundOverlay tightened_upper;
-  BoundOverlay tightened_lower;
-  // Global fallbacks re-solve `global` under ever tighter overlays: one W/D
-  // sweep serves them all.
+  // Re-solves only the window owning the failing vertex, in delta space
+  // under the overlay; escalates to a full-graph re-solve when the window
+  // alone cannot absorb the new bound (overlays admit the global label 0,
+  // so the full problem is always feasible). Global fallbacks re-solve
+  // under ever tighter overlays: one W/D sweep serves them all.
   PeriodConstraintTable fallback_table;
-  McGraph relocated;
-  bool implemented = false;
-  for (std::size_t attempt = 0; attempt < options.base.max_attempts;
-       ++attempt) {
-    poll_cancel(options.base.cancel);
-    stats.attempts = attempt + 1;
-    std::uint32_t failed = 0;
-    {
-      ScopedPhase phase(stats.profile, "implement");
-      relocated = mcg;
-      const RelocateResult relocation =
-          relocate_registers(relocated, input, labels,
-                             options.base.global_justification_budget);
-      stats.relocate = relocation.stats;
-      if (relocation.success) {
-        implemented = true;
-        break;
-      }
-      const std::uint32_t v = relocation.failed_vertex.value();
-      failed = v;
-      if (relocation.failed_backward) {
-        const auto it = tightened_upper.find(v);
-        if (it != tightened_upper.end() && it->second <= relocation.achieved) {
-          result.error = "justification failure could not be bounded away: " +
-                         relocation.failure_reason;
-          return result;
-        }
-        tightened_upper[v] = relocation.achieved;
-      } else {
-        const auto it = tightened_lower.find(v);
-        if (it != tightened_lower.end() && it->second >= relocation.achieved) {
-          result.error = "scheduling failure could not be bounded away: " +
-                         relocation.failure_reason;
-          return result;
-        }
-        tightened_lower[v] = relocation.achieved;
-      }
-    }
-    // Re-solve only the window owning the offending vertex, in delta space
-    // with the overlay applied; escalate to a full-graph re-solve when the
-    // window alone cannot absorb the new bound (overlays admit the global
-    // label 0, so the full problem is always feasible).
-    ScopedPhase phase(stats.profile, "retime");
+  const McResolve resolve = [&](const BoundOverlay& overlay, VertexId failed,
+                                std::vector<std::int64_t>& labels) {
+    RetimeGraph bounded = global;
+    overlay.apply(bounded);
     bool resolved = false;
-    const std::uint32_t w = part.window_of[failed];
+    const std::uint32_t w = part.window_of[failed.value()];
     if (w != WindowPartition::kUnassigned) {
-      const RetimeGraph rg =
-          reweighted(global, labels, tightened_lower, tightened_upper);
+      const RetimeGraph rg = reweighted(global, labels, bounded);
       const BoundaryTiming timing = compute_boundary_timing(rg);
       const WindowProblem prob = extract_window(rg, part, w, timing);
       if (auto r = solve_window(prob.graph, options.base.cancel)) {
@@ -307,48 +249,22 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
     }
     if (!resolved) {
       ++wstats.global_fallbacks;
-      RetimeGraph g = global;
-      for (const auto& [vv, hi] : tightened_upper) {
-        const VertexId vid{vv};
-        g.set_bounds(vid, g.lower_bound(vid),
-                     std::min(hi, g.upper_bound(vid)));
-      }
-      for (const auto& [vv, lo] : tightened_lower) {
-        const VertexId vid{vv};
-        g.set_bounds(vid, std::max(lo, g.lower_bound(vid)),
-                     g.upper_bound(vid));
-      }
       const RetimeSolution sol = minperiod_retime(
-          g, FeasImpl::kCsr, options.base.cancel, &fallback_table);
-      if (!sol.feasible || !g.check_legal(sol.r).empty()) {
-        result.error = "windowed retiming: global fallback infeasible";
-        return result;
+          bounded, FeasImpl::kCsr, options.base.cancel, &fallback_table);
+      if (!sol.feasible || !bounded.check_legal(sol.r).empty()) {
+        return std::string("windowed retiming: global fallback infeasible");
       }
       labels = sol.r;
     }
-    phi = global.period(labels);
-    stats.period_after = phi;
-    say("retry " + std::to_string(attempt + 1) + ": period " +
-        std::to_string(phi));
-  }
-  if (!implemented) {
-    result.error = "relocation failed after max attempts";
-    return result;
-  }
-
-  for (std::size_t v = 1; v < mcg.vertex_count(); ++v) {
-    if (mcg.kind(VertexId{static_cast<std::uint32_t>(v)}) ==
-        McVertexKind::kGate) {
-      stats.moved_layers += static_cast<std::size_t>(std::abs(labels[v]));
-    }
-  }
+    stats.period_after = global.period(labels);
+    say("retry " + std::to_string(stats.attempts) + ": period " +
+        std::to_string(stats.period_after));
+    return std::string();
+  };
+  result.error = implement_retiming(mcg, input, options.base, labels, resolve,
+                                    stats, result.netlist);
+  if (!result.error.empty()) return result;
   stats.register_estimate = global.shared_register_area(labels);
-
-  {
-    ScopedPhase phase(stats.profile, "implement");
-    result.netlist = rebuild_netlist(relocated, input);
-  }
-  stats.registers_after = result.netlist.register_count();
   result.labels = std::move(labels);
   result.success = true;
   return result;

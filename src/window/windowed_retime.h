@@ -18,11 +18,12 @@
 // *global* period improves; per-window min-area then reduces registers at
 // the achieved period, again accepted only if the global period holds.
 //
-// Implementation (register relocation with reset-state justification) is
-// shared with the monolithic flow; a justification failure tightens the
-// bound at the offending vertex and re-solves only the window that owns
-// it, falling back to a full-graph re-solve if the window alone cannot
-// absorb the new bound.
+// Implementation (register relocation with reset-state justification and
+// its retry loop, implement_retiming() in mcretime/mc_retime.h) is shared
+// with the monolithic flow; a justification failure tightens the bound at
+// the offending vertex and this driver's re-solve works on only the window
+// that owns it, falling back to a full-graph re-solve if the window alone
+// cannot absorb the new bound.
 #pragma once
 
 #include <functional>

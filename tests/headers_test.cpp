@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "base/ids.h"
-#include "base/log.h"
 #include "base/rng.h"
 #include "base/strings.h"
 #include "base/thread_pool.h"

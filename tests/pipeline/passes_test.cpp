@@ -12,6 +12,7 @@
 #include "blif/blif.h"
 #include "cslow/stream_check.h"
 #include "mcretime/mc_retime.h"
+#include "pipeline/diagnostics.h"
 #include "pipeline/flow_context.h"
 #include "pipeline/flow_script.h"
 #include "pipeline/pass_manager.h"
@@ -99,6 +100,41 @@ TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
   }
 }
 
+TEST(PassesTest, RetimePassWarnsOncePerDerivedClockRegister) {
+  // One register is clocked from a primary input, one from a gate: both
+  // script names retime the circuit and warn exactly once, naming the
+  // gate-clocked register, through the flow's diagnostics sink.
+  Netlist n;
+  const NetId clk = n.add_input("clk");
+  const NetId clk_en = n.add_input("clk_en");
+  const NetId a = n.add_input("a");
+  const NetId b = n.add_input("b");
+  const NetId gclk = n.add_lut(TruthTable::and_n(2), {clk, clk_en}, "gclk");
+  Register pi_clocked;
+  pi_clocked.name = "r_pi";
+  pi_clocked.d = n.add_lut(TruthTable::and_n(2), {a, b}, "x");
+  pi_clocked.clk = clk;
+  const NetId q1 = n.add_register(std::move(pi_clocked));
+  Register gate_clocked;
+  gate_clocked.name = "r_gated";
+  gate_clocked.d = n.add_lut(TruthTable::inverter(), {q1}, "y");
+  gate_clocked.clk = gclk;
+  n.add_output("out", n.add_register(std::move(gate_clocked)));
+  for (const bool windowed : {false, true}) {
+    CollectingDiagnostics diagnostics;
+    FlowContext context(n, &diagnostics);
+    RetimePass pass(windowed);
+    const PassResult result = pass.run(context);
+    ASSERT_TRUE(result.success) << result.error;
+    const auto eq = check_sequential_equivalence(n, context.netlist(), {});
+    EXPECT_TRUE(eq.equivalent) << eq.counterexample;
+    EXPECT_EQ(diagnostics.messages(DiagSeverity::kWarning),
+              std::vector<std::string>{
+                  "register r_gated: clock is not a primary input"})
+        << pass.name();
+  }
+}
+
 TEST(PassesTest, RetimePassHonorsScriptArguments) {
   std::string error;
   {
@@ -114,6 +150,18 @@ TEST(PassesTest, RetimePassHonorsScriptArguments) {
     args.set("bogus", "1");
     EXPECT_FALSE(pass.configure(args, &error));
     EXPECT_NE(error.find("bogus"), std::string::npos);
+  }
+  for (const bool windowed : {false, true}) {
+    // Window arguments belong to `retime-windowed` only.
+    RetimePass pass(windowed);
+    PassArgs args;
+    args.set("window-size", "16");
+    args.set("d", "10");
+    EXPECT_EQ(pass.configure(args, &error), windowed) << error;
+    EXPECT_EQ(pass.name(), windowed ? "retime-windowed" : "retime");
+    if (!windowed) {
+      EXPECT_EQ(error, "pass 'retime' does not take argument 'window-size'");
+    }
   }
   {
     MapPass pass;
