@@ -5,8 +5,9 @@
 //  - prepare_mapped(): HDL analyzer -> decompose sync set/clear (XC4000E
 //    registers have none) -> optimize (sweep) -> map to 4-LUTs with the
 //    FlowMap delay model. This produces the "Table 1" view of a circuit.
-//  - retime_and_remap(): insert the "retime" command after mapping
-//    (minarea at best delay), then "remap" the combinational part.
+//  - retime_and_remap_suite(): insert the "retime" command after mapping
+//    (minarea at best delay), then "remap" the combinational part, over a
+//    suite on the bulk engine's pool.
 #pragma once
 
 #include <cstdio>
@@ -146,40 +147,11 @@ struct RetimedCircuit {
   double seconds = 0.0;
 };
 
-/// "retime" (minarea at minimum period) + "remap", with equivalence check.
-inline RetimedCircuit retime_and_remap(const MappedCircuit& mapped,
-                                       const McRetimeOptions& options = {}) {
-  RetimedCircuit out;
-  FlowContext context(mapped.netlist);
-  PassManager manager(bench_manager_options());
-  manager.add(std::make_unique<RetimePass>(options));
-  // Remap the combinational part after retiming (registers pass through).
-  manager.add(std::make_unique<MapPass>());
-  const FlowResult run = manager.run(context);
-  if (!run.success) {
-    std::fprintf(stderr, "  %s: %s\n", mapped.name.c_str(),
-                 run.error.c_str());
-    return out;
-  }
-  out.seconds = run.profile.total();
-  out.stats = *context.retime_stats;
-  out.circuit = measure(mapped.name, context.take_netlist());
-  out.circuit.pass_profile = run.profile;
-  out.ok = true;
-  EquivalenceOptions eq_opt;
-  eq_opt.runs = 2;
-  eq_opt.cycles = 48;
-  out.equivalent =
-      check_sequential_equivalence(mapped.netlist, out.circuit.netlist, eq_opt)
-          .equivalent;
-  return out;
-}
-
-/// Bulk retime_and_remap() over a suite: the retime+remap pipelines run on
-/// the bulk engine's work-stealing pool, then the per-circuit equivalence
-/// checks fan out over the same pool. Results line up with `mapped` by
-/// index; per-circuit failures are reported in RetimedCircuit::ok exactly
-/// like the serial helper.
+/// "retime" (minarea at minimum period) + "remap" over a suite, with
+/// equivalence checks: the retime+remap pipelines run on the bulk engine's
+/// work-stealing pool, then the per-circuit equivalence checks fan out over
+/// the same pool. Results line up with `mapped` by index; per-circuit
+/// failures are reported in RetimedCircuit::ok.
 inline std::vector<RetimedCircuit> retime_and_remap_suite(
     const std::vector<MappedCircuit>& mapped,
     const McRetimeOptions& options = {}, std::size_t jobs = 0) {

@@ -17,7 +17,6 @@
 #include "mcretime/lower.h"
 #include "mcretime/mc_retime.h"
 #include "pipeline/bulk_runner.h"
-#include "pipeline/flow_script.h"
 #include "pipeline/job_executor.h"
 #include "pipeline/passes.h"
 #include "retime/minperiod.h"
@@ -95,16 +94,7 @@ BulkJobResult run_serial(const FuzzCase& c, const std::string& script,
   exec.timeout_seconds = options.timeout_seconds;
   exec.cancel = options.cancel;
   BulkJobResult out;
-  execute_flow_job(
-      job,
-      [&registry, &script](PassManager& manager, std::string* error) {
-        if (auto problem = compile_flow_script(script, registry, manager)) {
-          *error = *problem;
-          return false;
-        }
-        return true;
-      },
-      exec, out);
+  execute_flow_job(job, script_pipeline(script, &registry), exec, out);
   return out;
 }
 

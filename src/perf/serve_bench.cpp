@@ -18,7 +18,6 @@
 #include "blif/blif.h"
 #include "perf/bench.h"
 #include "pipeline/bulk_runner.h"
-#include "pipeline/flow_script.h"
 #include "pipeline/job_executor.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -96,17 +95,7 @@ Reference build_reference(const std::string& name, const Netlist& circuit) {
   exec.keep_netlist = true;
 
   BulkJobResult result;
-  execute_flow_job(
-      job,
-      [](PassManager& pm, std::string* error) {
-        if (auto problem =
-                compile_flow_script(kScript, PassRegistry::standard(), pm)) {
-          *error = *problem;
-          return false;
-        }
-        return true;
-      },
-      exec, result);
+  execute_flow_job(job, script_pipeline(kScript), exec, result);
   if (result.status != JobStatus::kOk || !result.netlist.has_value()) {
     return ref;
   }

@@ -8,36 +8,25 @@
 #include "base/strings.h"
 #include "base/version.h"
 #include "pipeline/checkpoint.h"
-#include "pipeline/flow_script.h"
 
 namespace mcrt {
 
 namespace fs = std::filesystem;
 
 BulkRunner::BulkRunner(std::string script, BulkOptions options)
-    : script_(std::move(script)), options_(std::move(options)) {}
+    : script_(std::move(script)),
+      pipeline_(script_pipeline(script_, options.registry)),
+      options_(std::move(options)) {}
 
 BulkRunner::BulkRunner(PipelineFactory factory, BulkOptions options)
-    : factory_(std::move(factory)), options_(std::move(options)) {}
-
-bool BulkRunner::build_pipeline(PassManager& manager,
-                                std::string* error) const {
-  if (factory_) return factory_(manager, error);
-  const PassRegistry& registry =
-      options_.registry != nullptr ? *options_.registry
-                                   : PassRegistry::standard();
-  if (const auto compile_error =
-          compile_flow_script(script_, registry, manager)) {
-    *error = *compile_error;
-    return false;
-  }
-  return true;
-}
+    : script_("<programmatic>"),
+      pipeline_(std::move(factory)),
+      options_(std::move(options)) {}
 
 std::optional<std::string> BulkRunner::check() const {
   PassManager scratch(options_.manager);
   std::string error;
-  if (!build_pipeline(scratch, &error)) return error;
+  if (!pipeline_(scratch, &error)) return error;
   return std::nullopt;
 }
 
@@ -49,12 +38,7 @@ void BulkRunner::run_one(const BulkJob& job, BulkJobResult& out) const {
   exec.cancel = options_.cancel;
   exec.budgets = options_.budgets;
   exec.faults = options_.faults;
-  execute_flow_job(
-      job,
-      [this](PassManager& manager, std::string* error) {
-        return build_pipeline(manager, error);
-      },
-      exec, out);
+  execute_flow_job(job, pipeline_, exec, out);
 }
 
 BulkReport BulkRunner::run(const std::vector<BulkJob>& jobs) const {
@@ -65,7 +49,7 @@ BulkReport BulkRunner::run(const std::vector<BulkJob>& jobs) const {
 BulkReport BulkRunner::run(const std::vector<BulkJob>& jobs,
                            ThreadPool& pool) const {
   BulkReport report;
-  report.script = factory_ ? "<programmatic>" : script_;
+  report.script = script_;
   report.jobs = pool.worker_count();
   report.results.resize(jobs.size());
 

@@ -148,11 +148,10 @@ class BulkRunner {
                                ThreadPool& pool) const;
 
  private:
-  bool build_pipeline(PassManager& manager, std::string* error) const;
   void run_one(const BulkJob& job, BulkJobResult& out) const;
 
-  std::string script_;        ///< empty in factory mode
-  PipelineFactory factory_;   ///< null in script mode
+  std::string script_;  ///< the report's script: "<programmatic>" for a factory
+  PipelineBuilder pipeline_;
   BulkOptions options_;
 };
 

@@ -1,164 +1,33 @@
 #include "pipeline/checkpoint.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <utility>
-#include <vector>
+#include <variant>
 
-#include "base/strings.h"
+#include "base/json.h"
 
 namespace mcrt {
 
 namespace {
 
-constexpr const char* kHeaderTag = "mcrt-bulk-manifest/1";
+constexpr const char* kManifestSchema = "mcrt-bulk-manifest/2";
 
-/// Backslash-escapes the field separators so records stay line-oriented.
-std::string escape_field(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '\t': out += "\\t"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c;
-    }
-  }
-  return out;
+/// One record line: the job record's compact JSON plus a newline.
+void write_line(std::FILE* file, const Json& record) {
+  const std::string line = record.write() + "\n";
+  std::fwrite(line.data(), 1, line.size(), file);
+  // Flush per line: the manifest is the crash-recovery journal, an
+  // unflushed record is a job re-run on resume.
+  std::fflush(file);
 }
 
-std::string unescape_field(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    if (text[i] != '\\' || i + 1 == text.size()) {
-      out += text[i];
-      continue;
-    }
-    switch (text[++i]) {
-      case '\\': out += '\\'; break;
-      case 't': out += '\t'; break;
-      case 'n': out += '\n'; break;
-      default: out += text[i];
-    }
-  }
-  return out;
-}
-
-/// Splits on raw tabs, preserving empty fields (escaped tabs are the
-/// two-character sequence "\t" and pass through).
-std::vector<std::string> split_fields(const std::string& line) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= line.size(); ++i) {
-    if (i == line.size() || line[i] == '\t') {
-      fields.emplace_back(line.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return fields;
-}
-
-bool parse_size(const std::string& text, std::size_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  *out = static_cast<std::size_t>(v);
-  return true;
-}
-
-bool parse_int64(const std::string& text, std::int64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(text.c_str(), &end, 10);
-  if (end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool parse_double(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return false;
-  *out = v;
-  return true;
+std::optional<Json> parse_line(const std::string& line) {
+  auto parsed = Json::parse(line);
+  if (Json* json = std::get_if<Json>(&parsed)) return std::move(*json);
+  return std::nullopt;
 }
 
 }  // namespace
-
-std::string encode_manifest_record(const BulkJobResult& result) {
-  std::string out = "job";
-  const auto field = [&out](const std::string& text) {
-    out += '\t';
-    out += escape_field(text);
-  };
-  field(result.name);
-  field(job_status_name(result.status));
-  field(result.error);
-  field(result.input_path);
-  field(result.output_path);
-  field(std::to_string(result.before.luts));
-  field(std::to_string(result.before.registers));
-  field(std::to_string(result.period_before));
-  field(std::to_string(result.after.luts));
-  field(std::to_string(result.after.registers));
-  field(std::to_string(result.period_after));
-  field(str_format("%.17g", result.seconds));
-  field(std::to_string(result.executed.size()));
-  for (const PassExecution& pass : result.executed) {
-    field(pass.name);
-    field(pass.success ? "1" : "0");
-    field(pass.rolled_back ? "1" : "0");
-    field(pass.summary);
-    field(str_format("%.17g", pass.seconds));
-  }
-  return out;
-}
-
-std::optional<BulkJobResult> decode_manifest_record(const std::string& line) {
-  const std::vector<std::string> fields = split_fields(line);
-  constexpr std::size_t kFixed = 14;        // "job" + 13 job fields
-  constexpr std::size_t kPerPass = 5;
-  if (fields.size() < kFixed || fields[0] != "job") return std::nullopt;
-
-  BulkJobResult result;
-  result.name = unescape_field(fields[1]);
-  const auto status = job_status_from_name(unescape_field(fields[2]));
-  if (!status) return std::nullopt;
-  result.status = *status;
-  result.success = result.status == JobStatus::kOk;
-  result.error = unescape_field(fields[3]);
-  result.input_path = unescape_field(fields[4]);
-  result.output_path = unescape_field(fields[5]);
-  std::size_t pass_count = 0;
-  if (!parse_size(fields[6], &result.before.luts) ||
-      !parse_size(fields[7], &result.before.registers) ||
-      !parse_int64(fields[8], &result.period_before) ||
-      !parse_size(fields[9], &result.after.luts) ||
-      !parse_size(fields[10], &result.after.registers) ||
-      !parse_int64(fields[11], &result.period_after) ||
-      !parse_double(fields[12], &result.seconds) ||
-      !parse_size(fields[13], &pass_count)) {
-    return std::nullopt;
-  }
-  if (fields.size() != kFixed + pass_count * kPerPass) return std::nullopt;
-  result.executed.reserve(pass_count);
-  for (std::size_t p = 0; p < pass_count; ++p) {
-    const std::size_t base = kFixed + p * kPerPass;
-    PassExecution pass;
-    pass.name = unescape_field(fields[base]);
-    pass.success = fields[base + 1] == "1";
-    pass.rolled_back = fields[base + 2] == "1";
-    pass.summary = unescape_field(fields[base + 3]);
-    if (!parse_double(fields[base + 4], &pass.seconds)) return std::nullopt;
-    result.executed.push_back(std::move(pass));
-  }
-  result.resumed = true;
-  return result;
-}
 
 bool ManifestWriter::open(const std::string& path, const std::string& script,
                           bool append) {
@@ -167,21 +36,17 @@ bool ManifestWriter::open(const std::string& path, const std::string& script,
   file_ = std::fopen(path.c_str(), append ? "ab" : "wb");
   if (file_ == nullptr) return false;
   if (!append) {
-    std::fprintf(file_, "%s\t%s\n", kHeaderTag, escape_field(script).c_str());
-    std::fflush(file_);
+    Json header = Json::object();
+    header.set("schema", kManifestSchema);
+    header.set("script", script);
+    write_line(file_, header);
   }
   return true;
 }
 
 void ManifestWriter::record(const BulkJobResult& result) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (file_ == nullptr) return;
-  const std::string line = encode_manifest_record(result);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fputc('\n', file_);
-  // Flush per record: the manifest is the crash-recovery journal, an
-  // unflushed record is a job re-run on resume.
-  std::fflush(file_);
+  if (file_ != nullptr) write_line(file_, job_to_json(result));
 }
 
 void ManifestWriter::close() {
@@ -197,15 +62,20 @@ std::optional<ManifestData> load_manifest(const std::string& path) {
   if (!in) return std::nullopt;
   std::string line;
   if (!std::getline(in, line)) return std::nullopt;
-  const std::vector<std::string> header = split_fields(line);
-  if (header.size() != 2 || header[0] != kHeaderTag) return std::nullopt;
+  const std::optional<Json> header = parse_line(line);
+  if (!header || header->at("schema").as_string() != kManifestSchema) {
+    return std::nullopt;
+  }
 
   ManifestData data;
-  data.script = unescape_field(header[1]);
+  data.script = header->at("script").as_string();
   while (std::getline(in, line)) {
-    // A line interrupted mid-write (SIGKILL) decodes as malformed and is
-    // dropped; every preceding line was flushed whole.
-    if (auto record = decode_manifest_record(line)) {
+    // A line interrupted mid-write (SIGKILL) is not a whole JSON document
+    // and is dropped; every preceding line was flushed whole.
+    const std::optional<Json> json = parse_line(line);
+    if (!json) continue;
+    if (std::optional<BulkJobResult> record = job_from_json(*json)) {
+      record->resumed = true;
       std::string name = record->name;
       data.completed.insert_or_assign(std::move(name), std::move(*record));
     }

@@ -3,7 +3,8 @@
 // A manifest is a line-oriented, append-only record of the jobs a bulk run
 // has finished: one header line naming the flow script, then one record per
 // completed job carrying the report-visible subset of its BulkJobResult
-// (status, error, netlist stats, period, executed passes with summaries).
+// (status, error, netlist stats, period, executed passes with summaries)
+// plus its diagnostics.
 // The writer appends and flushes each record as the job finishes, so a
 // batch killed at any point — including mid-write — leaves a manifest whose
 // complete lines are all trustworthy; the loader silently drops a truncated
@@ -19,8 +20,11 @@
 // cancelled by a batch-wide stop (ctrl-C) are deliberately not recorded —
 // they never ran to a deterministic conclusion and must re-run on resume.
 //
-// Format: tab-separated fields with backslash escaping for '\\', '\t' and
-// '\n'; the header is "mcrt-bulk-manifest/1\t<script>".
+// Format: the first line is the header {"schema":"mcrt-bulk-manifest/2",
+// "script":"<script>"}; every further line is one job record in the shared
+// encoding, job_to_json() (pipeline/job_executor.h), written compactly on
+// one line. A manifest with another header — including the tab-separated
+// "mcrt-bulk-manifest/1" — loads as unreadable, so every job re-runs.
 #pragma once
 
 #include <cstdio>
@@ -32,15 +36,6 @@
 #include "pipeline/bulk_runner.h"
 
 namespace mcrt {
-
-/// Serializes the manifest-visible subset of `result` as one record line
-/// (no trailing newline).
-[[nodiscard]] std::string encode_manifest_record(const BulkJobResult& result);
-
-/// Parses one record line. Returns std::nullopt on a malformed or
-/// truncated line (the loader drops such lines, it never fails on them).
-[[nodiscard]] std::optional<BulkJobResult> decode_manifest_record(
-    const std::string& line);
 
 /// Thread-safe append-and-flush manifest writer.
 class ManifestWriter {

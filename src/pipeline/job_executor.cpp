@@ -1,5 +1,6 @@
 #include "pipeline/job_executor.h"
 
+#include <cstdio>
 #include <filesystem>
 #include <system_error>
 #include <utility>
@@ -7,6 +8,7 @@
 #include "base/strings.h"
 #include "blif/blif.h"
 #include "pipeline/flow_context.h"
+#include "pipeline/flow_script.h"
 #include "tech/sta.h"
 
 namespace mcrt {
@@ -33,26 +35,30 @@ std::optional<JobStatus> job_status_from_name(std::string_view name) noexcept {
   return std::nullopt;
 }
 
+std::optional<Netlist> load_blif_netlist(const std::string& path,
+                                         DiagnosticsSink& diag) {
+  auto parsed = read_blif_file(path);
+  if (const auto* err = std::get_if<BlifError>(&parsed)) {
+    diag.error(path, str_format("line %zu: %s", err->line,
+                                err->message.c_str()));
+    return std::nullopt;
+  }
+  Netlist netlist = std::move(std::get<Netlist>(parsed));
+  const auto problems = netlist.validate();
+  if (!problems.empty()) {
+    for (const std::string& problem : problems) diag.error(path, problem);
+    return std::nullopt;
+  }
+  return netlist;
+}
+
 BulkJob make_file_job(std::string input_path, std::string output_path) {
   BulkJob job;
   job.name = fs::path(input_path).stem().string();
   job.input_path = input_path;
   job.output_path = std::move(output_path);
-  job.load = [path = std::move(input_path)](
-                 DiagnosticsSink& diag) -> std::optional<Netlist> {
-    auto parsed = read_blif_file(path);
-    if (const auto* err = std::get_if<BlifError>(&parsed)) {
-      diag.error(path, str_format("line %zu: %s", err->line,
-                                  err->message.c_str()));
-      return std::nullopt;
-    }
-    Netlist netlist = std::move(std::get<Netlist>(parsed));
-    const auto problems = netlist.validate();
-    if (!problems.empty()) {
-      for (const std::string& problem : problems) diag.error(path, problem);
-      return std::nullopt;
-    }
-    return netlist;
+  job.load = [path = std::move(input_path)](DiagnosticsSink& diag) {
+    return load_blif_netlist(path, diag);
   };
   return job;
 }
@@ -69,16 +75,128 @@ BulkJob make_netlist_job(std::string name, Netlist netlist) {
 
 namespace {
 
-/// Writes `netlist` to `path` via "<path>.tmp" + rename, so `path` only
-/// ever holds a complete output. Returns false (reporting to `diag`) and
-/// removes the temp file on any failure. The "write:<filename>" fault site
-/// simulates a failing filesystem for the retry tests.
-bool store_atomically(const Netlist& netlist, const std::string& path,
-                      DiagnosticsSink& diag, FaultInjector& faults,
-                      const CancelToken* cancel) {
+Json stats_to_json(const Netlist::Stats& stats) {
+  Json object = Json::object();
+  object.set("luts", stats.luts);
+  object.set("registers", stats.registers);
+  return object;
+}
+
+Netlist::Stats stats_from_json(const Json& object) {
+  Netlist::Stats stats;
+  stats.luts = static_cast<std::size_t>(object.at("luts").as_int(0));
+  stats.registers = static_cast<std::size_t>(object.at("registers").as_int(0));
+  return stats;
+}
+
+/// Collects a job's diagnostics and forwards each one to the caller's live
+/// sink, if any, as it is reported.
+class JobDiagnostics final : public DiagnosticsSink {
+ public:
+  explicit JobDiagnostics(DiagnosticsSink* live) : live_(live) {}
+  void report(const Diagnostic& diagnostic) override {
+    collected.push_back(diagnostic);
+    if (live_ != nullptr) live_->report(diagnostic);
+  }
+  std::vector<Diagnostic> collected;
+
+ private:
+  DiagnosticsSink* live_;
+};
+
+}  // namespace
+
+Json job_to_json(const BulkJobResult& job) {
+  Json object = Json::object();
+  object.set("name", job.name);
+  object.set("input", job.input_path);
+  object.set("output", job.output_path);
+  object.set("success", job.success);
+  object.set("status", job_status_name(job.status));
+  object.set("error", job.error);
+  object.set("seconds", job.seconds);
+  object.set("before", stats_to_json(job.before));
+  object.set("after", stats_to_json(job.after));
+  object.set("period_before", job.period_before);
+  object.set("period_after", job.period_after);
+  Json passes = Json::array();
+  for (const PassExecution& pass : job.executed) {
+    Json entry = Json::object();
+    entry.set("name", pass.name);
+    entry.set("seconds", pass.seconds);
+    entry.set("success", pass.success);
+    entry.set("rolled_back", pass.rolled_back);
+    entry.set("summary", pass.summary);
+    passes.push_back(std::move(entry));
+  }
+  object.set("passes", std::move(passes));
+  Json diagnostics = Json::array();
+  for (const Diagnostic& diag : job.diagnostics) {
+    Json entry = Json::object();
+    entry.set("severity", diag_severity_name(diag.severity));
+    entry.set("origin", diag.origin);
+    entry.set("message", diag.message);
+    diagnostics.push_back(std::move(entry));
+  }
+  object.set("diagnostics", std::move(diagnostics));
+  return object;
+}
+
+std::optional<BulkJobResult> job_from_json(const Json& record) {
+  const auto status = job_status_from_name(record.at("status").as_string());
+  if (!status) return std::nullopt;
+  BulkJobResult job;
+  job.status = *status;
+  job.name = record.at("name").as_string();
+  job.input_path = record.at("input").as_string();
+  job.output_path = record.at("output").as_string();
+  job.success = record.at("success").as_bool();
+  job.error = record.at("error").as_string();
+  job.seconds = record.at("seconds").as_number(0);
+  job.before = stats_from_json(record.at("before"));
+  job.after = stats_from_json(record.at("after"));
+  job.period_before = record.at("period_before").as_int(0);
+  job.period_after = record.at("period_after").as_int(0);
+  for (const Json& entry : record.at("passes").as_array()) {
+    PassExecution pass;
+    pass.name = entry.at("name").as_string();
+    pass.seconds = entry.at("seconds").as_number(0);
+    pass.success = entry.at("success").as_bool();
+    pass.rolled_back = entry.at("rolled_back").as_bool();
+    pass.summary = entry.at("summary").as_string();
+    job.executed.push_back(std::move(pass));
+  }
+  for (const Json& entry : record.at("diagnostics").as_array()) {
+    Diagnostic diag;
+    const std::string& severity = entry.at("severity").as_string();
+    diag.severity = severity == "error"     ? DiagSeverity::kError
+                    : severity == "warning" ? DiagSeverity::kWarning
+                                            : DiagSeverity::kNote;
+    diag.origin = entry.at("origin").as_string();
+    diag.message = entry.at("message").as_string();
+    job.diagnostics.push_back(std::move(diag));
+  }
+  return job;
+}
+
+PipelineBuilder script_pipeline(std::string script,
+                                const PassRegistry* registry) {
+  return [script = std::move(script), registry](PassManager& manager,
+                                                std::string* error) {
+    const auto problem = compile_flow_script(
+        script, registry != nullptr ? *registry : PassRegistry::standard(),
+        manager);
+    if (problem) *error = *problem;
+    return !problem;
+  };
+}
+
+bool store_output_atomically(std::string_view text, const std::string& path,
+                             FaultInjector& faults, const CancelToken* cancel,
+                             std::string* error) {
   const fs::path target(path);
   if (faults.inject("write:" + target.filename().string(), cancel)) {
-    diag.error(path, "injected write fault");
+    *error = "injected write fault";
     return false;
   }
   std::error_code ec;
@@ -86,25 +204,30 @@ bool store_atomically(const Netlist& netlist, const std::string& path,
     fs::create_directories(target.parent_path(), ec);  // best-effort
   }
   const std::string temp = path + ".tmp";
-  if (!write_blif_file(netlist, temp)) {
-    diag.error(path, "cannot write temp file " + temp);
+  std::FILE* file = std::fopen(temp.c_str(), "wb");
+  if (file == nullptr) {
+    *error = "cannot write temp file " + temp;
+    return false;
+  }
+  const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
+  if (std::fclose(file) != 0 || written != text.size()) {
+    *error = "cannot write temp file " + temp;
     fs::remove(temp, ec);
     return false;
   }
   fs::rename(temp, target, ec);
   if (ec) {
-    diag.error(path, "cannot rename " + temp + ": " + ec.message());
+    *error = "cannot rename " + temp + ": " + ec.message();
     fs::remove(temp, ec);
     return false;
   }
   return true;
 }
 
-}  // namespace
-
 void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
-                      const JobExecutionOptions& options, BulkJobResult& out) {
-  CollectingDiagnostics diag;
+                      const JobExecutionOptions& options, BulkJobResult& out,
+                      DiagnosticsSink* live) {
+  JobDiagnostics diag(live);
   Timer timer;
   out.name = job.name;
   out.input_path = job.input_path;
@@ -160,16 +283,15 @@ void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
           out.after = context.netlist().stats();
           out.period_after = compute_period(context.netlist());
           out.retime_stats = context.retime_stats;
-          bool stored = true;
-          if (!job.output_path.empty()) {
-            stored = store_atomically(context.netlist(), job.output_path,
-                                      diag, faults, &job_cancel);
-            if (!stored) {
-              out.error = "cannot write output";
-              out.status = JobStatus::kIoError;
-            }
-          }
-          if (stored) {
+          std::string write_error;
+          if (!job.output_path.empty() &&
+              !store_output_atomically(write_blif_string(context.netlist()),
+                                       job.output_path, faults, &job_cancel,
+                                       &write_error)) {
+            diag.error(job.output_path, write_error);
+            out.error = "cannot write output";
+            out.status = JobStatus::kIoError;
+          } else {
             if (options.keep_netlist) out.netlist = context.take_netlist();
             out.success = true;
             out.status = JobStatus::kOk;
@@ -190,7 +312,7 @@ void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
     out.error = "uncaught exception";
   }
   out.seconds = timer.seconds();
-  out.diagnostics = diag.diagnostics();
+  out.diagnostics = std::move(diag.collected);
 }
 
 }  // namespace mcrt

@@ -15,6 +15,12 @@
 // observes both the caller's stop request and the per-job deadline), its
 // own diagnostics sink, and — when an output path is set — an atomic
 // "<path>.tmp" + rename store so a failed job never leaves a partial file.
+// `mcrt flow` and its alias subcommands run their one job through the same
+// entry point, streaming the job's diagnostics to stderr as they happen.
+//
+// A job's record has one persisted encoding, job_to_json(): the bulk
+// checkpoint manifest writes one per line and the daemon's disk cache
+// embeds one per entry.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +32,7 @@
 
 #include "base/cancel.h"
 #include "base/fault_injector.h"
+#include "base/json.h"
 #include "base/timer.h"
 #include "mcretime/mc_retime.h"
 #include "netlist/netlist.h"
@@ -43,6 +50,11 @@ struct BulkJob {
   std::string input_path;   ///< informational, recorded in the report
   std::string output_path;  ///< empty = don't write the result anywhere
 };
+
+/// Reads and validates a BLIF file, reporting the parse error or every
+/// validation problem to `diag`; std::nullopt on any of them.
+std::optional<Netlist> load_blif_netlist(const std::string& path,
+                                         DiagnosticsSink& diag);
 
 /// Loads `input_path` as BLIF (validating), writes to `output_path`.
 BulkJob make_file_job(std::string input_path, std::string output_path);
@@ -91,9 +103,23 @@ struct BulkJobResult {
   std::optional<Netlist> netlist;
 };
 
+/// The persisted form of a job record: everything bulk_job_result_to_json()
+/// serializes plus the diagnostics, with exact `seconds` values.
+/// PhaseProfile, per-pass netlist stats, retime_stats and the netlist are
+/// not persisted.
+[[nodiscard]] Json job_to_json(const BulkJobResult& job);
+/// Inverse of job_to_json(); std::nullopt when `record` is not a job
+/// record (not an object, or no known status).
+[[nodiscard]] std::optional<BulkJobResult> job_from_json(const Json& record);
+
 /// Builds a PassManager for one job. Returns false and sets *error on a
 /// configuration problem (fails every job identically).
 using PipelineBuilder = std::function<bool(PassManager&, std::string*)>;
+
+/// A PipelineBuilder compiling `script` against `registry` (null = the
+/// standard registry); the compile error is the build error.
+[[nodiscard]] PipelineBuilder script_pipeline(
+    std::string script, const PassRegistry* registry = nullptr);
 
 struct JobExecutionOptions {
   PassManagerOptions manager;
@@ -111,8 +137,20 @@ struct JobExecutionOptions {
 };
 
 /// Runs one job start to finish into `out`. Never throws; safe to call
-/// concurrently from many threads with distinct `out` slots.
+/// concurrently from many threads with distinct `out` slots. Every
+/// diagnostic lands in `out.diagnostics`; with a `live` sink it is also
+/// forwarded there as it is reported, while the job runs.
 void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
-                      const JobExecutionOptions& options, BulkJobResult& out);
+                      const JobExecutionOptions& options, BulkJobResult& out,
+                      DiagnosticsSink* live = nullptr);
+
+/// Writes a result's BLIF `text` to `path` via "<path>.tmp" + rename,
+/// creating missing parent directories, so `path` only ever holds a
+/// complete output. Returns false with *error set, and no temp file left,
+/// on any failure. The "write:<filename>" fault site simulates a failing
+/// filesystem for the retry tests.
+bool store_output_atomically(std::string_view text, const std::string& path,
+                             FaultInjector& faults, const CancelToken* cancel,
+                             std::string* error);
 
 }  // namespace mcrt

@@ -65,7 +65,6 @@ struct PassManagerOptions {
 /// How a flow ended. kTimeout/kCancelled distinguish the two stop-request
 /// causes of a CancelledError unwind; both imply success == false.
 enum class FlowStatus : std::uint8_t { kOk, kFailed, kTimeout, kCancelled };
-[[nodiscard]] const char* flow_status_name(FlowStatus status) noexcept;
 
 /// Record of one executed pass.
 struct PassExecution {
@@ -87,10 +86,12 @@ struct FlowResult {
   /// Wall-clock per pass name (duplicate names accumulate), mergeable
   /// across circuits the way the bench harnesses aggregate CPU time.
   PhaseProfile profile;
-
-  /// Aligned per-pass table: name, seconds, LUT/FF deltas, summary.
-  [[nodiscard]] std::string format_profile() const;
 };
+
+/// The `--profile` table: one aligned row per executed pass (name,
+/// seconds, LUT/FF deltas, summary) and a total row.
+[[nodiscard]] std::string format_profile(
+    const std::vector<PassExecution>& executed);
 
 class PassManager {
  public:

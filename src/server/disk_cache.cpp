@@ -55,97 +55,6 @@ std::uint64_t parse_hex64(std::string_view text, bool* ok) {
   return value;
 }
 
-Json stats_to_json(const Netlist::Stats& stats) {
-  Json object = Json::object();
-  object.set("luts", stats.luts);
-  object.set("registers", stats.registers);
-  return object;
-}
-
-Netlist::Stats stats_from_json(const Json& object) {
-  Netlist::Stats stats;
-  stats.luts = static_cast<std::size_t>(object.at("luts").as_int(0));
-  stats.registers = static_cast<std::size_t>(object.at("registers").as_int(0));
-  return stats;
-}
-
-/// The job-record fields the result frame can observe: everything
-/// bulk_job_result_to_json() serializes plus the streamed diagnostics.
-/// (PhaseProfile, per-pass netlist stats and retime_stats never reach the
-/// wire for a cached result, so they are deliberately not persisted.)
-Json job_to_json(const BulkJobResult& job) {
-  Json object = Json::object();
-  object.set("name", job.name);
-  object.set("input", job.input_path);
-  object.set("output", job.output_path);
-  object.set("success", job.success);
-  object.set("status", job_status_name(job.status));
-  object.set("error", job.error);
-  object.set("seconds", job.seconds);
-  object.set("before", stats_to_json(job.before));
-  object.set("after", stats_to_json(job.after));
-  object.set("period_before", job.period_before);
-  object.set("period_after", job.period_after);
-  Json passes = Json::array();
-  for (const PassExecution& pass : job.executed) {
-    Json entry = Json::object();
-    entry.set("name", pass.name);
-    entry.set("seconds", pass.seconds);
-    entry.set("success", pass.success);
-    entry.set("rolled_back", pass.rolled_back);
-    entry.set("summary", pass.summary);
-    passes.push_back(std::move(entry));
-  }
-  object.set("passes", std::move(passes));
-  Json diagnostics = Json::array();
-  for (const Diagnostic& diag : job.diagnostics) {
-    Json entry = Json::object();
-    entry.set("severity", diag_severity_name(diag.severity));
-    entry.set("origin", diag.origin);
-    entry.set("message", diag.message);
-    diagnostics.push_back(std::move(entry));
-  }
-  object.set("diagnostics", std::move(diagnostics));
-  return object;
-}
-
-BulkJobResult job_from_json(const Json& object) {
-  BulkJobResult job;
-  job.name = object.at("name").as_string();
-  job.input_path = object.at("input").as_string();
-  job.output_path = object.at("output").as_string();
-  job.success = object.at("success").as_bool();
-  if (const auto status = job_status_from_name(object.at("status").as_string())) {
-    job.status = *status;
-  }
-  job.error = object.at("error").as_string();
-  job.seconds = object.at("seconds").as_number(0);
-  job.before = stats_from_json(object.at("before"));
-  job.after = stats_from_json(object.at("after"));
-  job.period_before = object.at("period_before").as_int(0);
-  job.period_after = object.at("period_after").as_int(0);
-  for (const Json& entry : object.at("passes").as_array()) {
-    PassExecution pass;
-    pass.name = entry.at("name").as_string();
-    pass.seconds = entry.at("seconds").as_number(0);
-    pass.success = entry.at("success").as_bool();
-    pass.rolled_back = entry.at("rolled_back").as_bool();
-    pass.summary = entry.at("summary").as_string();
-    job.executed.push_back(std::move(pass));
-  }
-  for (const Json& entry : object.at("diagnostics").as_array()) {
-    Diagnostic diag;
-    const std::string& severity = entry.at("severity").as_string();
-    diag.severity = severity == "error"     ? DiagSeverity::kError
-                    : severity == "warning" ? DiagSeverity::kWarning
-                                            : DiagSeverity::kNote;
-    diag.origin = entry.at("origin").as_string();
-    diag.message = entry.at("message").as_string();
-    job.diagnostics.push_back(std::move(diag));
-  }
-  return job;
-}
-
 }  // namespace
 
 std::string DiskCache::entry_file_name(const CacheKey& key) {
@@ -222,11 +131,13 @@ bool DiskCache::decode_entry(std::string_view bytes, CacheKey* key,
   decoded.netlist.lo = parse_hex64(key_json.at("lo").as_string(), &ok_lo);
   decoded.flow = parse_hex64(key_json.at("flow").as_string(), &ok_flow);
   if (!ok_hi || !ok_lo || !ok_flow) return fail("malformed key");
-  if (key != nullptr) *key = decoded;
   if (result != nullptr) {
-    result->job = job_from_json(meta.at("job"));
+    std::optional<BulkJobResult> job = job_from_json(meta.at("job"));
+    if (!job) return fail("malformed job record");
+    result->job = std::move(*job);
     result->blif = std::string(blif);
   }
+  if (key != nullptr) *key = decoded;
   return true;
 }
 

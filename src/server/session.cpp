@@ -1,16 +1,13 @@
 #include "server/session.h"
 
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <system_error>
 #include <utility>
 
 #include "base/strings.h"
 #include "blif/blif.h"
 #include "netlist/structural_hash.h"
 #include "pipeline/bulk_runner.h"
-#include "pipeline/flow_script.h"
 #include "pipeline/job_executor.h"
 #include "server/server.h"
 
@@ -19,43 +16,6 @@ namespace mcrt {
 namespace fs = std::filesystem;
 
 namespace {
-
-/// Mirrors store_atomically() of the job executor for the cache-hit path,
-/// where the result already exists as BLIF text: same "<path>.tmp" +
-/// rename discipline, same "write:<filename>" fault site.
-bool store_text_atomically(const std::string& text, const std::string& path,
-                           FaultInjector& faults, const CancelToken* cancel,
-                           std::string* error) {
-  const fs::path target(path);
-  if (faults.inject("write:" + target.filename().string(), cancel)) {
-    *error = "injected write fault";
-    return false;
-  }
-  std::error_code ec;
-  if (target.has_parent_path()) {
-    fs::create_directories(target.parent_path(), ec);  // best-effort
-  }
-  const std::string temp = path + ".tmp";
-  if (FILE* file = std::fopen(temp.c_str(), "wb"); file == nullptr) {
-    *error = "cannot write temp file " + temp;
-    return false;
-  } else {
-    const std::size_t written = std::fwrite(text.data(), 1, text.size(), file);
-    const bool ok = std::fclose(file) == 0 && written == text.size();
-    if (!ok) {
-      *error = "cannot write temp file " + temp;
-      fs::remove(temp, ec);
-      return false;
-    }
-  }
-  fs::rename(temp, target, ec);
-  if (ec) {
-    *error = "cannot rename " + temp + ": " + ec.message();
-    fs::remove(temp, ec);
-    return false;
-  }
-  return true;
-}
 
 /// The job identity a request asked for: explicit name, else path stem,
 /// else the request id.
@@ -354,20 +314,9 @@ void Session::run_job(JobRequest request, std::shared_ptr<CancelToken> token) {
   exec.budgets = budgets;
   exec.faults = server_options.faults;
 
-  const PassRegistry& registry = server_options.registry != nullptr
-                                     ? *server_options.registry
-                                     : PassRegistry::standard();
-  const std::string& script = request.script;
-  execute_flow_job(
-      job,
-      [&registry, &script](PassManager& pm, std::string* error) {
-        if (auto problem = compile_flow_script(script, registry, pm)) {
-          *error = *problem;
-          return false;
-        }
-        return true;
-      },
-      exec, result);
+  execute_flow_job(job,
+                   script_pipeline(request.script, server_options.registry),
+                   exec, result);
 
   std::optional<std::string> blif_text;
   if (result.netlist.has_value()) {
@@ -399,8 +348,8 @@ void Session::serve_cached(const JobRequest& request, CachedResult cached) {
   cached.job.output_path = request.output;
   if (!request.output.empty()) {
     std::string error;
-    if (!store_text_atomically(cached.blif, request.output, server_.faults(),
-                               &cancel_, &error)) {
+    if (!store_output_atomically(cached.blif, request.output,
+                                 server_.faults(), &cancel_, &error)) {
       cached.job.success = false;
       cached.job.status = JobStatus::kIoError;
       cached.job.error = "cannot write output";

@@ -10,12 +10,15 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "../common/test_circuits.h"
 #include "base/cancel.h"
 #include "base/fault_injector.h"
+#include "base/json.h"
 #include "pipeline/bulk_runner.h"
 #include "pipeline/checkpoint.h"
 #include "pipeline/flow_context.h"
@@ -193,6 +196,14 @@ TEST(ResilienceTest, ThrowingPassAlsoRollsBack) {
 
 // --- checkpoint/resume -----------------------------------------------------
 
+/// Decodes one manifest line the way load_manifest() does: a whole JSON
+/// document that is a job record, or nothing.
+std::optional<BulkJobResult> decode_line(const std::string& line) {
+  auto parsed = Json::parse(line);
+  if (const Json* json = std::get_if<Json>(&parsed)) return job_from_json(*json);
+  return std::nullopt;
+}
+
 TEST(ResilienceTest, ManifestRecordRoundTrips) {
   BulkJobResult result;
   result.name = "tab\tand\nnewline";
@@ -206,36 +217,97 @@ TEST(ResilienceTest, ManifestRecordRoundTrips) {
   result.after.luts = 5;
   result.after.registers = 4;
   result.period_after = 17;
-  result.seconds = 0.125;
+  result.seconds = 0.1 + 0.2;  // no short decimal form: needs all digits
   PassExecution pass;
   pass.name = "sweep";
   pass.success = true;
   pass.rolled_back = true;
-  pass.summary = "removed 2\tnodes";
-  pass.seconds = 0.0625;
+  pass.summary = "removed 2\tnodes\nfolded 1";
+  pass.seconds = 1.0 / 3.0;
   result.executed.push_back(pass);
+  result.diagnostics.push_back(
+      Diagnostic{DiagSeverity::kWarning, "retime", "clock\tc1\nis derived"});
+  result.diagnostics.push_back(
+      Diagnostic{DiagSeverity::kError, "strash", "timeout"});
 
-  const std::string line = encode_manifest_record(result);
-  EXPECT_EQ(line.find('\n'), std::string::npos);
-  const auto decoded = decode_manifest_record(line);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->name, result.name);
-  EXPECT_EQ(decoded->status, JobStatus::kTimeout);
-  EXPECT_EQ(decoded->error, result.error);
-  EXPECT_EQ(decoded->before.luts, 7u);
-  EXPECT_EQ(decoded->period_after, 17);
-  EXPECT_EQ(decoded->seconds, 0.125);
-  ASSERT_EQ(decoded->executed.size(), 1u);
-  EXPECT_EQ(decoded->executed[0].name, "sweep");
-  EXPECT_TRUE(decoded->executed[0].rolled_back);
-  EXPECT_EQ(decoded->executed[0].summary, pass.summary);
-  EXPECT_TRUE(decoded->resumed);
-
-  // Truncated lines (mid-write kill) decode as malformed, never crash.
-  for (std::size_t cut = 0; cut < line.size(); cut += 7) {
-    (void)decode_manifest_record(line.substr(0, cut));
+  // Through the writer and loader, as a resumed batch reads it.
+  const fs::path dir = fresh_dir("resilience_record");
+  const std::string path = (dir / "manifest.txt").string();
+  {
+    ManifestWriter writer;
+    ASSERT_TRUE(writer.open(path, "sweep;\tstrash", /*append=*/false));
+    writer.record(result);
   }
-  EXPECT_FALSE(decode_manifest_record("not a record").has_value());
+  const auto manifest = load_manifest(path);
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->script, "sweep;\tstrash");
+  ASSERT_EQ(manifest->completed.count(result.name), 1u);
+  const BulkJobResult& decoded = manifest->completed.at(result.name);
+  EXPECT_EQ(decoded.name, result.name);
+  EXPECT_EQ(decoded.status, JobStatus::kTimeout);
+  EXPECT_FALSE(decoded.success);
+  EXPECT_EQ(decoded.error, result.error);
+  EXPECT_EQ(decoded.input_path, result.input_path);
+  EXPECT_EQ(decoded.output_path, result.output_path);
+  EXPECT_EQ(decoded.before.luts, 7u);
+  EXPECT_EQ(decoded.before.registers, 3u);
+  EXPECT_EQ(decoded.period_before, 42);
+  EXPECT_EQ(decoded.after.luts, 5u);
+  EXPECT_EQ(decoded.after.registers, 4u);
+  EXPECT_EQ(decoded.period_after, 17);
+  EXPECT_EQ(decoded.seconds, result.seconds);
+  ASSERT_EQ(decoded.executed.size(), 1u);
+  EXPECT_EQ(decoded.executed[0].name, "sweep");
+  EXPECT_TRUE(decoded.executed[0].success);
+  EXPECT_TRUE(decoded.executed[0].rolled_back);
+  EXPECT_EQ(decoded.executed[0].summary, pass.summary);
+  EXPECT_EQ(decoded.executed[0].seconds, pass.seconds);
+  ASSERT_EQ(decoded.diagnostics.size(), 2u);
+  EXPECT_EQ(decoded.diagnostics[0].severity, DiagSeverity::kWarning);
+  EXPECT_EQ(decoded.diagnostics[0].origin, "retime");
+  EXPECT_EQ(decoded.diagnostics[0].message, result.diagnostics[0].message);
+  EXPECT_EQ(decoded.diagnostics[1].severity, DiagSeverity::kError);
+  EXPECT_TRUE(decoded.resumed);
+
+  // One record per line, and every truncated prefix of it (a mid-write
+  // kill) is rejected, never half-decoded.
+  const std::string line = job_to_json(result).write();
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+  ASSERT_TRUE(decode_line(line).has_value());
+  for (std::size_t cut = 0; cut < line.size(); ++cut) {
+    EXPECT_FALSE(decode_line(line.substr(0, cut)).has_value()) << cut;
+  }
+  EXPECT_FALSE(decode_line("not a record").has_value());
+  EXPECT_FALSE(decode_line("{\"name\": \"a\"}").has_value());
+}
+
+TEST(ResilienceTest, TruncatedTrailingRecordAndOldManifestAreDropped) {
+  const fs::path dir = fresh_dir("resilience_truncated");
+  const std::string path = (dir / "manifest.txt").string();
+  BulkJobResult done;
+  done.name = "a";
+  done.success = true;
+  done.status = JobStatus::kOk;
+  BulkJobResult killed = done;
+  killed.name = "b";
+  {
+    ManifestWriter writer;
+    ASSERT_TRUE(writer.open(path, "sweep", /*append=*/false));
+    writer.record(done);
+  }
+  const std::string partial = job_to_json(killed).write();
+  std::ofstream(path, std::ios::app) << partial.substr(0, partial.size() / 2);
+  const auto manifest = load_manifest(path);
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->completed.size(), 1u);
+  EXPECT_EQ(manifest->completed.count("a"), 1u);
+
+  // A tab-separated manifest of the previous format is unreadable: a
+  // resume re-runs every job.
+  std::ofstream(path, std::ios::trunc)
+      << "mcrt-bulk-manifest/1\tsweep\njob\ta\tok\t\t\t\t1\t1\t0\t1\t1\t0"
+         "\t0.5\t0\n";
+  EXPECT_FALSE(load_manifest(path).has_value());
 }
 
 TEST(ResilienceTest, ResumeSkipsCompletedJobsAndReportIsByteIdentical) {

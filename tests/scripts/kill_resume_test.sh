@@ -31,7 +31,8 @@ MCRT_FAULT_STALL='job:r05=stall' "$MCRT" bulk "$SCRIPT" --jobs 2 \
 PID=$!
 TRIES=0
 while :; do
-  DONE=$(grep -c '^job	' manifest.txt 2>/dev/null || true)
+  # One JSON job record per line after the header line.
+  DONE=$(grep -c '^{"name":' manifest.txt 2>/dev/null || true)
   [ "${DONE:-0}" -ge 3 ] && break
   TRIES=$((TRIES + 1))
   if [ "$TRIES" -gt 200 ]; then
@@ -45,7 +46,7 @@ kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
 # The stalled job must NOT be in the manifest (it never finished).
-if grep '^job	r05	' manifest.txt > /dev/null 2>&1; then
+if grep '^{"name":"r05",' manifest.txt > /dev/null 2>&1; then
   echo "error: stalled job r05 was journaled as finished" >&2
   exit 1
 fi

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "base/fault_injector.h"
 #include "pipeline/job_executor.h"
@@ -95,6 +96,50 @@ TEST(DiskCacheTest, EncodeDecodeRoundTripsEveryJobField) {
   EXPECT_EQ(decoded.job.executed[0].summary, "period 40 -> 30");
   ASSERT_EQ(decoded.job.diagnostics.size(), 1u);
   EXPECT_EQ(decoded.job.diagnostics[0].message, "relocated 2 registers");
+}
+
+// An entry byte for byte as an earlier daemon build wrote it. The entry
+// format is persistent: existing cache directories must keep decoding, and
+// re-encoding the decoded result must reproduce the same bytes.
+constexpr std::string_view kPinnedEntry = R"entry(mcrt-disk-cache/1 meta=731 blif=53 sum=300bb92749f556f6
+{"key":{"hi":"0123456789abcdef","lo":"fedcba9876543210","flow":"00000000cafef00d"},"job":{"name":"r03","input":"testdata/corpus/r03.blif","output":"out/r03.blif","success":true,"status":"ok","error":"","seconds":0.30000000000000004,"before":{"luts":47,"registers":28},"after":{"luts":47,"registers":30},"period_before":30,"period_after":24,"passes":[{"name":"sweep","seconds":0.25,"success":true,"rolled_back":false,"summary":"removed 1\tnodes"},{"name":"retime","seconds":0.33333333333333331,"success":true,"rolled_back":false,"summary":"period 30 -> 24\n(attempts=3)"}],"diagnostics":[{"severity":"note","origin":"sweep","message":"removed 1 nodes"},{"severity":"warning","origin":"retime","message":"clock \"c1\" is derived"}]}}
+.model mcrt
+.inputs a
+.outputs y
+.names a y
+1 1
+.end
+)entry";
+
+TEST(DiskCacheTest, DecodesPinnedEntryAndReencodesItByteForByte) {
+  CacheKey key;
+  CachedResult result;
+  std::string error;
+  ASSERT_TRUE(DiskCache::decode_entry(kPinnedEntry, &key, &result, &error))
+      << error;
+  EXPECT_EQ(key, make_key(0x0123456789abcdefULL, 0xfedcba9876543210ULL,
+                          0x00000000cafef00dULL));
+  const BulkJobResult& job = result.job;
+  EXPECT_EQ(job.name, "r03");
+  EXPECT_EQ(job.input_path, "testdata/corpus/r03.blif");
+  EXPECT_EQ(job.output_path, "out/r03.blif");
+  EXPECT_TRUE(job.success);
+  EXPECT_EQ(job.status, JobStatus::kOk);
+  EXPECT_EQ(job.seconds, 0.1 + 0.2);
+  EXPECT_EQ(job.before.luts, 47u);
+  EXPECT_EQ(job.after.registers, 30u);
+  EXPECT_EQ(job.period_before, 30);
+  EXPECT_EQ(job.period_after, 24);
+  ASSERT_EQ(job.executed.size(), 2u);
+  EXPECT_EQ(job.executed[0].summary, "removed 1\tnodes");
+  EXPECT_EQ(job.executed[1].seconds, 1.0 / 3.0);
+  EXPECT_EQ(job.executed[1].summary, "period 30 -> 24\n(attempts=3)");
+  ASSERT_EQ(job.diagnostics.size(), 2u);
+  EXPECT_EQ(job.diagnostics[1].severity, DiagSeverity::kWarning);
+  EXPECT_EQ(job.diagnostics[1].message, "clock \"c1\" is derived");
+  EXPECT_EQ(result.blif,
+            ".model mcrt\n.inputs a\n.outputs y\n.names a y\n1 1\n.end\n");
+  EXPECT_EQ(DiskCache::encode_entry(key, result), kPinnedEntry);
 }
 
 TEST(DiskCacheTest, DecodeRejectsTamperedBytes) {

@@ -100,9 +100,10 @@
 //                                           byte-compared against the bulk
 //                                           path; writes BENCH_serve.json
 //
-// Every transforming subcommand is a canned pipeline over the same
-// pipeline/PassManager that `flow` scripts use, so stats reporting, timing
-// and invariant checking behave identically everywhere.
+// Every transforming subcommand is a canned flow script, and `flow` runs its
+// script as one job of the shared executor (pipeline/job_executor.h) that
+// bulk, serve and fuzz use, so loading, fault sites, timeouts and the atomic
+// output write behave identically everywhere.
 //
 // All files are BLIF with the `.mclatch` extension for complex registers
 // (see blif/blif.h). Gate delays: `map` assigns -d per LUT (default 10);
@@ -115,6 +116,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -131,12 +133,9 @@
 #include "mcretime/register_class.h"
 #include "pipeline/bulk_runner.h"
 #include "pipeline/diagnostics.h"
-#include "pipeline/flow_context.h"
-#include "pipeline/flow_script.h"
 #include "pipeline/pass_manager.h"
 #include "perf/bench.h"
 #include "perf/serve_bench.h"
-#include "pipeline/passes.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "sim/equivalence.h"
@@ -237,44 +236,17 @@ int usage() {
   return 2;
 }
 
-/// Loads + validates a netlist, reporting every problem to `diag`.
-std::optional<Netlist> load(const std::string& path, DiagnosticsSink& diag) {
-  auto parsed = read_blif_file(path);
-  if (const auto* err = std::get_if<BlifError>(&parsed)) {
-    diag.error(path, str_format("line %zu: %s", err->line,
-                                err->message.c_str()));
-    return std::nullopt;
-  }
-  Netlist netlist = std::move(std::get<Netlist>(parsed));
-  const auto problems = netlist.validate();
-  if (!problems.empty()) {
-    for (const std::string& problem : problems) diag.error(path, problem);
-    return std::nullopt;
-  }
-  return netlist;
-}
-
-bool store(const Netlist& netlist, const std::string& path,
-           DiagnosticsSink& diag) {
-  if (!write_blif_file(netlist, path)) {
-    diag.error(path, "cannot write file");
-    return false;
-  }
-  return true;
-}
-
-void print_stats(const Netlist& n, const char* label) {
-  const auto stats = n.stats();
+void print_stats(const Netlist::Stats& stats, std::int64_t period,
+                 const char* label) {
   std::printf("%-10s in=%zu out=%zu lut=%zu const=%zu ff=%zu "
               "(en=%zu sync=%zu async=%zu) period=%lld\n",
               label, stats.inputs, stats.outputs, stats.luts, stats.constants,
               stats.registers, stats.with_en, stats.with_sync,
-              stats.with_async,
-              static_cast<long long>(compute_period(n)));
+              stats.with_async, static_cast<long long>(period));
 }
 
 int cmd_stats(const Netlist& n) {
-  print_stats(n, "circuit");
+  print_stats(n.stats(), compute_period(n), "circuit");
   return 0;
 }
 
@@ -322,45 +294,57 @@ bool make_fault_injector(const FlowFlags& flags, FaultInjector& injector,
   return true;
 }
 
-/// Shared driver for `flow` and the canned legacy pipelines: compile the
-/// script, run it, report, write the result.
-int run_flow(const std::string& script, const std::string& in_path,
-             const std::string& out_path, const FlowFlags& flags,
-             StreamDiagnostics& diag) {
-  auto input = load(in_path, diag);
-  if (!input) return 1;
-
+/// Pass-manager options of the flow, bulk and serve commands: --no-validate,
+/// --verify and one equivalence spot-check effort for all three.
+PassManagerOptions manager_options(const FlowFlags& flags) {
   PassManagerOptions options;
   options.check_invariants = flags.validate;
   options.check_equivalence = flags.verify;
   options.equivalence.runs = 2;
   options.equivalence.cycles = 48;
-  options.verbose = true;
-  PassManager manager(options);
-  if (const auto error =
-          compile_flow_script(script, PassRegistry::standard(), manager)) {
-    diag.error("flow", *error);
-    return 2;
-  }
+  return options;
+}
 
-  FlowContext context(std::move(*input), &diag);
-  CancelToken deadline(&g_interrupt);
-  if (flags.timeout_seconds > 0) deadline.set_timeout(flags.timeout_seconds);
-  context.cancel = &deadline;
-  context.budgets = flags.budgets;
+/// Shared driver for `flow` and the alias subcommands: the script runs as
+/// one job of the executor `mcrt bulk` uses, with its diagnostics streamed
+/// to stderr while it runs.
+int run_flow(const std::string& script, const std::string& in_path,
+             const std::string& out_path, const FlowFlags& flags,
+             StreamDiagnostics& diag) {
   FaultInjector faults;
   if (!make_fault_injector(flags, faults, diag)) return 2;
-  if (!flags.fault_spec.empty()) context.faults = &faults;
+  JobExecutionOptions options;
+  options.manager = manager_options(flags);
+  options.manager.verbose = true;
+  options.timeout_seconds = flags.timeout_seconds;
+  options.cancel = &g_interrupt;
+  options.budgets = flags.budgets;
+  if (!flags.fault_spec.empty()) options.faults = &faults;
 
-  const FlowResult result = manager.run(context);
-  if (flags.profile) std::fputs(result.format_profile().c_str(), stderr);
+  const PipelineBuilder compile = script_pipeline(script);
+  bool script_error = false;
+  BulkJobResult result;
+  execute_flow_job(
+      make_file_job(in_path, out_path),
+      [&](PassManager& manager, std::string* error) {
+        script_error = !compile(manager, error);
+        return !script_error;
+      },
+      options, result, &diag);
+  if (script_error) {
+    diag.error("flow", result.error);
+    return 2;
+  }
+  if (flags.profile && !result.executed.empty()) {
+    std::fputs(format_profile(result.executed).c_str(), stderr);
+  }
   if (!result.success) {
-    diag.error("flow", str_format("%s: %s", flow_status_name(result.status),
+    diag.error("flow", str_format("%s: %s", job_status_name(result.status),
                                   result.error.c_str()));
     return 1;
   }
-  print_stats(context.netlist(), "result");
-  return store(context.netlist(), out_path, diag) ? 0 : 1;
+  print_stats(result.after, result.period_after, "result");
+  return 0;
 }
 
 struct BulkFlags {
@@ -445,10 +429,7 @@ int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
 
   BulkOptions options;
   options.jobs = bulk.jobs;
-  options.manager.check_invariants = flags.validate;
-  options.manager.check_equivalence = flags.verify;
-  options.manager.equivalence.runs = 2;
-  options.manager.equivalence.cycles = 48;
+  options.manager = manager_options(flags);
   options.timeout_seconds = flags.timeout_seconds;
   options.cancel = &g_interrupt;
   options.manifest_path = bulk.manifest_path;
@@ -537,6 +518,43 @@ struct BenchFlags {
   double max_regress = 0.20;   ///< allowed fractional speedup loss
 };
 
+/// The --baseline gate of `bench` and `loadtest`: reads the committed
+/// `file_name` from the baseline directory, validates it, and reports every
+/// speedup regression of `current` beyond --max-regress. Returns true when
+/// the baseline is readable, valid and not regressed.
+bool gate_against_baseline(
+    const Json& current, const BenchFlags& flags, const char* origin,
+    const char* file_name,
+    const std::function<std::string(const Json&)>& validate,
+    DiagnosticsSink& diag) {
+  const std::string path =
+      (std::filesystem::path(flags.baseline_dir) / file_name).string();
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) {
+    diag.error(origin, "cannot read baseline " + path);
+    return false;
+  }
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  auto parsed = Json::parse(text);
+  if (const auto* err = std::get_if<JsonParseError>(&parsed)) {
+    diag.error(origin, path + ": " + err->message);
+    return false;
+  }
+  const Json& baseline = std::get<Json>(parsed);
+  const std::string problem = validate(baseline);
+  if (!problem.empty()) {
+    diag.error(origin, path + ": " + problem);
+    return false;
+  }
+  const std::vector<std::string> regressions =
+      bench_regressions(current, baseline, flags.max_regress);
+  for (const std::string& regression : regressions) {
+    diag.error(origin, std::string(file_name) + ": " + regression);
+  }
+  return regressions.empty();
+}
+
 int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
   namespace fs = std::filesystem;
   const BenchOptions options{flags.quick, flags.seed};
@@ -589,39 +607,17 @@ int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
   if (flags.baseline_dir.empty()) return 0;
 
   // Regression gate: speedup ratios vs the committed baseline documents.
-  const auto gate = [&](const Json& current, const char* schema,
-                        const char* file_name) -> int {
-    const std::string path =
-        (fs::path(flags.baseline_dir) / file_name).string();
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-      diag.error("bench", "cannot read baseline " + path);
-      return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    auto parsed = Json::parse(text);
-    if (const auto* err = std::get_if<JsonParseError>(&parsed)) {
-      diag.error("bench", path + ": " + err->message);
-      return 1;
-    }
-    const Json& baseline = std::get<Json>(parsed);
-    const std::string problem = validate_bench_report(baseline, schema);
-    if (!problem.empty()) {
-      diag.error("bench", path + ": " + problem);
-      return 1;
-    }
-    const std::vector<std::string> regressions =
-        bench_regressions(current, baseline, flags.max_regress);
-    for (const std::string& regression : regressions) {
-      diag.error("bench", std::string(file_name) + ": " + regression);
-    }
-    return regressions.empty() ? 0 : 1;
-  };
-  int rc = gate(*window, kBenchWindowSchema, "BENCH_window.json");
-  rc |= gate(*cslow, kBenchCslowSchema, "BENCH_cslow.json");
-  if (rc == 0) std::printf("bench: no regression vs baseline\n");
-  return rc;
+  bool ok = gate_against_baseline(
+      *window, flags, "bench", "BENCH_window.json",
+      [](const Json& j) { return validate_bench_report(j, kBenchWindowSchema); },
+      diag);
+  ok &= gate_against_baseline(
+      *cslow, flags, "bench", "BENCH_cslow.json",
+      [](const Json& j) { return validate_bench_report(j, kBenchCslowSchema); },
+      diag);
+  if (!ok) return 1;
+  std::printf("bench: no regression vs baseline\n");
+  return 0;
 }
 
 int cmd_loadtest(const BenchFlags& flags, StreamDiagnostics& diag) {
@@ -673,36 +669,12 @@ int cmd_loadtest(const BenchFlags& flags, StreamDiagnostics& diag) {
   std::printf("  wrote %s\n", path.c_str());
 
   if (flags.baseline_dir.empty()) return 0;
-  const std::string baseline_path =
-      (fs::path(flags.baseline_dir) / "BENCH_serve.json").string();
-  std::ifstream in(baseline_path, std::ios::binary);
-  if (!in.good()) {
-    diag.error("loadtest", "cannot read baseline " + baseline_path);
+  if (!gate_against_baseline(report, flags, "loadtest", "BENCH_serve.json",
+                             validate_serve_bench_report, diag)) {
     return 1;
   }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto parsed = Json::parse(text);
-  if (const auto* err = std::get_if<JsonParseError>(&parsed)) {
-    diag.error("loadtest", baseline_path + ": " + err->message);
-    return 1;
-  }
-  const Json& baseline = std::get<Json>(parsed);
-  const std::string baseline_problem = validate_serve_bench_report(baseline);
-  if (!baseline_problem.empty()) {
-    diag.error("loadtest", baseline_path + ": " + baseline_problem);
-    return 1;
-  }
-  const std::vector<std::string> regressions =
-      bench_regressions(report, baseline, flags.max_regress);
-  for (const std::string& regression : regressions) {
-    diag.error("loadtest", "BENCH_serve.json: " + regression);
-  }
-  if (regressions.empty()) {
-    std::printf("loadtest: no regression vs baseline\n");
-    return 0;
-  }
-  return 1;
+  std::printf("loadtest: no regression vs baseline\n");
+  return 0;
 }
 
 struct ServeFlags {
@@ -750,8 +722,7 @@ int cmd_serve(const ServeFlags& serve, const BulkFlags& bulk,
   options.retry_after_ms = serve.retry_after_ms;
   // Same equivalence effort the flow/bulk commands use, so a request with
   // verify=true spot-checks exactly like `mcrt bulk --verify`.
-  options.manager.equivalence.runs = 2;
-  options.manager.equivalence.cycles = 48;
+  options.manager = manager_options(flags);
   options.default_timeout_seconds = flags.timeout_seconds;
   options.budgets = flags.budgets;
   if (!flags.fault_spec.empty()) options.faults = &faults;
@@ -1466,7 +1437,7 @@ int main(int argc, char** argv) {
     return run_flow(script, files[0], files[1], flow_flags, diag);
   }
 
-  const auto input = load(files[0], diag);
+  const auto input = load_blif_netlist(files[0], diag);
   if (!input) return 1;
 
   if (command == "stats") return cmd_stats(*input);
@@ -1489,7 +1460,7 @@ int main(int argc, char** argv) {
 
   if (command == "check") {
     if (files.size() < 2) return usage();
-    const auto other = load(files[1], diag);
+    const auto other = load_blif_netlist(files[1], diag);
     if (!other) return 1;
     const auto sim = check_sequential_equivalence(*input, *other, {});
     std::printf("simulation: %s (%zu defined outputs)%s%s\n",
