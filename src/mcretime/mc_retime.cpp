@@ -183,6 +183,10 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
     stats.wd_sweeps = retime_work_counters().wd_sweeps - work_before.wd_sweeps;
     stats.feas_probes =
         retime_work_counters().feas_probes - work_before.feas_probes;
+    stats.feas_rounds =
+        retime_work_counters().feas_rounds - work_before.feas_rounds;
+    stats.dc_relaxations =
+        retime_work_counters().dc_relaxations - work_before.dc_relaxations;
     stats.period_after = phi;
     if (options.objective == McRetimeOptions::Objective::kMinAreaMinPeriod) {
       const MinAreaResult minarea =

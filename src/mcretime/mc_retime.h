@@ -69,10 +69,13 @@ struct McRetimeStats {
   /// Deterministic work counters of steps 4-5 over all attempts: all-pairs
   /// W/D sweeps (one per call: the period constraints are shared across
   /// min-period probes, min-area and relocation retries) and feasibility
-  /// probes (FEAS runs plus difference-constraint solves).
-  /// retime_windowed() leaves both 0.
+  /// probes (FEAS runs plus difference-constraint solves), with the FEAS
+  /// rounds and difference-constraint relaxations those probes took.
+  /// retime_windowed() leaves all four 0.
   std::size_t wd_sweeps = 0;
   std::size_t feas_probes = 0;
+  std::size_t feas_rounds = 0;
+  std::size_t dc_relaxations = 0;
   RelocateStats relocate;
   /// Buckets: "graph" (steps 1-3), "retime" (4-5), "implement" (6).
   PhaseProfile profile;

@@ -14,6 +14,7 @@
 #include "mcretime/lower.h"
 #include "mcretime/mc_retime.h"
 #include "retime/minperiod.h"
+#include "retime/period_constraints.h"
 #include "window/windowed_retime.h"
 #include "workload/generator.h"
 
@@ -127,6 +128,7 @@ Json bench_window_case(const WindowBenchCase& bench_case,
   }
   bool capped = false;
   RetimeSolution mono;
+  const RetimeWorkCounters work_before = retime_work_counters();
   Timer mono_timer;
   try {
     mono = minperiod_retime(global, FeasImpl::kCsr, &deadline);
@@ -134,6 +136,7 @@ Json bench_window_case(const WindowBenchCase& bench_case,
     capped = true;
   }
   const double mono_seconds = mono_timer.seconds();
+  const RetimeWorkCounters work = retime_work_counters();
   phases.add("monolithic", mono_seconds);
 
   // Windowed label solve (partition + per-window solves + refinement); the
@@ -175,6 +178,13 @@ Json bench_window_case(const WindowBenchCase& bench_case,
   entry.set("window_jobs", bench_case.jobs);
   entry.set("monolithic_seconds", mono_seconds);
   entry.set("monolithic_capped", capped);
+  entry.set("monolithic_feas_probes",
+            work.feas_probes - work_before.feas_probes);
+  entry.set("monolithic_feas_rounds",
+            work.feas_rounds - work_before.feas_rounds);
+  entry.set("monolithic_dc_relaxations",
+            work.dc_relaxations - work_before.dc_relaxations);
+  entry.set("monolithic_wd_sweeps", work.wd_sweeps - work_before.wd_sweeps);
   entry.set("windowed_seconds", windowed_seconds);
   entry.set("period_windowed", windowed.stats.period_after);
   if (!capped) {
@@ -548,20 +558,30 @@ std::vector<std::string> bench_regressions(const Json& current,
                                            const Json& baseline,
                                            double max_regress) {
   std::vector<std::string> regressions;
-  if (current.at("schema").as_string() != baseline.at("schema").as_string()) {
+  const std::string& schema = baseline.at("schema").as_string();
+  if (current.at("schema").as_string() != schema) {
     regressions.push_back("schema mismatch: current '" +
                           current.at("schema").as_string() + "' vs baseline '" +
-                          baseline.at("schema").as_string() + "'");
+                          schema + "'");
     return regressions;
   }
+  const bool window = schema == kBenchWindowSchema;
   const double floor_ratio = 1.0 - max_regress;
   const auto check = [&](const std::string& label, const Json& cur_obj,
                          const Json& base_obj) {
     for (const auto& [key, base_value] : base_obj.as_object()) {
-      // Per-entry columns are "speedup[_vs_*]"; the summary's is
-      // "geomean_speedup" — gate anything carrying a speedup ratio.
-      if (key.find("speedup") == std::string::npos || !base_value.is_number())
-        continue;
+      // The window suite gates its solver outputs and work counters; its
+      // speedups time two engines that each get faster on their own, so
+      // they are reported only. Elsewhere per-entry columns are
+      // "speedup[_*]" and the summary's is "geomean_speedup": gate anything
+      // carrying a speedup ratio.
+      const bool period =
+          window && (key == "period_monolithic" || key == "period_windowed");
+      const bool counter = window && key.rfind("monolithic_", 0) == 0 &&
+                           key != "monolithic_seconds";
+      const bool ratio =
+          !window && key.find("speedup") != std::string::npos;
+      if (!(period || counter || ratio) || !base_value.is_number()) continue;
       const Json* cur_value = cur_obj.find(key);
       if (cur_value == nullptr || !cur_value->is_number()) {
         regressions.push_back(label + ": column " + key +
@@ -570,8 +590,16 @@ std::vector<std::string> bench_regressions(const Json& current,
       }
       const double base = base_value.as_number();
       const double cur = cur_value->as_number();
-      if (cur < base * floor_ratio) {
-        char buf[160];
+      char buf[160];
+      if (period && cur != base) {
+        std::snprintf(buf, sizeof(buf), "%s: %s changed %.0f -> %.0f",
+                      label.c_str(), key.c_str(), base, cur);
+        regressions.emplace_back(buf);
+      } else if (counter && cur > base) {
+        std::snprintf(buf, sizeof(buf), "%s: %s rose %.0f -> %.0f",
+                      label.c_str(), key.c_str(), base, cur);
+        regressions.emplace_back(buf);
+      } else if (ratio && cur < base * floor_ratio) {
         std::snprintf(buf, sizeof(buf),
                       "%s: %s regressed %.2fx -> %.2fx (floor %.2fx)",
                       label.c_str(), key.c_str(), base, cur,

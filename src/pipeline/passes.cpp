@@ -242,6 +242,10 @@ PassResult RetimePass::run(FlowContext& context) {
                        static_cast<std::int64_t>(s.wd_sweeps));
     context.set_metric("retime.feas_probes",
                        static_cast<std::int64_t>(s.feas_probes));
+    context.set_metric("retime.feas_rounds",
+                       static_cast<std::int64_t>(s.feas_rounds));
+    context.set_metric("retime.dc_relaxations",
+                       static_cast<std::int64_t>(s.dc_relaxations));
   }
 
   if (cslow_ > 0) {

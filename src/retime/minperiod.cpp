@@ -21,8 +21,9 @@ std::optional<std::vector<std::int64_t>> solve_at(
     const RetimeGraph& graph, std::int64_t phi,
     const std::vector<DifferenceConstraint>& constraints) {
   ++retime_work_counters().feas_probes;
-  auto solution =
-      solve_difference_constraints(graph.vertex_count(), constraints);
+  auto solution = solve_difference_constraints(
+      graph.vertex_count(), constraints,
+      &retime_work_counters().dc_relaxations);
   if (!solution) return std::nullopt;
   auto r = normalize_to_host(std::move(*solution), graph);
   // Defensive: the labels must actually realize phi (guards against any

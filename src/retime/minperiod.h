@@ -13,6 +13,10 @@
 // A caller that re-solves one graph under tightened bounds (the relocation
 // retries of mc_retime, the windowed global fallback) passes the same table
 // every time, so the graph costs one sweep and one phase 1 in total.
+// Both oracles reject an infeasible period as soon as their parent
+// pointers close a cycle (see feas.h and difference_constraints.h), so an
+// infeasible probe usually costs a few rounds, not the O(V * E) worst case
+// that still bounds it.
 #pragma once
 
 #include <optional>

@@ -49,13 +49,16 @@ WdLabels compute_wd_from_source(const RetimeGraph& graph, VertexId source);
 /// Deterministic work counters of the retiming layer, kept per thread and
 /// only ever incremented: all-pairs W/D sweeps (every table build, so every
 /// generate_period_constraints() call too, plus candidate_periods() and the
-/// unpruned reference) and feasibility probes (FEAS runs and bounded
-/// difference-constraint solves of minperiod.h). A caller measures its own
-/// work as the difference across its calls; mc_retime reports it in
-/// McRetimeStats.
+/// unpruned reference), feasibility probes (FEAS runs and bounded
+/// difference-constraint solves of minperiod.h), FEAS rounds (every
+/// feas_check() call) and the successful relaxations of those bounded
+/// solves. A caller measures its own work as the difference across its
+/// calls; mc_retime reports it in McRetimeStats.
 struct RetimeWorkCounters {
   std::size_t wd_sweeps = 0;
   std::size_t feas_probes = 0;
+  std::size_t feas_rounds = 0;
+  std::size_t dc_relaxations = 0;
 };
 RetimeWorkCounters& retime_work_counters();
 

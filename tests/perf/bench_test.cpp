@@ -20,7 +20,32 @@ Json entry(const char* circuit, double speedup, bool identical = true) {
   return e;
 }
 
-Json report(std::initializer_list<Json> entries, double geomean) {
+// A window entry with the gated columns: both periods and the monolithic
+// solve's work counters.
+Json window_entry(const char* circuit, double speedup, std::int64_t period,
+                  std::size_t feas_rounds) {
+  Json e = entry(circuit, speedup);
+  e.set("period_monolithic", period);
+  e.set("period_windowed", period);
+  e.set("monolithic_feas_probes", std::size_t{7});
+  e.set("monolithic_feas_rounds", feas_rounds);
+  e.set("monolithic_dc_relaxations", std::size_t{5000});
+  e.set("monolithic_wd_sweeps", std::size_t{1});
+  return e;
+}
+
+// A C-slow entry: its speedup is a deterministic period ratio, gated as a
+// ratio.
+Json ratio_entry(const char* circuit, double speedup) {
+  Json e = Json::object();
+  e.set("circuit", circuit);
+  e.set("speedup_throughput", speedup);
+  e.set("identical", true);
+  return e;
+}
+
+Json report(std::initializer_list<Json> entries, double geomean,
+            const char* schema = kBenchWindowSchema) {
   Json::Array array;
   for (const Json& e : entries) array.push_back(e);
   Json summary = Json::object();
@@ -28,7 +53,7 @@ Json report(std::initializer_list<Json> entries, double geomean) {
   summary.set("geomean_speedup", geomean);
   summary.set("all_identical", true);
   Json doc = Json::object();
-  doc.set("schema", kBenchWindowSchema);
+  doc.set("schema", schema);
   doc.set("options", Json::object());
   doc.set("entries", Json(std::move(array)));
   doc.set("summary", std::move(summary));
@@ -62,43 +87,86 @@ TEST(BenchReportTest, EmptyAndMalformedRejected) {
             "");
 }
 
+// The ratio gate, on C-slow documents (the window suite's speedups are
+// not gated; see the Window* cases below).
+Json ratio_report(std::initializer_list<Json> entries, double geomean) {
+  return report(entries, geomean, kBenchCslowSchema);
+}
+
 TEST(BenchRegressionTest, WithinToleranceIsClean) {
-  const Json baseline = report({entry("C1", 2.0), entry("C2", 4.0)}, 2.8);
-  // 15% slower than baseline everywhere: inside a 20% gate.
-  const Json current = report({entry("C1", 1.7), entry("C2", 3.4)}, 2.4);
+  const Json baseline =
+      ratio_report({ratio_entry("C1", 2.0), ratio_entry("C2", 4.0)}, 2.8);
+  // 15% below baseline everywhere: inside a 20% gate.
+  const Json current =
+      ratio_report({ratio_entry("C1", 1.7), ratio_entry("C2", 3.4)}, 2.4);
   EXPECT_TRUE(bench_regressions(current, baseline, 0.20).empty());
 }
 
 TEST(BenchRegressionTest, RegressionBeyondToleranceFlagged) {
   // C1 falls beyond the 20% floor; the geomean stays inside it so only the
   // per-circuit column is flagged.
-  const Json baseline = report({entry("C1", 2.0), entry("C2", 4.0)}, 2.8);
-  const Json current = report({entry("C1", 1.2), entry("C2", 4.0)}, 2.4);
+  const Json baseline =
+      ratio_report({ratio_entry("C1", 2.0), ratio_entry("C2", 4.0)}, 2.8);
+  const Json current =
+      ratio_report({ratio_entry("C1", 1.2), ratio_entry("C2", 4.0)}, 2.4);
   const auto regressions = bench_regressions(current, baseline, 0.20);
   ASSERT_EQ(regressions.size(), 1u);
   EXPECT_NE(regressions[0].find("C1"), std::string::npos);
 }
 
 TEST(BenchRegressionTest, ImprovementNeverFlagged) {
-  const Json baseline = report({entry("C1", 2.0)}, 2.0);
-  const Json current = report({entry("C1", 20.0)}, 20.0);
+  const Json baseline = ratio_report({ratio_entry("C1", 2.0)}, 2.0);
+  const Json current = ratio_report({ratio_entry("C1", 20.0)}, 20.0);
   EXPECT_TRUE(bench_regressions(current, baseline, 0.20).empty());
 }
 
 TEST(BenchRegressionTest, MissingCircuitFlagged) {
-  const Json baseline = report({entry("C1", 2.0), entry("C2", 4.0)}, 2.8);
-  const Json current = report({entry("C1", 2.0)}, 2.0);
+  const Json baseline =
+      ratio_report({ratio_entry("C1", 2.0), ratio_entry("C2", 4.0)}, 2.8);
+  const Json current = ratio_report({ratio_entry("C1", 2.0)}, 2.0);
   const auto regressions = bench_regressions(current, baseline, 0.20);
   ASSERT_FALSE(regressions.empty());
   EXPECT_NE(regressions[0].find("C2"), std::string::npos);
 }
 
 TEST(BenchRegressionTest, SummaryGeomeanGated) {
-  const Json baseline = report({entry("C1", 2.0)}, 4.0);
-  const Json current = report({entry("C1", 2.0)}, 2.0);
+  const Json baseline = ratio_report({ratio_entry("C1", 2.0)}, 4.0);
+  const Json current = ratio_report({ratio_entry("C1", 2.0)}, 2.0);
   const auto regressions = bench_regressions(current, baseline, 0.20);
   ASSERT_EQ(regressions.size(), 1u);
   EXPECT_NE(regressions[0].find("summary"), std::string::npos);
+}
+
+TEST(BenchRegressionTest, WindowPeriodMismatchFlagged) {
+  const Json baseline = report({window_entry("s2k", 2.0, 170, 40)}, 2.0);
+  // A better period is still a change: the solver answered differently.
+  for (const std::int64_t period : {160, 180}) {
+    Json changed = window_entry("s2k", 2.0, 170, 40);
+    changed.set("period_windowed", period);
+    const auto regressions =
+        bench_regressions(report({changed}, 2.0), baseline, 0.20);
+    ASSERT_EQ(regressions.size(), 1u) << period;
+    EXPECT_NE(regressions[0].find("period_windowed"), std::string::npos);
+  }
+}
+
+TEST(BenchRegressionTest, WindowCounterAboveBaselineFlagged) {
+  const Json baseline = report({window_entry("s2k", 2.0, 170, 40)}, 2.0);
+  const Json current = report({window_entry("s2k", 2.0, 170, 41)}, 2.0);
+  const auto regressions = bench_regressions(current, baseline, 0.20);
+  ASSERT_EQ(regressions.size(), 1u);
+  EXPECT_NE(regressions[0].find("monolithic_feas_rounds"), std::string::npos);
+  // Fewer rounds than the baseline is an improvement.
+  const Json fewer = report({window_entry("s2k", 2.0, 170, 12)}, 2.0);
+  EXPECT_TRUE(bench_regressions(fewer, baseline, 0.20).empty());
+}
+
+TEST(BenchRegressionTest, WindowSpeedupReportedNotGated) {
+  // The monolithic solver got faster: the speedup and its geomean fall far
+  // below the baseline, but periods and counters hold, so the gate passes.
+  const Json baseline = report({window_entry("s2k", 4.0, 170, 40)}, 4.0);
+  const Json current = report({window_entry("s2k", 0.5, 170, 40)}, 0.5);
+  EXPECT_TRUE(bench_regressions(current, baseline, 0.20).empty());
 }
 
 TEST(BenchReportTest, PrettyWriterRoundTrips) {

@@ -97,6 +97,10 @@ TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
                                                      << minperiod;
     EXPECT_GT(context.metric("retime.feas_probes").value_or(0),
               context.metric("retime.attempts").value_or(0));
+    // Phase 1 runs FEAS and the bounded probes solve difference
+    // constraints, so both work counters are reported and nonzero.
+    EXPECT_GT(context.metric("retime.feas_rounds").value_or(0), 0);
+    EXPECT_GT(context.metric("retime.dc_relaxations").value_or(0), 0);
   }
 }
 

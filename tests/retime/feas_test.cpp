@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "retime/period_constraints.h"
+
 namespace mcrt {
 namespace {
 
@@ -64,6 +66,33 @@ TEST(FeasTest, ReturnsLegalRetiming) {
           << "phi=" << phi << ": " << g.check_legal(*r);
     }
   }
+}
+
+TEST(FeasTest, ParentCycleProvesInfeasiblePeriodEarly) {
+  // A ring of k unit-delay gates closed by one register has minimum period
+  // k. A long registered chain hangs off it, so |V| - 1 rounds would be
+  // over 10k; the parent pointers of the ring close a cycle after one
+  // round per ring gate.
+  constexpr std::int64_t k = 5;
+  constexpr int chain = 10000;
+  RetimeGraph g;
+  std::vector<VertexId> ring;
+  for (std::int64_t i = 0; i < k; ++i) ring.push_back(g.add_vertex(1));
+  for (std::int64_t i = 0; i + 1 < k; ++i) g.add_edge(ring[i], ring[i + 1], 0);
+  g.add_edge(ring.back(), ring.front(), 1);
+  VertexId tail = ring.front();
+  for (int i = 0; i < chain; ++i) {
+    const VertexId next = g.add_vertex(1);
+    g.add_edge(tail, next, 1);
+    tail = next;
+  }
+  ASSERT_TRUE(feas_check(g, k));
+
+  const std::size_t before = retime_work_counters().feas_rounds;
+  EXPECT_FALSE(feas_check(g, k - 1));
+  const std::size_t rounds = retime_work_counters().feas_rounds - before;
+  EXPECT_EQ(rounds, 5u);
+  EXPECT_LT(rounds, g.vertex_count() / 100);
 }
 
 }  // namespace

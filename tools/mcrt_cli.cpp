@@ -88,7 +88,9 @@
 //                                           BENCH_cslow.json (C-slow
 //                                           throughput; docs/INTERNALS.md
 //                                           describes the schemas); with
-//                                           --baseline, fails on a speedup
+//                                           --baseline, fails on a changed
+//                                           window period, a risen work
+//                                           counter or a C-slow speedup
 //                                           regression beyond --max-regress
 //   mcrt loadtest [--quick] [--out-dir D] [--seed S]
 //                 [--baseline D --max-regress F]
@@ -520,8 +522,8 @@ struct BenchFlags {
 
 /// The --baseline gate of `bench` and `loadtest`: reads the committed
 /// `file_name` from the baseline directory, validates it, and reports every
-/// speedup regression of `current` beyond --max-regress. Returns true when
-/// the baseline is readable, valid and not regressed.
+/// bench_regressions() finding of `current`. Returns true when the
+/// baseline is readable, valid and not regressed.
 bool gate_against_baseline(
     const Json& current, const BenchFlags& flags, const char* origin,
     const char* file_name,
@@ -606,7 +608,7 @@ int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
 
   if (flags.baseline_dir.empty()) return 0;
 
-  // Regression gate: speedup ratios vs the committed baseline documents.
+  // Regression gate vs the committed baseline documents (bench_regressions).
   bool ok = gate_against_baseline(
       *window, flags, "bench", "BENCH_window.json",
       [](const Json& j) { return validate_bench_report(j, kBenchWindowSchema); },

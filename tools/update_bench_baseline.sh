@@ -8,10 +8,10 @@
 #   bench/baseline/BENCH_*.json          quick-suite baseline for CI's
 #                                        bench-smoke and serve-chaos gates
 #
-# Run from the repo root on a quiet machine. The CI gate compares speedup
-# *ratios* only, so the baseline does not need to come from CI hardware —
-# but it must come from the default (RelWithDebInfo) build, matching what
-# bench-smoke configures.
+# Run from the repo root on a quiet machine. The CI gates compare periods,
+# work counters and speedup *ratios*, never wall-clock, so the baseline
+# does not need to come from CI hardware — but it must come from the
+# default (RelWithDebInfo) build, matching what bench-smoke configures.
 #
 #   sh tools/update_bench_baseline.sh [build-dir]
 set -eu
@@ -36,4 +36,4 @@ for doc in BENCH_window.json BENCH_cslow.json BENCH_serve.json; do
   echo "  $repo_root/$doc"
   echo "  $repo_root/bench/baseline/$doc"
 done
-echo "Review the speedup columns, then commit all six files."
+echo "Review the periods, counters and speedup columns, then commit all six files."
