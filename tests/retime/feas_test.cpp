@@ -95,5 +95,27 @@ TEST(FeasTest, ParentCycleProvesInfeasiblePeriodEarly) {
   EXPECT_LT(rounds, g.vertex_count() / 100);
 }
 
+TEST(FeasTest, LegalityRepairRepointsParent) {
+  // Found by a randomized search against W/D + Bellman-Ford: phi = 5 is
+  // feasible, but if a legality repair raised r(v) without pointing
+  // parent[v] at the edge's tail, the stale pointers left from earlier
+  // timing increments would close a false cycle and reject it.
+  RetimeGraph g;
+  std::vector<VertexId> v = {g.host()};
+  for (const std::int64_t d : {1, 3, 2, 4, 5, 5, 1}) {
+    v.push_back(g.add_vertex(d));
+  }
+  const int edges[][3] = {{1, 0, 2}, {1, 5, 2}, {1, 4, 0}, {5, 1, 0},
+                          {3, 6, 0}, {6, 0, 2}, {6, 4, 0}, {2, 2, 2},
+                          {6, 7, 2}, {1, 2, 2}, {4, 0, 0}, {7, 6, 1},
+                          {2, 6, 0}, {1, 3, 2}, {0, 1, 0}, {3, 1, 2},
+                          {5, 5, 2}, {2, 5, 2}, {4, 5, 2}, {6, 1, 2}};
+  for (const auto& [from, to, w] : edges) g.add_edge(v[from], v[to], w);
+  const auto r = feas_check(g, 5);
+  ASSERT_TRUE(r);
+  EXPECT_TRUE(g.check_legal(*r).empty());
+  EXPECT_LE(g.period(*r), 5);
+}
+
 }  // namespace
 }  // namespace mcrt
