@@ -9,9 +9,13 @@
 // arc carries flow at cost b(e) with infinite capacity, and node v must have
 // net inflow c(v). Because the constraint matrix is totally unimodular the
 // LP optimum is integral, and the optimal retiming labels are recovered from
-// the flow solver's node potentials (r = -pi). This file implements
-// successive shortest paths with potentials (Bellman-Ford bootstrap for
-// negative arc costs, Dijkstra afterwards).
+// the flow solver's node potentials (r = -pi). This file implements the
+// primal-dual algorithm: a Bellman-Ford (SPFA) bootstrap for negative arc
+// costs, then phases of one Dijkstra on reduced costs (stopped once the sink
+// is settled) that raises the potentials, followed by Dinic blocking flows
+// over the admissible arcs (residual capacity > 0, reduced cost 0) until the
+// sink is cut off. Min-area instances route thousands of units at the same
+// distance, so a phase replaces thousands of one-path augmentations.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +30,14 @@ class MinCostFlow {
  public:
   explicit MinCostFlow(std::size_t node_count);
 
-  /// Cooperative cancellation: solve() polls `token` once per shortest-path
-  /// augmentation (and periodically during the Bellman-Ford bootstrap),
-  /// throwing CancelledError on a stop request.
+  /// Cooperative cancellation: solve() polls `token` once per phase, once
+  /// per Dinic BFS and every few thousand steps of the Bellman-Ford
+  /// bootstrap and of each blocking flow, throwing CancelledError on a stop
+  /// request.
   void set_cancel(const CancelToken* token) noexcept { cancel_ = token; }
 
-  /// Adds an arc from -> to with the given capacity and per-unit cost.
+  /// Adds an arc from -> to with the given capacity and per-unit cost and
+  /// returns its ordinal (0 for the first arc added, then 1, 2, ...).
   /// Use MinCostFlow::kInfinite for uncapacitated (constraint) arcs.
   std::size_t add_arc(std::uint32_t from, std::uint32_t to, std::int64_t cap,
                       std::int64_t cost);
@@ -46,25 +52,29 @@ class MinCostFlow {
     std::vector<std::int64_t> potential;
     /// Flow per arc, indexed by the value returned from add_arc.
     std::vector<std::int64_t> arc_flow;
+    /// Work: Dijkstra phases run and augmenting paths routed by the
+    /// blocking flows.
+    std::size_t phases = 0;
+    std::size_t augmentations = 0;
   };
 
   /// Solves the transshipment problem. Returns std::nullopt if demands
   /// cannot be met or a negative-cost infinite cycle exists (the dual LP is
-  /// then infeasible / the primal unbounded).
-  std::optional<Solution> solve();
+  /// then infeasible / the primal unbounded). Leaves the network unchanged,
+  /// so calling it again gives the same answer.
+  std::optional<Solution> solve() const;
 
   static constexpr std::int64_t kInfinite = INT64_MAX / 4;
 
  private:
   struct Arc {
+    std::uint32_t from;
     std::uint32_t to;
-    std::int64_t cap;   // residual capacity
+    std::int64_t cap;
     std::int64_t cost;
   };
   std::vector<Arc> arcs_;
-  std::vector<std::vector<std::uint32_t>> head_;
   std::vector<std::int64_t> demand_;
-  std::vector<std::int64_t> initial_cap_;
   const CancelToken* cancel_ = nullptr;
 };
 

@@ -194,6 +194,10 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
       // Infeasible minarea (should not happen) falls back to the feasible
       // labels computed above.
       if (minarea.feasible) labels = minarea.r;
+      stats.mcf_phases =
+          retime_work_counters().mcf_phases - work_before.mcf_phases;
+      stats.mcf_augmentations = retime_work_counters().mcf_augmentations -
+                                work_before.mcf_augmentations;
     }
     stats.register_estimate = basic.shared_register_area(labels);
     return std::string();

@@ -70,12 +70,15 @@ struct McRetimeStats {
   /// W/D sweeps (one per call: the period constraints are shared across
   /// min-period probes, min-area and relocation retries) and feasibility
   /// probes (FEAS runs plus difference-constraint solves), with the FEAS
-  /// rounds and difference-constraint relaxations those probes took.
-  /// retime_windowed() leaves all four 0.
+  /// rounds and difference-constraint relaxations those probes took, and
+  /// the min-cost-flow phases and augmenting paths of the min-area solves.
+  /// retime_windowed() leaves all six 0.
   std::size_t wd_sweeps = 0;
   std::size_t feas_probes = 0;
   std::size_t feas_rounds = 0;
   std::size_t dc_relaxations = 0;
+  std::size_t mcf_phases = 0;
+  std::size_t mcf_augmentations = 0;
   RelocateStats relocate;
   /// Buckets: "graph" (steps 1-3), "retime" (4-5), "implement" (6).
   PhaseProfile profile;

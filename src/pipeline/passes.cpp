@@ -246,6 +246,10 @@ PassResult RetimePass::run(FlowContext& context) {
                        static_cast<std::int64_t>(s.feas_rounds));
     context.set_metric("retime.dc_relaxations",
                        static_cast<std::int64_t>(s.dc_relaxations));
+    context.set_metric("retime.mcf_phases",
+                       static_cast<std::int64_t>(s.mcf_phases));
+    context.set_metric("retime.mcf_augmentations",
+                       static_cast<std::int64_t>(s.mcf_augmentations));
   }
 
   if (cslow_ > 0) {

@@ -70,6 +70,8 @@ MinAreaResult minarea_retime(
   }
   const auto solution = flow.solve();
   if (!solution) return result;
+  retime_work_counters().mcf_phases += solution->phases;
+  retime_work_counters().mcf_augmentations += solution->augmentations;
 
   // Potentials give the optimal labels: r(v) = -pi(v), normalized to host.
   std::vector<std::int64_t> r(n);

@@ -51,14 +51,17 @@ WdLabels compute_wd_from_source(const RetimeGraph& graph, VertexId source);
 /// generate_period_constraints() call too, plus candidate_periods() and the
 /// unpruned reference), feasibility probes (FEAS runs and bounded
 /// difference-constraint solves of minperiod.h), FEAS rounds (every
-/// feas_check() call) and the successful relaxations of those bounded
-/// solves. A caller measures its own work as the difference across its
-/// calls; mc_retime reports it in McRetimeStats.
+/// feas_check() call), the successful relaxations of those bounded
+/// solves, and the min-cost-flow phases (Dijkstras) and augmenting paths of
+/// minarea_retime(). A caller measures its own work as the difference across
+/// its calls; mc_retime reports it in McRetimeStats.
 struct RetimeWorkCounters {
   std::size_t wd_sweeps = 0;
   std::size_t feas_probes = 0;
   std::size_t feas_rounds = 0;
   std::size_t dc_relaxations = 0;
+  std::size_t mcf_phases = 0;
+  std::size_t mcf_augmentations = 0;
 };
 RetimeWorkCounters& retime_work_counters();
 

@@ -101,6 +101,19 @@ TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
     // constraints, so both work counters are reported and nonzero.
     EXPECT_GT(context.metric("retime.feas_rounds").value_or(0), 0);
     EXPECT_GT(context.metric("retime.dc_relaxations").value_or(0), 0);
+    // Min-area runs a min-cost flow on every attempt; a phase routes at
+    // least one augmenting path. The min-period objective runs none.
+    const std::int64_t phases =
+        context.metric("retime.mcf_phases").value_or(-1);
+    const std::int64_t augmentations =
+        context.metric("retime.mcf_augmentations").value_or(-1);
+    if (minperiod) {
+      EXPECT_EQ(phases, 0);
+      EXPECT_EQ(augmentations, 0);
+    } else {
+      EXPECT_GE(phases, context.metric("retime.attempts").value_or(0));
+      EXPECT_GE(augmentations, phases);
+    }
   }
 }
 
