@@ -180,13 +180,6 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
       period_constraints.clear();
       table.append(basic, phi, period_constraints);
     }
-    stats.wd_sweeps = retime_work_counters().wd_sweeps - work_before.wd_sweeps;
-    stats.feas_probes =
-        retime_work_counters().feas_probes - work_before.feas_probes;
-    stats.feas_rounds =
-        retime_work_counters().feas_rounds - work_before.feas_rounds;
-    stats.dc_relaxations =
-        retime_work_counters().dc_relaxations - work_before.dc_relaxations;
     stats.period_after = phi;
     if (options.objective == McRetimeOptions::Objective::kMinAreaMinPeriod) {
       const MinAreaResult minarea =
@@ -194,11 +187,8 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
       // Infeasible minarea (should not happen) falls back to the feasible
       // labels computed above.
       if (minarea.feasible) labels = minarea.r;
-      stats.mcf_phases =
-          retime_work_counters().mcf_phases - work_before.mcf_phases;
-      stats.mcf_augmentations = retime_work_counters().mcf_augmentations -
-                                work_before.mcf_augmentations;
     }
+    stats.work = retime_work_counters() - work_before;
     stats.register_estimate = basic.shared_register_area(labels);
     return std::string();
   };

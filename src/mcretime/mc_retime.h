@@ -25,6 +25,7 @@
 #include "mcretime/register_class.h"
 #include "mcretime/relocate.h"
 #include "netlist/netlist.h"
+#include "retime/period_constraints.h"
 #include "retime/retime_graph.h"
 
 namespace mcrt {
@@ -72,13 +73,8 @@ struct McRetimeStats {
   /// probes (FEAS runs plus difference-constraint solves), with the FEAS
   /// rounds and difference-constraint relaxations those probes took, and
   /// the min-cost-flow phases and augmenting paths of the min-area solves.
-  /// retime_windowed() leaves all six 0.
-  std::size_t wd_sweeps = 0;
-  std::size_t feas_probes = 0;
-  std::size_t feas_rounds = 0;
-  std::size_t dc_relaxations = 0;
-  std::size_t mcf_phases = 0;
-  std::size_t mcf_augmentations = 0;
+  /// retime_windowed() leaves them all 0.
+  RetimeWorkCounters work;
   RelocateStats relocate;
   /// Buckets: "graph" (steps 1-3), "retime" (4-5), "implement" (6).
   PhaseProfile profile;

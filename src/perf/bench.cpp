@@ -136,7 +136,7 @@ Json bench_window_case(const WindowBenchCase& bench_case,
     capped = true;
   }
   const double mono_seconds = mono_timer.seconds();
-  const RetimeWorkCounters work = retime_work_counters();
+  const RetimeWorkCounters work = retime_work_counters() - work_before;
   phases.add("monolithic", mono_seconds);
 
   // Windowed label solve (partition + per-window solves + refinement); the
@@ -178,13 +178,10 @@ Json bench_window_case(const WindowBenchCase& bench_case,
   entry.set("window_jobs", bench_case.jobs);
   entry.set("monolithic_seconds", mono_seconds);
   entry.set("monolithic_capped", capped);
-  entry.set("monolithic_feas_probes",
-            work.feas_probes - work_before.feas_probes);
-  entry.set("monolithic_feas_rounds",
-            work.feas_rounds - work_before.feas_rounds);
-  entry.set("monolithic_dc_relaxations",
-            work.dc_relaxations - work_before.dc_relaxations);
-  entry.set("monolithic_wd_sweeps", work.wd_sweeps - work_before.wd_sweeps);
+  entry.set("monolithic_feas_probes", work.feas_probes);
+  entry.set("monolithic_feas_rounds", work.feas_rounds);
+  entry.set("monolithic_dc_relaxations", work.dc_relaxations);
+  entry.set("monolithic_wd_sweeps", work.wd_sweeps);
   entry.set("windowed_seconds", windowed_seconds);
   entry.set("period_windowed", windowed.stats.period_after);
   if (!capped) {

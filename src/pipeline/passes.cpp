@@ -238,18 +238,10 @@ PassResult RetimePass::run(FlowContext& context) {
     context.set_metric("retime.refine_accepted",
                        static_cast<std::int64_t>(w.refine_accepted));
   } else {
-    context.set_metric("retime.wd_sweeps",
-                       static_cast<std::int64_t>(s.wd_sweeps));
-    context.set_metric("retime.feas_probes",
-                       static_cast<std::int64_t>(s.feas_probes));
-    context.set_metric("retime.feas_rounds",
-                       static_cast<std::int64_t>(s.feas_rounds));
-    context.set_metric("retime.dc_relaxations",
-                       static_cast<std::int64_t>(s.dc_relaxations));
-    context.set_metric("retime.mcf_phases",
-                       static_cast<std::int64_t>(s.mcf_phases));
-    context.set_metric("retime.mcf_augmentations",
-                       static_cast<std::int64_t>(s.mcf_augmentations));
+    for (const auto& [name, counter] : kRetimeWorkCounters) {
+      context.set_metric("retime." + std::string(name),
+                         static_cast<std::int64_t>(s.work.*counter));
+    }
   }
 
   if (cslow_ > 0) {

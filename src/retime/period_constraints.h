@@ -25,6 +25,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/cancel.h"
@@ -54,7 +56,7 @@ WdLabels compute_wd_from_source(const RetimeGraph& graph, VertexId source);
 /// feas_check() call), the successful relaxations of those bounded
 /// solves, and the min-cost-flow phases (Dijkstras) and augmenting paths of
 /// minarea_retime(). A caller measures its own work as the difference across
-/// its calls; mc_retime reports it in McRetimeStats.
+/// its calls (operator-); mc_retime reports it in McRetimeStats.
 struct RetimeWorkCounters {
   std::size_t wd_sweeps = 0;
   std::size_t feas_probes = 0;
@@ -64,6 +66,27 @@ struct RetimeWorkCounters {
   std::size_t mcf_augmentations = 0;
 };
 RetimeWorkCounters& retime_work_counters();
+
+/// Every counter: its name (the retime pass reports `retime.<name>`) and
+/// its member.
+inline constexpr std::pair<std::string_view, std::size_t RetimeWorkCounters::*>
+    kRetimeWorkCounters[] = {
+        {"wd_sweeps", &RetimeWorkCounters::wd_sweeps},
+        {"feas_probes", &RetimeWorkCounters::feas_probes},
+        {"feas_rounds", &RetimeWorkCounters::feas_rounds},
+        {"dc_relaxations", &RetimeWorkCounters::dc_relaxations},
+        {"mcf_phases", &RetimeWorkCounters::mcf_phases},
+        {"mcf_augmentations", &RetimeWorkCounters::mcf_augmentations},
+};
+
+/// The work done between two readings, counter by counter.
+inline RetimeWorkCounters operator-(RetimeWorkCounters after,
+                                    const RetimeWorkCounters& before) {
+  for (const auto& [name, counter] : kRetimeWorkCounters) {
+    after.*counter -= before.*counter;
+  }
+  return after;
+}
 
 /// The result of one all-pairs W/D sweep, restricted to the periods
 /// [phi_lo, phi_hi]. It stores, in CSR by source (targets ascending), only

@@ -1,117 +1,11 @@
 // mcrt - command-line front end for the multiple-class retiming library.
 //
-//   mcrt stats   in.blif                    circuit statistics
-//   mcrt classes in.blif                    register class report
-//   mcrt timing  in.blif                    worst-path timing report
-//   mcrt dot     in.blif out.dot            netlist as Graphviz dot
-//   mcrt sweep   in.blif out.blif           constant folding + dead logic
-//   mcrt strash  in.blif out.blif           merge duplicate nodes
-//   mcrt regsweep in.blif out.blif          merge duplicate registers
-//   mcrt map     [-k N] [-d D] in out       decompose + FlowMap k-LUT map
-//   mcrt retime  [--minperiod] [--no-sharing] [--target P] in out
-//                [--windows N] [--window-size N] [--window-jobs N]
-//                [--cslow C]
-//                                           mc-retiming (default: minarea
-//                                           at minimum feasible period);
-//                                           --cslow C replicates every
-//                                           register into a chain of C
-//                                           before retiming, multiplying
-//                                           throughput across C interleaved
-//                                           streams (src/cslow/,
-//                                           docs/CSLOW.md); with --verify
-//                                           the stream-equivalence + BMC
-//                                           self-check runs instead of the
-//                                           flow-level spot check (a
-//                                           C-slowed netlist is not
-//                                           input-equivalent);
-//                                           any --window* flag switches to
-//                                           the windowed flow (src/window/,
-//                                           docs/WINDOWING.md): partition
-//                                           into bounded regions, solve in
-//                                           parallel, stitch
-//   mcrt decompose-en   in out              EN -> feedback mux (baseline)
-//   mcrt decompose-sync in out              SS/SC -> gates before D
-//   mcrt check   [--formal] [--bmc N] a.blif b.blif
-//                                           sequential equivalence
-//   mcrt flow    "<script>" in out          run any pass pipeline, e.g.
-//                                           "sweep; strash; retime(target=24)"
-//                                           (see docs/PIPELINE.md); --profile
-//                                           prints per-pass timing, --verify
-//                                           spot-checks equivalence between
-//                                           passes
-//   mcrt bulk    "<script>" [--jobs N] [--out-dir D] [--report F]
-//                [--canonical] [--timeout S] [--manifest F] [--resume]
-//                [--retries N] <in.blif|dir>...
-//                                           run one flow over many circuits
-//                                           in parallel; directories expand
-//                                           to their *.blif files, outputs
-//                                           land in --out-dir (atomically),
-//                                           --report writes a JSON report
-//                                           (--canonical: timing-free,
-//                                           machine-independent bytes).
-//                                           --timeout bounds each job's wall
-//                                           clock; ctrl-C cancels the batch
-//                                           cleanly. --manifest journals
-//                                           completed jobs so a killed batch
-//                                           resumes with --resume, skipping
-//                                           finished work; --retries re-runs
-//                                           transient (I/O) failures.
-//   mcrt corpus  <out-dir> [--count N] [--seed S] [--gates G]
-//                                           write a deterministic randomized
-//                                           BLIF corpus (workload generator);
-//                                           --gates adds one scaled design
-//                                           of ~G LUTs (the windowed-retiming
-//                                           size range); progress goes to the
-//                                           diagnostics sink on big suites
-//   mcrt fuzz    [--budget-s S] [--cases N] [--seed S] [--oracle NAME]
-//                [--out-dir D] [--report F] [--canonical] [--repro PATH]
-//                [--update]
-//                                           differential fuzzing across the
-//                                           engine pairs (serial-vs-bulk,
-//                                           bulk-vs-serve, mono-vs-windowed,
-//                                           engine-vs-reference,
-//                                           cslow-vs-replicated): sample a
-//                                           random circuit + flow script,
-//                                           cross-check, minimize failures
-//                                           into self-contained reproducers
-//                                           (docs/FUZZING.md). --repro PATH
-//                                           replays one reproducer file;
-//                                           with an explicit --seed it first
-//                                           regenerates that exact case and
-//                                           writes it to PATH, so a CI
-//                                           failure line is copy-pasteable.
-//   mcrt bench   [--quick] [--out-dir D] [--seed S]
-//                [--baseline D --max-regress F]
-//                                           pinned-workload bench; writes
-//                                           BENCH_window.json (windowed vs
-//                                           monolithic retiming) and
-//                                           BENCH_cslow.json (C-slow
-//                                           throughput; docs/INTERNALS.md
-//                                           describes the schemas); with
-//                                           --baseline, fails on a changed
-//                                           window period, a risen work
-//                                           counter or a C-slow speedup
-//                                           regression beyond --max-regress
-//   mcrt loadtest [--quick] [--out-dir D] [--seed S]
-//                 [--baseline D --max-regress F]
-//                                           chaos load harness for the serve
-//                                           stack: in-process daemons under
-//                                           injected disk faults, dropped
-//                                           connections and a corrupt-entry
-//                                           restart; every response is
-//                                           byte-compared against the bulk
-//                                           path; writes BENCH_serve.json
-//
-// Every transforming subcommand is a canned flow script, and `flow` runs its
-// script as one job of the shared executor (pipeline/job_executor.h) that
-// bulk, serve and fuzz use, so loading, fault sites, timeouts and the atomic
-// output write behave identically everywhere.
-//
-// All files are BLIF with the `.mclatch` extension for complex registers
-// (see blif/blif.h). Gate delays: `map` assigns -d per LUT (default 10);
-// `retime` gives delay-less LUTs -d so the period objective is meaningful;
-// other commands preserve what the file had (0 if none).
+// usage() is the command and flag reference, and kOptions declares every
+// flag once. The transforming subcommands (sweep ... retime) are one-pass
+// shorthands: `mcrt retime --minperiod in out` runs exactly
+// `mcrt flow "retime(minperiod)" in out`.
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -120,8 +14,15 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "base/cancel.h"
@@ -159,82 +60,93 @@ CancelToken g_interrupt;
 
 extern "C" void handle_sigint(int) { g_interrupt.request_cancel(); }
 
+/// Every command; an option row's command set indexes this list.
+constexpr std::string_view kCommandNames[] = {
+    "stats", "classes", "timing", "dot", "sweep", "strash", "regsweep",
+    "map", "retime", "decompose-en", "decompose-sync", "check", "flow",
+    "bulk", "corpus", "fuzz", "bench", "serve", "client", "loadtest"};
+
+/// A set of commands, one bit per kCommandNames entry.
+using CommandSet = std::uint32_t;
+
+constexpr CommandSet command_bit(std::string_view name) {
+  for (std::size_t i = 0; i < std::size(kCommandNames); ++i) {
+    if (kCommandNames[i] == name) return CommandSet{1} << i;
+  }
+  return 0;
+}
+
+std::string command_names(CommandSet set, const char* separator) {
+  std::string names;
+  for (std::size_t i = 0; i < std::size(kCommandNames); ++i) {
+    if ((set >> i & 1) == 0) continue;
+    if (!names.empty()) names += separator;
+    names += kCommandNames[i];
+  }
+  return names;
+}
+
+/// The command and flag reference; %s is the list of commands.
+constexpr const char* kUsage =
+    R"usage(usage: mcrt <%s> [options] <in.blif> [out.blif]
+Value flags take "--flag value" or "--flag=value"; a flag the command does
+not read is an error.
+  sweep|strash|regsweep|decompose-en|decompose-sync|map|retime in out:
+          shorthand for mcrt flow "<pass>(<keys>)" in out, each pass flag
+          one key as typed: retime --target 24 --no-sharing runs
+          "retime(target=24,no-sharing)"
+  map:    -k <lut_inputs=4>  -d <lut_delay=10>
+  retime: -d <lut_delay=10>  --minperiod  --no-sharing  --target <period>
+          --windows <n> | --window-size <n=1024> [--window-jobs <n>]
+          (any --window* flag selects retime-windowed, the windowed flow)
+          --cslow <C> (replicate registers into chains of C: C interleaved
+          streams at ~T/C each; --verify then becomes the cslow-verify key,
+          the stream-equivalence check)
+  timing: -d <lut_delay=10>
+  check:  --formal  --bmc <depth>  --bmc-x-ok (treat a defined output
+          refining an X as benign)
+  flow:   mcrt flow "<script>" in.blif out.blif, script pass[(arg,key=val)];
+          pass; ... e.g. "sweep; strash; retime(target=24,no-sharing); map"
+          --profile (per-pass timing; also the shorthands)
+  flow, shorthands, bulk, serve and client:
+          --verify (per-pass equivalence spot check)  --no-validate
+          --timeout <s>       per-flow/per-job deadline (also fuzz)
+          --budget-bdd <n>    BDD node cap for verification
+          --budget-bmc <n>    BMC unroll depth cap
+          --budget-rss-mb <m> peak-RSS budget per flow
+          --faults "<spec>"   inject faults (not client), e.g.
+          "pass:retime=throw; write:*=fail@2" (also MCRT_FAULT_* variables)
+  bulk:   mcrt bulk "<script>" [--jobs N] [--out-dir D] [--report F]
+          [--canonical] [--manifest F] [--resume] [--retries N] <in|dir>...
+  corpus: mcrt corpus <out-dir> [--count N] [--seed S] [--gates G]
+          (--gates adds one ~G-LUT scaled design)
+  fuzz:   mcrt fuzz [--budget-s S] [--cases N] [--seed S] [--oracle O]
+          [--out-dir D] [--report F] [--canonical]: differential fuzzing of
+          O = serial-vs-bulk|bulk-vs-serve|mono-vs-windowed|engine-vs-
+          reference|cslow-vs-replicated (default all); failures become
+          reproducers in --out-dir.
+          mcrt fuzz --repro <file> [--update] replays (and re-minimizes) one;
+          with an explicit --seed it first regenerates that case into <file>
+          --plant-bug <spec> sabotages an engine (fuzzer self-tests only)
+  bench:  mcrt bench [--quick] [--out-dir D] [--seed S] [--baseline <dir>
+          --max-regress <frac=0.20>]: windowed and C-slow benchmarks,
+          writes BENCH_window.json and BENCH_cslow.json
+  serve:  mcrt serve (--socket <path> | --port <n>) [--jobs N] [--cache-mb M]
+          [--disk-cache-dir D --disk-cache-mb M --disk-cache-ttl-s S]
+          [--max-inflight N --retry-after-ms MS]: retiming daemon with a
+          result cache and a crash-safe disk tier (docs/SERVER.md)
+  client: mcrt client "<script>" (--socket <p> | --port <n>) [--out-dir D]
+          [--report F --canonical] [--retries N --retry-base-ms MS]
+          [--tenant T] <in.blif|dir>...: submit circuits to the daemon;
+          also mcrt client --hello|--stats|--health|--drain|--shutdown
+  loadtest: mcrt loadtest [--quick] [--seed S] [--out-dir D] [--baseline
+          <dir> [--max-regress F]]: chaos load harness for the serve stack,
+          writes BENCH_serve.json
+  mcrt --version prints version, build type and sanitizers
+)usage";
+
 int usage() {
-  std::fprintf(stderr,
-               "usage: mcrt <stats|classes|timing|dot|sweep|strash|regsweep|"
-               "map|retime|decompose-en|decompose-sync|check|flow|bulk|"
-               "corpus> [options] <in.blif> [out.blif]\n"
-               "  map:    -k <lut_inputs=4>  -d <lut_delay=10>\n"
-               "  retime: --minperiod  --no-sharing  --target <period>\n"
-               "          --windows <n> | --window-size <n=1024> "
-               "[--window-jobs <n>]\n"
-               "          (any --window* flag selects the windowed parallel "
-               "flow)\n"
-               "          --cslow <C> (replicate registers into chains of C\n"
-               "          and retime: C interleaved streams at ~T/C each;\n"
-               "          --verify then runs the stream-equivalence check)\n"
-               "  check:  --formal  --bmc <depth>  --bmc-x-ok (treat a\n"
-               "          defined output refining an X as benign)\n"
-               "  flow:   mcrt flow \"<script>\" in.blif out.blif\n"
-               "          script: pass[(arg,key=val)]; pass; ...  e.g.\n"
-               "          \"sweep; strash; retime(target=24,no-sharing); "
-               "map(k=4)\"\n"
-               "          --profile (per-pass timing)  --verify (per-pass\n"
-               "          equivalence spot check)  --no-validate\n"
-               "  bulk:   mcrt bulk \"<script>\" [--jobs N] [--out-dir D]\n"
-               "          [--report F] [--canonical] [--timeout <seconds>]\n"
-               "          [--manifest F] [--resume] [--retries N]\n"
-               "          <in.blif|dir>...\n"
-               "  resilience (flow and bulk):\n"
-               "          --timeout <s>       per-flow/per-job deadline\n"
-               "          --budget-bdd <n>    BDD node cap for verification\n"
-               "          --budget-bmc <n>    BMC unroll depth cap\n"
-               "          --budget-rss-mb <m> peak-RSS budget per flow\n"
-               "          --faults \"<spec>\"   inject faults, e.g.\n"
-               "          \"pass:retime=throw; write:*=fail@2\" (also via\n"
-               "          MCRT_FAULT_* environment variables)\n"
-               "  corpus: mcrt corpus <out-dir> [--count N] [--seed S]\n"
-               "          [--gates G] (adds one ~G-LUT scaled design)\n"
-               "  fuzz:   mcrt fuzz [--budget-s S] [--cases N] [--seed S]\n"
-               "          [--oracle <serial-vs-bulk|bulk-vs-serve|"
-               "mono-vs-windowed|engine-vs-reference|cslow-vs-replicated>]\n"
-               "          [--out-dir D] [--report F] [--canonical]\n"
-               "          differential fuzzing across the engine pairs;\n"
-               "          failures are minimized into reproducers in "
-               "--out-dir.\n"
-               "          mcrt fuzz --repro <file> replays one reproducer\n"
-               "          (--update re-minimizes and rewrites it); with an\n"
-               "          explicit --seed the case is regenerated and\n"
-               "          written to <file> first (see docs/FUZZING.md)\n"
-               "  bench:  mcrt bench [--quick] [--out-dir D] [--seed S]\n"
-               "          [--baseline <dir> --max-regress <frac=0.20>]\n"
-               "          windowed and C-slow benchmarks; writes\n"
-               "          BENCH_window.json and BENCH_cslow.json\n"
-               "  serve:  mcrt serve (--socket <path> | --port <n>) [--jobs N]\n"
-               "          [--cache-mb M] [--disk-cache-dir D "
-               "--disk-cache-mb M\n"
-               "          --disk-cache-ttl-s S (age out disk entries)]\n"
-               "          [--max-inflight N --retry-after-ms MS] [--timeout S]\n"
-               "          [--no-validate] [--verify] [--faults <spec>] "
-               "[budgets]\n"
-               "          persistent retiming daemon with a structural\n"
-               "          result cache and a crash-safe disk tier (see\n"
-               "          docs/SERVER.md)\n"
-               "  client: mcrt client \"<script>\" (--socket <p> | --port <n>)\n"
-               "          [--out-dir D] [--report F --canonical] [--timeout S]\n"
-               "          [--retries N --retry-base-ms MS] [--tenant T]\n"
-               "          [--stats] [--shutdown] <in.blif|dir>...\n"
-               "          submit circuits to a running daemon; also:\n"
-               "          mcrt client --hello|--stats|--health|--drain|"
-               "--shutdown\n"
-               "  loadtest: mcrt loadtest [--quick] [--seed S]\n"
-               "          [--out-dir D] [--baseline <dir> "
-               "[--max-regress F]]\n"
-               "          chaos load harness: spins in-process daemons and\n"
-               "          drives traffic under injected disk and connection\n"
-               "          faults plus a corrupt-entry restart recovery\n"
-               "          check; writes BENCH_serve.json\n"
-               "  mcrt --version prints version, build type and sanitizers\n");
+  std::fprintf(stderr, kUsage, command_names(~CommandSet{0}, "|").c_str());
   return 2;
 }
 
@@ -277,39 +189,45 @@ int cmd_classes(const Netlist& n) {
 struct FlowFlags {
   bool profile = false;
   bool verify = false;
-  bool validate = true;
+  bool no_validate = false;
   double timeout_seconds = 0;  ///< per-flow (or per-bulk-job) deadline
-  ResourceBudgets budgets;
+  std::size_t budget_bdd = 0;     ///< BDD node cap (0 = unlimited)
+  std::size_t budget_bmc = 0;     ///< BMC unroll depth cap
+  std::uint32_t budget_rss_mb = 0;  ///< peak-RSS budget per flow
   std::string fault_spec;  ///< --faults, merged over MCRT_FAULT_* env
+
+  [[nodiscard]] ResourceBudgets budgets() const {
+    return {budget_bdd, budget_bmc, std::size_t{budget_rss_mb} << 20};
+  }
 };
 
 /// Builds the --faults injector (on top of the MCRT_FAULT_* environment
 /// configuration). Returns false on a malformed spec.
 bool make_fault_injector(const FlowFlags& flags, FaultInjector& injector,
                          DiagnosticsSink& diag) {
-  if (flags.fault_spec.empty()) return true;
   std::string error;
-  if (!injector.configure(flags.fault_spec, &error)) {
-    diag.error("--faults", error);
-    return false;
+  if (flags.fault_spec.empty() ||
+      injector.configure(flags.fault_spec, &error)) {
+    return true;
   }
-  return true;
+  diag.error("--faults", error);
+  return false;
 }
 
 /// Pass-manager options of the flow, bulk and serve commands: --no-validate,
 /// --verify and one equivalence spot-check effort for all three.
 PassManagerOptions manager_options(const FlowFlags& flags) {
   PassManagerOptions options;
-  options.check_invariants = flags.validate;
+  options.check_invariants = !flags.no_validate;
   options.check_equivalence = flags.verify;
   options.equivalence.runs = 2;
   options.equivalence.cycles = 48;
   return options;
 }
 
-/// Shared driver for `flow` and the alias subcommands: the script runs as
-/// one job of the executor `mcrt bulk` uses, with its diagnostics streamed
-/// to stderr while it runs.
+/// Shared driver for `flow` and the shorthand subcommands: the script
+/// runs as one job of the executor `mcrt bulk` uses, with its diagnostics
+/// streamed to stderr while it runs.
 int run_flow(const std::string& script, const std::string& in_path,
              const std::string& out_path, const FlowFlags& flags,
              StreamDiagnostics& diag) {
@@ -320,7 +238,7 @@ int run_flow(const std::string& script, const std::string& in_path,
   options.manager.verbose = true;
   options.timeout_seconds = flags.timeout_seconds;
   options.cancel = &g_interrupt;
-  options.budgets = flags.budgets;
+  options.budgets = flags.budgets();
   if (!flags.fault_spec.empty()) options.faults = &faults;
 
   const PipelineBuilder compile = script_pipeline(script);
@@ -361,12 +279,13 @@ struct BulkFlags {
 
 /// Expands each input (a .blif file or a directory scanned for *.blif,
 /// sorted) into bulk jobs writing to `out_dir` (if given). Deterministic
-/// job order: inputs as given, directory entries sorted by name.
-std::vector<BulkJob> collect_bulk_jobs(const std::vector<std::string>& inputs,
-                                       const std::string& out_dir,
-                                       DiagnosticsSink& diag, bool* ok) {
+/// job order: inputs as given, directory entries sorted by name. Reports
+/// and returns nullopt on an unlistable directory, colliding outputs or no
+/// circuits at all (under `origin`).
+std::optional<std::vector<BulkJob>> collect_bulk_jobs(
+    const std::vector<std::string>& inputs, const std::string& out_dir,
+    const char* origin, DiagnosticsSink& diag) {
   namespace fs = std::filesystem;
-  *ok = true;
   std::vector<std::string> files;
   for (const std::string& input : inputs) {
     std::error_code ec;
@@ -379,8 +298,7 @@ std::vector<BulkJob> collect_bulk_jobs(const std::vector<std::string>& inputs,
       }
       if (ec) {
         diag.error(input, "cannot list directory: " + ec.message());
-        *ok = false;
-        return {};
+        return std::nullopt;
       }
       std::sort(found.begin(), found.end());
       if (found.empty()) diag.warning(input, "no .blif files in directory");
@@ -406,25 +324,31 @@ std::vector<BulkJob> collect_bulk_jobs(const std::vector<std::string>& inputs,
         diag.error(jobs[j].input_path,
                    "output collides with " + jobs[i].input_path + " at " +
                        jobs[i].output_path);
-        *ok = false;
-        return {};
+        return std::nullopt;
       }
     }
   }
+  if (jobs.empty()) {
+    diag.error(origin, "no input circuits");
+    return std::nullopt;
+  }
   return jobs;
+}
+
+/// Writes a --report file; reports and returns false when it cannot.
+bool write_report(const std::string& path, const std::string& text,
+                  DiagnosticsSink& diag) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+  if (!out) diag.error(path, "cannot write report");
+  return static_cast<bool>(out);
 }
 
 int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
              const BulkFlags& bulk, const FlowFlags& flags,
              StreamDiagnostics& diag) {
-  bool ok = false;
-  std::vector<BulkJob> jobs =
-      collect_bulk_jobs(inputs, bulk.out_dir, diag, &ok);
-  if (!ok) return 2;
-  if (jobs.empty()) {
-    diag.error("bulk", "no input circuits");
-    return 2;
-  }
+  const auto jobs = collect_bulk_jobs(inputs, bulk.out_dir, "bulk", diag);
+  if (!jobs) return 2;
 
   FaultInjector faults;
   if (!make_fault_injector(flags, faults, diag)) return 2;
@@ -437,14 +361,14 @@ int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
   options.manifest_path = bulk.manifest_path;
   options.resume = bulk.resume;
   options.max_retries = bulk.retries;
-  options.budgets = flags.budgets;
+  options.budgets = flags.budgets();
   if (!flags.fault_spec.empty()) options.faults = &faults;
   BulkRunner runner(script, options);
   if (const auto error = runner.check()) {
     diag.error("bulk", *error);
     return 2;
   }
-  const BulkReport report = runner.run(jobs);
+  const BulkReport report = runner.run(*jobs);
 
   for (const BulkJobResult& r : report.results) {
     if (r.success) {
@@ -467,21 +391,16 @@ int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
               report.succeeded(), report.results.size(), report.jobs,
               report.wall_seconds, report.cpu_seconds, report.speedup());
 
-  if (!bulk.report_path.empty()) {
-    BulkJsonOptions json;
-    json.canonical = bulk.canonical;
-    std::ofstream out(bulk.report_path, std::ios::binary);
-    out << report.to_json(json);
-    if (!out) {
-      diag.error(bulk.report_path, "cannot write report");
-      return 1;
-    }
+  if (!bulk.report_path.empty() &&
+      !write_report(bulk.report_path,
+                    report.to_json({.canonical = bulk.canonical}), diag)) {
+    return 1;
   }
   return report.failed() == 0 ? 0 : 1;
 }
 
 int cmd_corpus(const std::string& out_dir, std::size_t count,
-               std::uint64_t seed, std::size_t scaled_gates,
+               std::size_t scaled_gates, std::uint64_t seed,
                StreamDiagnostics& diag) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -515,7 +434,6 @@ int cmd_corpus(const std::string& out_dir, std::size_t count,
 struct BenchFlags {
   bool quick = false;          ///< trimmed suite + fewer reps (CI smoke)
   std::string out_dir = ".";   ///< where BENCH_*.json land
-  std::uint64_t seed = 1;      ///< workload / stimulus seed
   std::string baseline_dir;    ///< committed BENCH_*.json to gate against
   double max_regress = 0.20;   ///< allowed fractional speedup loss
 };
@@ -557,20 +475,45 @@ bool gate_against_baseline(
   return regressions.empty();
 }
 
-int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
-  namespace fs = std::filesystem;
-  const BenchOptions options{flags.quick, flags.seed};
+/// Writes `report` as `file_name` into --out-dir (created if missing) and
+/// prints its path; reports under `origin` and returns false on failure.
+bool write_bench_file(const Json& report, const BenchFlags& flags,
+                      const char* origin, const char* file_name,
+                      DiagnosticsSink& diag) {
+  std::error_code ec;
+  std::filesystem::create_directories(flags.out_dir, ec);
+  const std::string path =
+      (std::filesystem::path(flags.out_dir) / file_name).string();
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << write_bench_report(report);
+  if (!out.good()) {
+    diag.error(origin, "cannot write " + path);
+    return false;
+  }
+  std::printf("  wrote %s\n", path.c_str());
+  return true;
+}
 
-  const auto run_one = [&](const char* label, const char* schema,
-                           const char* file_name, Json (*runner)(
-                               const BenchOptions&)) -> std::optional<Json> {
-    std::printf("bench: running %s suite (%s)...\n", label,
+int cmd_bench(const BenchFlags& flags, std::uint64_t seed,
+              StreamDiagnostics& diag) {
+  struct Suite {
+    const char* label;
+    const char* schema;
+    const char* file_name;
+    Json (*run)(const BenchOptions&);
+  };
+  const Suite suites[] = {
+      {"window", kBenchWindowSchema, "BENCH_window.json", run_window_bench},
+      {"cslow", kBenchCslowSchema, "BENCH_cslow.json", run_cslow_bench}};
+  std::vector<Json> reports;
+  for (const Suite& suite : suites) {
+    std::printf("bench: running %s suite (%s)...\n", suite.label,
                 flags.quick ? "quick" : "full");
-    Json report = runner(options);
-    const std::string problem = validate_bench_report(report, schema);
+    Json report = suite.run({flags.quick, seed});
+    const std::string problem = validate_bench_report(report, suite.schema);
     if (!problem.empty()) {
-      diag.error("bench", std::string(label) + ": " + problem);
-      return std::nullopt;
+      diag.error("bench", std::string(suite.label) + ": " + problem);
+      return 1;
     }
     for (const Json& entry : report.at("entries").as_array()) {
       std::string line =
@@ -586,47 +529,32 @@ int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
                 report.at("summary").at("geomean_speedup").as_number(),
                 static_cast<long long>(
                     report.at("summary").at("circuits").as_int()));
-    std::error_code ec;
-    fs::create_directories(flags.out_dir, ec);
-    const std::string path = (fs::path(flags.out_dir) / file_name).string();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << write_bench_report(report);
-    if (!out.good()) {
-      diag.error("bench", "cannot write " + path);
-      return std::nullopt;
+    if (!write_bench_file(report, flags, "bench", suite.file_name, diag)) {
+      return 1;
     }
-    std::printf("  wrote %s\n", path.c_str());
-    return report;
-  };
-
-  const auto window = run_one("window", kBenchWindowSchema,
-                              "BENCH_window.json", run_window_bench);
-  if (!window) return 1;
-  const auto cslow = run_one("cslow", kBenchCslowSchema, "BENCH_cslow.json",
-                             run_cslow_bench);
-  if (!cslow) return 1;
-
+    reports.push_back(std::move(report));
+  }
   if (flags.baseline_dir.empty()) return 0;
 
   // Regression gate vs the committed baseline documents (bench_regressions).
-  bool ok = gate_against_baseline(
-      *window, flags, "bench", "BENCH_window.json",
-      [](const Json& j) { return validate_bench_report(j, kBenchWindowSchema); },
-      diag);
-  ok &= gate_against_baseline(
-      *cslow, flags, "bench", "BENCH_cslow.json",
-      [](const Json& j) { return validate_bench_report(j, kBenchCslowSchema); },
-      diag);
+  bool ok = true;
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const char* schema = suites[i].schema;
+    ok &= gate_against_baseline(
+        reports[i], flags, "bench", suites[i].file_name,
+        [&](const Json& j) { return validate_bench_report(j, schema); }, diag);
+  }
   if (!ok) return 1;
   std::printf("bench: no regression vs baseline\n");
   return 0;
 }
 
-int cmd_loadtest(const BenchFlags& flags, StreamDiagnostics& diag) {
+int cmd_loadtest(const BenchFlags& flags, std::uint64_t seed,
+                 StreamDiagnostics& diag) {
   namespace fs = std::filesystem;
   ServeBenchOptions options;
   options.quick = flags.quick;
-  options.seed = flags.seed;
+  options.seed = seed;
   options.work_dir = (fs::path(flags.out_dir) / "loadtest_work").string();
 
   std::printf("loadtest: running serve chaos phases (%s)...\n",
@@ -658,17 +586,10 @@ int cmd_loadtest(const BenchFlags& flags, StreamDiagnostics& diag) {
       static_cast<long long>(summary.at("corrupt_served").as_int()),
       summary.at("restart_disk_hit_ratio").as_number());
 
-  std::error_code ec;
-  fs::create_directories(flags.out_dir, ec);
-  const std::string path =
-      (fs::path(flags.out_dir) / "BENCH_serve.json").string();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << write_bench_report(report);
-  if (!out.good()) {
-    diag.error("loadtest", "cannot write " + path);
+  if (!write_bench_file(report, flags, "loadtest", "BENCH_serve.json",
+                        diag)) {
     return 1;
   }
-  std::printf("  wrote %s\n", path.c_str());
 
   if (flags.baseline_dir.empty()) return 0;
   if (!gate_against_baseline(report, flags, "loadtest", "BENCH_serve.json",
@@ -681,10 +602,10 @@ int cmd_loadtest(const BenchFlags& flags, StreamDiagnostics& diag) {
 
 struct ServeFlags {
   std::string socket_path;    ///< --socket (Unix-domain)
-  int port = -1;              ///< --port (loopback TCP; 0 = ephemeral)
-  std::size_t cache_mb = 64;  ///< --cache-mb (0 disables the result cache)
+  std::optional<std::uint16_t> port;  ///< --port (loopback TCP; 0 = ephemeral)
+  std::uint32_t cache_mb = 64;  ///< --cache-mb (0 disables the result cache)
   std::string disk_cache_dir;       ///< --disk-cache-dir (empty = no tier)
-  std::size_t disk_cache_mb = 256;  ///< --disk-cache-mb
+  std::uint32_t disk_cache_mb = 256;  ///< --disk-cache-mb
   std::uint64_t disk_cache_ttl_s = 0;  ///< --disk-cache-ttl-s (0 = no aging)
   std::size_t max_inflight = 0;     ///< --max-inflight (0 = unbounded)
   int retry_after_ms = 200;         ///< --retry-after-ms (busy frame hint)
@@ -699,13 +620,12 @@ struct ServeFlags {
 
 bool serve_endpoint(const ServeFlags& serve, SocketEndpoint* endpoint,
                     DiagnosticsSink& diag) {
-  if (serve.socket_path.empty() && serve.port < 0) {
+  if (serve.socket_path.empty() && !serve.port) {
     diag.error("serve", "need --socket <path> or --port <n>");
     return false;
   }
   endpoint->unix_path = serve.socket_path;
-  endpoint->tcp_port =
-      serve.port > 0 ? static_cast<std::uint16_t>(serve.port) : 0;
+  endpoint->tcp_port = serve.port.value_or(0);
   return true;
 }
 
@@ -716,9 +636,9 @@ int cmd_serve(const ServeFlags& serve, const BulkFlags& bulk,
   FaultInjector faults;
   if (!make_fault_injector(flags, faults, diag)) return 2;
   options.jobs = bulk.jobs;
-  options.cache_bytes = serve.cache_mb << 20;
+  options.cache_bytes = std::size_t{serve.cache_mb} << 20;
   options.disk_cache_dir = serve.disk_cache_dir;
-  options.disk_cache_bytes = serve.disk_cache_mb << 20;
+  options.disk_cache_bytes = std::size_t{serve.disk_cache_mb} << 20;
   options.disk_cache_ttl_seconds = serve.disk_cache_ttl_s;
   options.max_inflight = serve.max_inflight;
   options.retry_after_ms = serve.retry_after_ms;
@@ -726,7 +646,7 @@ int cmd_serve(const ServeFlags& serve, const BulkFlags& bulk,
   // verify=true spot-checks exactly like `mcrt bulk --verify`.
   options.manager = manager_options(flags);
   options.default_timeout_seconds = flags.timeout_seconds;
-  options.budgets = flags.budgets;
+  options.budgets = flags.budgets();
   if (!flags.fault_spec.empty()) options.faults = &faults;
   options.log = &diag;
 
@@ -792,32 +712,27 @@ int cmd_client(const std::string& script,
   std::vector<std::string> job_jsons;
   std::size_t succeeded = 0;
   if (!inputs.empty()) {
-    bool ok = false;
-    std::vector<BulkJob> jobs =
-        collect_bulk_jobs(inputs, bulk.out_dir, diag, &ok);
-    if (!ok) return 2;
-    if (jobs.empty()) {
-      diag.error("client", "no input circuits");
-      return 2;
-    }
+    const auto jobs = collect_bulk_jobs(inputs, bulk.out_dir, "client", diag);
+    if (!jobs) return 2;
     std::vector<JobRequest> requests;
-    requests.reserve(jobs.size());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
+    requests.reserve(jobs->size());
+    for (std::size_t i = 0; i < jobs->size(); ++i) {
+      const BulkJob& job = (*jobs)[i];
       JobRequest request;
       request.id = str_format("j%zu", i);
-      request.name = jobs[i].name;
+      request.name = job.name;
       request.tenant = serve.tenant;
       // The daemon may run in a different working directory.
-      request.path = fs::absolute(jobs[i].input_path).string();
-      if (!jobs[i].output_path.empty()) {
-        request.output = fs::absolute(jobs[i].output_path).string();
+      request.path = fs::absolute(job.input_path).string();
+      if (!job.output_path.empty()) {
+        request.output = fs::absolute(job.output_path).string();
       }
       request.script = script;
       request.options.canonical = bulk.canonical;
       request.options.timeout_seconds = flags.timeout_seconds;
-      request.options.validate = flags.validate;
+      request.options.validate = !flags.no_validate;
       request.options.verify = flags.verify;
-      request.options.budgets = flags.budgets;
+      request.options.budgets = flags.budgets();
       if (!client.submit(request)) {
         diag.error("client", "connection lost while submitting");
         return 1;
@@ -892,45 +807,32 @@ int cmd_client(const std::string& script,
     }
     std::printf("client: %zu/%zu ok\n", succeeded, results.size());
 
-    if (!bulk.report_path.empty()) {
-      std::ofstream out(bulk.report_path, std::ios::binary);
-      out << compose_canonical_report_json(script, job_jsons, succeeded);
-      if (!out) {
-        diag.error(bulk.report_path, "cannot write report");
-        return 1;
-      }
+    if (!bulk.report_path.empty() &&
+        !write_report(bulk.report_path,
+                      compose_canonical_report_json(script, job_jsons,
+                                                    succeeded),
+                      diag)) {
+      return 1;
     }
   }
 
-  if (serve.stats) {
-    std::optional<Json> stats = client.query_stats(&error);
-    if (!stats) {
+  // Control frames, in a fixed order.
+  const std::pair<bool, std::optional<Json> (ServeClient::*)(std::string*)>
+      queries[] = {{serve.stats, &ServeClient::query_stats},
+                   {serve.health, &ServeClient::query_health},
+                   {serve.drain, &ServeClient::send_drain}};
+  for (const auto& [wanted, query] : queries) {
+    if (!wanted) continue;
+    const std::optional<Json> frame = (client.*query)(&error);
+    if (!frame) {
       diag.error("client", error);
       return 1;
     }
-    std::printf("%s\n", stats->write().c_str());
+    std::printf("%s\n", frame->write().c_str());
   }
-  if (serve.health) {
-    std::optional<Json> health = client.query_health(&error);
-    if (!health) {
-      diag.error("client", error);
-      return 1;
-    }
-    std::printf("%s\n", health->write().c_str());
-  }
-  if (serve.drain) {
-    std::optional<Json> ack = client.send_drain(&error);
-    if (!ack) {
-      diag.error("client", error);
-      return 1;
-    }
-    std::printf("%s\n", ack->write().c_str());
-  }
-  if (serve.shutdown) {
-    if (!client.send_shutdown()) {
-      diag.error("client", "connection lost before shutdown");
-      return 1;
-    }
+  if (serve.shutdown && !client.send_shutdown()) {
+    diag.error("client", "connection lost before shutdown");
+    return 1;
   }
   return exit_code;
 }
@@ -945,20 +847,19 @@ struct FuzzFlags {
   std::string oracle;         ///< --oracle (empty = round-robin over all four)
   std::string repro_path;     ///< --repro: replay (or materialize) one case
   bool update = false;        ///< --update: re-minimize + rewrite a failing repro
-  bool seed_given = false;    ///< explicit --seed (drives --repro write mode)
   std::string plant_bug;      ///< --plant-bug: sabotage spec (self-tests only)
 };
 
 /// Replays one reproducer. With an explicit --seed the case is first
 /// regenerated from that 64-bit case seed and written to the path, so the
 /// seed printed by a CI failure line materializes as a committable file.
-int cmd_fuzz_repro(const FuzzFlags& fuzz, std::uint64_t seed,
+int cmd_fuzz_repro(const FuzzFlags& fuzz, std::optional<std::uint64_t> seed,
                    const std::optional<OracleKind>& only,
                    const OracleOptions& oracle_options,
                    StreamDiagnostics& diag) {
   FuzzCase c;
-  if (fuzz.seed_given) {
-    c = generate_fuzz_case_from_seed(seed,
+  if (seed.has_value()) {
+    c = generate_fuzz_case_from_seed(*seed,
                                      only.value_or(OracleKind::kSerialVsBulk));
     if (!fuzz.plant_bug.empty()) c.break_spec = fuzz.plant_bug;
     if (!write_repro_file(c, fuzz.repro_path)) {
@@ -1010,7 +911,7 @@ int cmd_fuzz_repro(const FuzzFlags& fuzz, std::uint64_t seed,
 }
 
 int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
-             const FlowFlags& flags, std::uint64_t seed,
+             const FlowFlags& flags, std::optional<std::uint64_t> seed,
              StreamDiagnostics& diag) {
   OracleOptions oracle_options;
   if (flags.timeout_seconds > 0) {
@@ -1035,7 +936,7 @@ int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
   }
 
   FuzzDriverOptions options;
-  options.seed = seed;
+  options.seed = seed.value_or(1);
   options.cases = fuzz.cases;
   options.budget_seconds = fuzz.budget_seconds;
   options.only_oracle = only;
@@ -1050,16 +951,11 @@ int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
 
   const FuzzRunReport report = run_fuzz(options);
   if (!bulk.report_path.empty()) {
-    namespace fs = std::filesystem;
-    const fs::path parent = fs::path(bulk.report_path).parent_path();
-    if (!parent.empty()) {
-      std::error_code ec;
-      fs::create_directories(parent, ec);
-    }
-    std::ofstream out(bulk.report_path, std::ios::binary);
-    out << report.to_json(bulk.canonical) << "\n";
-    if (!out) {
-      diag.error(bulk.report_path, "cannot write report");
+    std::error_code ec;  // a bare file name has no directory to create
+    std::filesystem::create_directories(
+        std::filesystem::path(bulk.report_path).parent_path(), ec);
+    if (!write_report(bulk.report_path, report.to_json(bulk.canonical) + "\n",
+                      diag)) {
       return 1;
     }
   }
@@ -1070,6 +966,276 @@ int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
   return report.failures == 0 ? 0 : 1;
 }
 
+// ---------------------------------------------------------------------------
+// Command-line options: kOptions declares every flag once.
+
+/// Everything the command line sets. Each command reads the flag groups
+/// its cmd_* function takes.
+struct Options : FlowFlags, BulkFlags, ServeFlags, BenchFlags, FuzzFlags {
+  std::vector<std::string> files;  ///< positionals, in order
+  /// A shorthand subcommand's pass keys (a repeated flag keeps the last
+  /// value); a bare key has an empty value.
+  std::map<std::string, std::string> pass_keys;
+  std::optional<std::uint64_t> seed;  ///< --seed (default 1)
+  std::size_t count = 10;       ///< corpus --count: random circuits
+  std::size_t gates = 0;        ///< corpus --gates: one scaled design
+  bool formal = false;          ///< check --formal: BDD fixpoint equivalence
+  std::size_t bmc_depth = 0;    ///< check --bmc: ternary BMC depth (0 = off)
+  bool bmc_x_ok = false;        ///< check --bmc-x-ok
+  std::int64_t lut_delay = 10;  ///< timing -d: delay of delay-less LUTs
+};
+
+/// Parses a flag value strictly: the whole token must be the value, and a
+/// number must be non-negative and fit `T` (megabyte counts are 32-bit, so
+/// their byte counts cannot overflow). Returns what it expected when
+/// the token is not one, else an empty string.
+template <typename T>
+std::string parse_value(const std::string& text, T* out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    *out = text;
+  } else if constexpr (requires { out->emplace(); }) {  // std::optional
+    typename T::value_type value{};
+    std::string expected = parse_value(text, &value);
+    if (expected.empty()) *out = value;
+    return expected;
+  } else {
+    T value{};
+    const char* end = text.data() + text.size();
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    // Up to 1e9 s (~31 years), a deadline stays within int64 nanoseconds.
+    if (ec != std::errc() || stop != end || !(value >= T{}) ||
+        (std::is_floating_point_v<T> && value > 1e9)) {
+      if (std::is_floating_point_v<T>) return "a number from 0 to 1e9";
+      if (sizeof(T) == 8) return "a non-negative integer";
+      return "an integer from 0 to " +
+             std::to_string(std::numeric_limits<T>::max());
+    }
+    *out = value;
+  }
+  return {};
+}
+
+/// Applies a flag to Options; returns parse_value()'s expectation on a
+/// malformed value, else an empty string.
+using Setter = std::string (*)(Options&, const std::string& value);
+
+/// The Setter of the Options field at member path `Path`: a bool field is
+/// a switch the flag turns on, any other field parses the flag's value.
+template <auto... Path>
+std::string field(Options& options, const std::string& value) {
+  auto& target = (options .* ... .* Path);
+  if constexpr (std::is_same_v<std::remove_cvref_t<decltype(target)>, bool>) {
+    target = true;
+    return {};
+  } else {
+    return parse_value(value, &target);
+  }
+}
+
+/// The set of the space-separated command names in `names`; an unknown
+/// name does not compile.
+consteval CommandSet cmds(std::string_view names) {
+  CommandSet set = 0;
+  for (std::size_t start = 0; start <= names.size();) {
+    const std::size_t end = std::min(names.find(' ', start), names.size());
+    const CommandSet bit = command_bit(names.substr(start, end - start));
+    if (bit == 0) throw "unknown command name";
+    set |= bit;
+    start = end + 1;
+  }
+  return set;
+}
+
+/// The shorthand subcommands: each runs one pass as a flow script.
+constexpr CommandSet kShorthands =
+    cmds("sweep strash regsweep decompose-en decompose-sync map retime");
+/// Commands that run one flow job.
+constexpr CommandSet kFlows = kShorthands | cmds("flow");
+/// Commands whose flow jobs take the run flags (--verify, budgets, ...).
+constexpr CommandSet kRunners = kFlows | cmds("bulk serve client");
+
+/// The characters of a flow-script word (pipeline/flow_script.h).
+constexpr std::string_view kScriptWordChars =
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_.-";
+
+/// One flag: its spelling, whether it takes a value, the commands that read
+/// it, and its target: the key it becomes in a shorthand's
+/// `<pass>(key=value,...)` script, or the Setter of an Options field. A
+/// spelling may have several rows, for disjoint commands.
+struct OptionRow {
+  std::string_view spelling;
+  bool takes_value;
+  CommandSet commands;
+  std::variant<std::string_view, Setter> target;
+};
+
+constexpr OptionRow kOptions[] = {
+    // Pass keys of the shorthand subcommands.
+    {"-k", true, cmds("map"), "k"},
+    {"-d", true, cmds("map retime"), "d"},
+    {"--target", true, cmds("retime"), "target"},
+    {"--minperiod", false, cmds("retime"), "minperiod"},
+    {"--no-sharing", false, cmds("retime"), "no-sharing"},
+    {"--windows", true, cmds("retime"), "windows"},
+    {"--window-size", true, cmds("retime"), "window-size"},
+    {"--window-jobs", true, cmds("retime"), "window-jobs"},
+    {"--cslow", true, cmds("retime"), "cslow"},
+    // Flow jobs.
+    {"--profile", false, kFlows, field<&FlowFlags::profile>},
+    {"--verify", false, kRunners, field<&FlowFlags::verify>},
+    {"--no-validate", false, kRunners, field<&FlowFlags::no_validate>},
+    {"--timeout", true, kRunners | cmds("fuzz"),
+     field<&FlowFlags::timeout_seconds>},
+    {"--faults", true, kFlows | cmds("bulk serve"),
+     field<&FlowFlags::fault_spec>},
+    {"--budget-bdd", true, kRunners, field<&FlowFlags::budget_bdd>},
+    {"--budget-bmc", true, kRunners, field<&FlowFlags::budget_bmc>},
+    {"--budget-rss-mb", true, kRunners, field<&FlowFlags::budget_rss_mb>},
+    // Batches: bulk, and the batch outputs of client and fuzz.
+    {"--jobs", true, cmds("bulk serve"), field<&BulkFlags::jobs>},
+    {"--out-dir", true, cmds("bulk client fuzz"), field<&BulkFlags::out_dir>},
+    {"--report", true, cmds("bulk client fuzz"),
+     field<&BulkFlags::report_path>},
+    {"--canonical", false, cmds("bulk client fuzz"),
+     field<&BulkFlags::canonical>},
+    {"--manifest", true, cmds("bulk"), field<&BulkFlags::manifest_path>},
+    {"--resume", false, cmds("bulk"), field<&BulkFlags::resume>},
+    {"--retries", true, cmds("bulk client"), field<&BulkFlags::retries>},
+    // The daemon and its client.
+    {"--socket", true, cmds("serve client"), field<&ServeFlags::socket_path>},
+    {"--port", true, cmds("serve client"), field<&ServeFlags::port>},
+    {"--cache-mb", true, cmds("serve"), field<&ServeFlags::cache_mb>},
+    {"--disk-cache-dir", true, cmds("serve"),
+     field<&ServeFlags::disk_cache_dir>},
+    {"--disk-cache-mb", true, cmds("serve"), field<&ServeFlags::disk_cache_mb>},
+    {"--disk-cache-ttl-s", true, cmds("serve"),
+     field<&ServeFlags::disk_cache_ttl_s>},
+    {"--max-inflight", true, cmds("serve"), field<&ServeFlags::max_inflight>},
+    {"--retry-after-ms", true, cmds("serve"),
+     field<&ServeFlags::retry_after_ms>},
+    {"--retry-base-ms", true, cmds("client"),
+     field<&ServeFlags::retry_base_ms>},
+    {"--tenant", true, cmds("client"), field<&ServeFlags::tenant>},
+    {"--hello", false, cmds("client"), field<&ServeFlags::hello>},
+    {"--stats", false, cmds("client"), field<&ServeFlags::stats>},
+    {"--health", false, cmds("client"), field<&ServeFlags::health>},
+    {"--drain", false, cmds("client"), field<&ServeFlags::drain>},
+    {"--shutdown", false, cmds("client"), field<&ServeFlags::shutdown>},
+    // Generated workloads.
+    {"--seed", true, cmds("corpus fuzz bench loadtest"), field<&Options::seed>},
+    {"--count", true, cmds("corpus"), field<&Options::count>},
+    {"--gates", true, cmds("corpus"), field<&Options::gates>},
+    {"--budget-s", true, cmds("fuzz"), field<&FuzzFlags::budget_seconds>},
+    {"--cases", true, cmds("fuzz"), field<&FuzzFlags::cases>},
+    {"--oracle", true, cmds("fuzz"), field<&FuzzFlags::oracle>},
+    {"--repro", true, cmds("fuzz"), field<&FuzzFlags::repro_path>},
+    {"--update", false, cmds("fuzz"), field<&FuzzFlags::update>},
+    {"--plant-bug", true, cmds("fuzz"), field<&FuzzFlags::plant_bug>},
+    {"--quick", false, cmds("bench loadtest"), field<&BenchFlags::quick>},
+    {"--out-dir", true, cmds("bench loadtest"), field<&BenchFlags::out_dir>},
+    {"--baseline", true, cmds("bench loadtest"),
+     field<&BenchFlags::baseline_dir>},
+    {"--max-regress", true, cmds("bench loadtest"),
+     field<&BenchFlags::max_regress>},
+    // Circuit inspection.
+    {"--formal", false, cmds("check"), field<&Options::formal>},
+    {"--bmc", true, cmds("check"), field<&Options::bmc_depth>},
+    {"--bmc-x-ok", false, cmds("check"), field<&Options::bmc_x_ok>},
+    {"-d", true, cmds("timing"), field<&Options::lut_delay>},
+};
+
+/// Reads argv[2..] into `options`, or reports the first bad flag and
+/// returns false: an unknown flag (with usage()), a flag `command` does not
+/// read, a missing or malformed value, or a pass-key value that is not one
+/// flow-script word (so it can neither end its argument list nor add keys).
+bool parse_options(int argc, char** argv, const std::string& command,
+                   Options& options, DiagnosticsSink& diag) {
+  const auto fail = [&](const std::string& error) {
+    diag.error(command, error);
+    return false;
+  };
+  for (int i = 2; i < argc; ++i) {
+    std::string flag = argv[i];
+    if (flag.empty() || flag[0] != '-') {
+      options.files.push_back(std::move(flag));
+      continue;
+    }
+    std::optional<std::string> value;  // long flags also take --flag=value
+    if (const std::size_t eq = flag.find('=');
+        starts_with(flag, "--") && eq != std::string::npos) {
+      value = flag.substr(eq + 1);
+      flag.resize(eq);
+    }
+    const OptionRow* row = nullptr;
+    CommandSet readers = 0;
+    for (const OptionRow& candidate : kOptions) {
+      if (candidate.spelling != flag) continue;
+      readers |= candidate.commands;
+      if ((candidate.commands & command_bit(command)) != 0) row = &candidate;
+    }
+    if (readers == 0) {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      usage();
+      return false;
+    }
+    if (row == nullptr) {
+      return fail(str_format("%s is not an option of %s (only of %s)",
+                             flag.c_str(), command.c_str(),
+                             command_names(readers, ", ").c_str()));
+    }
+    if (value.has_value() && !row->takes_value) {
+      return fail(flag + " takes no value");
+    }
+    if (!value.has_value() && row->takes_value) {
+      if (i + 1 == argc) return fail(flag + ": missing value");
+      value = argv[++i];
+    }
+    const std::string text = value.value_or("");
+    std::string expected;
+    if (const auto* key = std::get_if<std::string_view>(&row->target)) {
+      if (row->takes_value && (text.empty() || text.find_first_not_of(
+                                   kScriptWordChars) != std::string::npos)) {
+        expected = "one flow-script word of [A-Za-z0-9_.-]";
+      } else {
+        options.pass_keys[std::string(*key)] = text;
+      }
+    } else {
+      expected = std::get<Setter>(row->target)(options, text);
+    }
+    if (!expected.empty()) {
+      return fail(str_format("%s: expected %s, got '%s'", flag.c_str(),
+                             expected.c_str(), text.c_str()));
+    }
+  }
+  return true;
+}
+
+/// The flow script a shorthand subcommand runs: `<pass>(key=value,...)`
+/// with its pass keys as typed, so the pass's configure() is their only
+/// validator and `mcrt retime ...` is the job `mcrt flow "retime(...)"` is.
+std::string shorthand_script(const std::string& command, Options& options) {
+  std::map<std::string, std::string>& keys = options.pass_keys;
+  // Any --window* flag selects the windowed pass.
+  const auto window = keys.lower_bound("window");
+  std::string script =
+      window != keys.end() && starts_with(window->first, "window")
+          ? "retime-windowed"
+          : command;
+  // A C-slowed netlist interleaves C streams, so the flow-level
+  // input-vs-output spot check cannot apply; --verify selects the pass's
+  // stream-equivalence + ternary-BMC self-check instead.
+  if (keys.contains("cslow") && options.verify) {
+    keys.emplace("cslow-verify", "");
+    options.verify = false;
+  }
+  char separator = '(';
+  for (const auto& [key, value] : keys) {
+    script += separator + key + (value.empty() ? "" : "=" + value);
+    separator = ',';
+  }
+  return keys.empty() ? script : script + ")";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1078,273 +1244,15 @@ int main(int argc, char** argv) {
     std::printf("%s\n", version_line().c_str());
     return 0;
   }
-  if (argc < 2) return usage();
+  if (argc < 2 || command_bit(argv[1]) == 0) return usage();
   const std::string command = argv[1];
   // `bench` and `fuzz` are self-contained (generated workloads, no circuit
   // files), so a bare `mcrt bench` / `mcrt fuzz` is a complete invocation.
   if (argc < 3 && command != "bench" && command != "fuzz") return usage();
   StreamDiagnostics diag(stderr);
-
-  // Collect flags and positionals.
-  std::vector<std::string> files;
-  std::uint32_t lut_k = 4;
-  std::int64_t lut_delay = 10;
-  bool minperiod = false;
-  std::int64_t target_period = 0;
-  bool no_sharing = false;
-  bool windowed = false;         ///< any --window* flag seen
-  std::size_t window_count = 0;  ///< --windows (0 = derive from size)
-  std::size_t window_size = 0;   ///< --window-size (0 = pass default)
-  std::size_t window_jobs = 0;   ///< --window-jobs (0 = hardware threads)
-  std::uint32_t cslow = 0;       ///< --cslow (0 = off)
-  std::size_t corpus_gates = 0;  ///< corpus --gates (0 = random suite only)
-  bool formal = false;
-  std::size_t bmc_depth = 0;
-  bool bmc_x_ok = false;
-  FlowFlags flow_flags;
-  BulkFlags bulk_flags;
-  ServeFlags serve_flags;
-  std::size_t corpus_count = 10;
-  std::uint64_t corpus_seed = 1;
-  BenchFlags bench_flags;
-  FuzzFlags fuzz_flags;
-  // Value-taking long flags accept both "--flag value" and "--flag=value".
-  const auto flag_value = [&](const std::string& arg, const char* name,
-                              int* i, std::string* value) {
-    const std::string prefix = std::string(name) + "=";
-    if (arg == name && *i + 1 < argc) {
-      *value = argv[++*i];
-      return true;
-    }
-    if (starts_with(arg, prefix)) {
-      *value = arg.substr(prefix.size());
-      return true;
-    }
-    return false;
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (flag_value(arg, "--jobs", &i, &value)) {
-      bulk_flags.jobs = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--out-dir", &i, &value)) {
-      bulk_flags.out_dir = value;
-      bench_flags.out_dir = value;
-      continue;
-    }
-    if (flag_value(arg, "--report", &i, &value)) {
-      bulk_flags.report_path = value;
-      continue;
-    }
-    if (flag_value(arg, "--count", &i, &value)) {
-      corpus_count = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--gates", &i, &value)) {
-      corpus_gates = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--windows", &i, &value)) {
-      window_count = static_cast<std::size_t>(std::atoll(value.c_str()));
-      windowed = true;
-      continue;
-    }
-    if (flag_value(arg, "--window-size", &i, &value)) {
-      window_size = static_cast<std::size_t>(std::atoll(value.c_str()));
-      windowed = true;
-      continue;
-    }
-    if (flag_value(arg, "--window-jobs", &i, &value)) {
-      window_jobs = static_cast<std::size_t>(std::atoll(value.c_str()));
-      windowed = true;
-      continue;
-    }
-    if (flag_value(arg, "--cslow", &i, &value)) {
-      cslow = static_cast<std::uint32_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--seed", &i, &value)) {
-      corpus_seed = std::strtoull(value.c_str(), nullptr, 10);
-      bench_flags.seed = corpus_seed;
-      fuzz_flags.seed_given = true;
-      continue;
-    }
-    if (flag_value(arg, "--budget-s", &i, &value)) {
-      fuzz_flags.budget_seconds = std::atof(value.c_str());
-      continue;
-    }
-    if (flag_value(arg, "--cases", &i, &value)) {
-      fuzz_flags.cases = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--oracle", &i, &value)) {
-      fuzz_flags.oracle = value;
-      continue;
-    }
-    if (flag_value(arg, "--repro", &i, &value)) {
-      fuzz_flags.repro_path = value;
-      continue;
-    }
-    if (arg == "--update") {
-      fuzz_flags.update = true;
-      continue;
-    }
-    if (flag_value(arg, "--plant-bug", &i, &value)) {
-      fuzz_flags.plant_bug = value;
-      continue;
-    }
-    if (arg == "--quick") {
-      bench_flags.quick = true;
-      continue;
-    }
-    if (flag_value(arg, "--baseline", &i, &value)) {
-      bench_flags.baseline_dir = value;
-      continue;
-    }
-    if (flag_value(arg, "--max-regress", &i, &value)) {
-      bench_flags.max_regress = std::atof(value.c_str());
-      continue;
-    }
-    if (arg == "--canonical") {
-      bulk_flags.canonical = true;
-      continue;
-    }
-    if (flag_value(arg, "--timeout", &i, &value)) {
-      flow_flags.timeout_seconds = std::atof(value.c_str());
-      continue;
-    }
-    if (flag_value(arg, "--manifest", &i, &value)) {
-      bulk_flags.manifest_path = value;
-      continue;
-    }
-    if (arg == "--resume") {
-      bulk_flags.resume = true;
-      continue;
-    }
-    if (flag_value(arg, "--retries", &i, &value)) {
-      bulk_flags.retries = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--faults", &i, &value)) {
-      flow_flags.fault_spec = value;
-      continue;
-    }
-    if (flag_value(arg, "--budget-bdd", &i, &value)) {
-      flow_flags.budgets.bdd_node_cap =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--budget-bmc", &i, &value)) {
-      flow_flags.budgets.bmc_step_cap =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--budget-rss-mb", &i, &value)) {
-      flow_flags.budgets.max_rss_bytes =
-          static_cast<std::size_t>(std::atoll(value.c_str())) * 1024 * 1024;
-      continue;
-    }
-    if (arg == "--bmc-x-ok") {
-      bmc_x_ok = true;
-      continue;
-    }
-    if (flag_value(arg, "--socket", &i, &value)) {
-      serve_flags.socket_path = value;
-      continue;
-    }
-    if (flag_value(arg, "--port", &i, &value)) {
-      serve_flags.port = std::atoi(value.c_str());
-      continue;
-    }
-    if (flag_value(arg, "--cache-mb", &i, &value)) {
-      serve_flags.cache_mb = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--disk-cache-dir", &i, &value)) {
-      serve_flags.disk_cache_dir = value;
-      continue;
-    }
-    if (flag_value(arg, "--disk-cache-mb", &i, &value)) {
-      serve_flags.disk_cache_mb =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--disk-cache-ttl-s", &i, &value)) {
-      serve_flags.disk_cache_ttl_s =
-          static_cast<std::uint64_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--max-inflight", &i, &value)) {
-      serve_flags.max_inflight =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--retry-after-ms", &i, &value)) {
-      serve_flags.retry_after_ms = std::atoi(value.c_str());
-      continue;
-    }
-    if (flag_value(arg, "--retry-base-ms", &i, &value)) {
-      serve_flags.retry_base_ms = std::atoi(value.c_str());
-      continue;
-    }
-    if (flag_value(arg, "--tenant", &i, &value)) {
-      serve_flags.tenant = value;
-      continue;
-    }
-    if (arg == "--stats") {
-      serve_flags.stats = true;
-      continue;
-    }
-    if (arg == "--shutdown") {
-      serve_flags.shutdown = true;
-      continue;
-    }
-    if (arg == "--hello") {
-      serve_flags.hello = true;
-      continue;
-    }
-    if (arg == "--health") {
-      serve_flags.health = true;
-      continue;
-    }
-    if (arg == "--drain") {
-      serve_flags.drain = true;
-      continue;
-    }
-    if (arg == "-k" && i + 1 < argc) {
-      lut_k = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "-d" && i + 1 < argc) {
-      lut_delay = std::atoll(argv[++i]);
-    } else if (arg == "--minperiod") {
-      minperiod = true;
-    } else if (arg == "--target" && i + 1 < argc) {
-      target_period = std::atoll(argv[++i]);
-    } else if (arg == "--no-sharing") {
-      no_sharing = true;
-    } else if (arg == "--formal") {
-      formal = true;
-    } else if (arg == "--bmc" && i + 1 < argc) {
-      bmc_depth = static_cast<std::size_t>(std::atoll(argv[++i]));
-    } else if (arg == "--profile") {
-      flow_flags.profile = true;
-    } else if (arg == "--verify") {
-      flow_flags.verify = true;
-    } else if (arg == "--no-validate") {
-      flow_flags.validate = false;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return usage();
-    } else {
-      files.push_back(arg);
-    }
-  }
-  const bool server_command = command == "serve" || command == "client";
-  if (files.empty() && !server_command && command != "bench" &&
-      command != "fuzz" && command != "loadtest") {
-    return usage();
-  }
+  Options options;
+  if (!parse_options(argc, argv, command, options, diag)) return 2;
+  const std::vector<std::string>& files = options.files;
 
   // ctrl-C requests a clean cooperative stop: in-flight flows unwind at
   // their next engine poll and report "cancelled" instead of dying mid-write.
@@ -1353,92 +1261,53 @@ int main(int argc, char** argv) {
   // session, not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (command == "serve") {
-    if (!files.empty()) return usage();
-    return cmd_serve(serve_flags, bulk_flags, flow_flags, diag);
+  if (!files.empty() &&
+      (command_bit(command) & cmds("serve bench loadtest fuzz")) != 0) {
+    return usage();  // these take no positionals
   }
+  if (command == "serve") return cmd_serve(options, options, options, diag);
   if (command == "client") {
     // Positionals are the flow script then circuits; a control-only call
     // (--hello / --stats / --shutdown) takes none.
     if (files.size() == 1 ||
-        (files.empty() && !serve_flags.hello && !serve_flags.stats &&
-         !serve_flags.shutdown && !serve_flags.health &&
-         !serve_flags.drain)) {
+        (files.empty() && !options.hello && !options.stats &&
+         !options.shutdown && !options.health && !options.drain)) {
       return usage();
     }
     const std::string script = files.empty() ? std::string() : files[0];
     const std::vector<std::string> inputs(
         files.empty() ? files.end() : files.begin() + 1, files.end());
-    return cmd_client(script, inputs, serve_flags, bulk_flags, flow_flags,
-                      diag);
+    return cmd_client(script, inputs, options, options, options, diag);
   }
 
   // `flow` positionals are script, input, output; everything else starts
   // with the input file.
   if (command == "flow") {
     if (files.size() < 3) return usage();
-    return run_flow(files[0], files[1], files[2], flow_flags, diag);
+    return run_flow(files[0], files[1], files[2], options, diag);
+  }
+  if ((command_bit(command) & kShorthands) != 0) {
+    if (files.size() < 2) return usage();
+    return run_flow(shorthand_script(command, options), files[0], files[1],
+                    options, diag);
   }
   if (command == "bulk") {
     if (files.size() < 2) return usage();
     const std::vector<std::string> inputs(files.begin() + 1, files.end());
-    return cmd_bulk(files[0], inputs, bulk_flags, flow_flags, diag);
+    return cmd_bulk(files[0], inputs, options, options, diag);
   }
-  if (command == "corpus") {
-    return cmd_corpus(files[0], corpus_count, corpus_seed, corpus_gates, diag);
-  }
-  if (command == "bench") {
-    if (!files.empty()) return usage();
-    return cmd_bench(bench_flags, diag);
-  }
-  if (command == "loadtest") {
-    if (!files.empty()) return usage();
-    return cmd_loadtest(bench_flags, diag);
-  }
+  const std::uint64_t seed = options.seed.value_or(1);
+  if (command == "bench") return cmd_bench(options, seed, diag);
+  if (command == "loadtest") return cmd_loadtest(options, seed, diag);
   if (command == "fuzz") {
-    if (!files.empty()) return usage();
-    return cmd_fuzz(fuzz_flags, bulk_flags, flow_flags, corpus_seed, diag);
+    return cmd_fuzz(options, options, options, options.seed, diag);
   }
 
-  // Transforming subcommands are canned single-pass pipelines.
-  std::string script;
-  if (command == "sweep" || command == "strash" || command == "regsweep" ||
-      command == "decompose-en" || command == "decompose-sync") {
-    script = command;
-  } else if (command == "map") {
-    script = str_format("map(k=%u,d=%lld)", lut_k,
-                        static_cast<long long>(lut_delay));
-  } else if (command == "retime") {
-    script = str_format("%s(d=%lld", windowed ? "retime-windowed" : "retime",
-                        static_cast<long long>(lut_delay));
-    if (windowed) {
-      if (window_size > 0) script += str_format(",window-size=%zu", window_size);
-      if (window_count > 0) script += str_format(",windows=%zu", window_count);
-      if (window_jobs > 0) script += str_format(",window-jobs=%zu", window_jobs);
-    }
-    if (minperiod) script += ",minperiod";
-    if (no_sharing) script += ",no-sharing";
-    if (target_period != 0) {
-      script += str_format(",target=%lld",
-                           static_cast<long long>(target_period));
-    }
-    if (cslow > 0) {
-      script += str_format(",cslow=%u", cslow);
-      // A C-slowed netlist interleaves C streams, so the flow-level
-      // input-vs-output spot check cannot apply; --verify maps to the
-      // pass's stream-equivalence + ternary-BMC self-check instead.
-      if (flow_flags.verify) {
-        script += ",cslow-verify";
-        flow_flags.verify = false;
-      }
-    }
-    script += ")";
+  // The rest take an input file (corpus: the output directory).
+  if (files.empty()) return usage();
+  if (command == "corpus") {
+    return cmd_corpus(files[0], options.count, options.gates, seed, diag);
   }
-  if (!script.empty()) {
-    if (files.size() < 2) return usage();
-    return run_flow(script, files[0], files[1], flow_flags, diag);
-  }
-
   const auto input = load_blif_netlist(files[0], diag);
   if (!input) return 1;
 
@@ -1454,7 +1323,7 @@ int main(int argc, char** argv) {
   }
   if (command == "timing") {
     Netlist timed = *input;
-    set_default_lut_delays(timed, lut_delay);
+    set_default_lut_delays(timed, options.lut_delay);
     const auto paths = worst_paths(timed, 5);
     std::fputs(format_timing_report(timed, paths).c_str(), stdout);
     return 0;
@@ -1470,10 +1339,10 @@ int main(int argc, char** argv) {
                 sim.compared_defined_outputs,
                 sim.equivalent ? "" : " - ",
                 sim.counterexample.c_str());
-    if (bmc_depth > 0) {
+    if (options.bmc_depth > 0) {
       TernaryBmcOptions bo;
-      bo.depth = bmc_depth;
-      bo.x_refinement_ok = bmc_x_ok;
+      bo.depth = options.bmc_depth;
+      bo.x_refinement_ok = options.bmc_x_ok;
       bo.cancel = &g_interrupt;
       const auto bmc = check_ternary_bmc(*input, *other, bo);
       const char* verdict =
@@ -1483,11 +1352,11 @@ int main(int argc, char** argv) {
           : bmc.verdict == TernaryBmcResult::Verdict::kResourceLimit
               ? "RESOURCE-LIMIT"
               : "UNSUPPORTED";
-      std::printf("bmc[%zu]:    %s (%s)\n", bmc_depth, verdict,
+      std::printf("bmc[%zu]:    %s (%s)\n", options.bmc_depth, verdict,
                   bmc.detail.c_str());
       if (bmc.verdict == TernaryBmcResult::Verdict::kMismatch) return 1;
     }
-    if (formal) {
+    if (options.formal) {
       const auto fv = check_formal_equivalence(*input, *other, {});
       const char* verdict =
           fv.verdict == FormalResult::Verdict::kEquivalent  ? "EQUIVALENT"
