@@ -456,13 +456,48 @@ Json summary_json(const Json::Array& entries) {
   }
   Json summary = Json::object();
   summary.set("circuits", entries.size());
-  summary.set("geomean_speedup", geomean(speedups));
+  if (!speedups.empty()) summary.set("geomean_speedup", geomean(speedups));
   summary.set("all_identical", all_identical);
   return summary;
 }
 
-Json assemble(const char* schema, const BenchOptions& options, int reps,
-              Json::Array entries) {
+bool ends_with(const std::string& s, std::string_view suffix) {
+  return s.size() >= suffix.size() &&
+         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
+}
+
+// How bench_regressions gates one numeric column of a `schema` document.
+enum class Gate { kNone, kExact, kNoRise, kRatio };
+
+Gate gate_for(const std::string& schema, const std::string& key) {
+  if (schema == kBenchPaperSchema) {
+    // Table 1-3 columns only; the figures, ablations and times are reported.
+    const bool table = key.rfind("t1_", 0) == 0 || key.rfind("t2_", 0) == 0 ||
+                       key.rfind("t3_", 0) == 0;
+    if (!table) return Gate::kNone;
+    if (ends_with(key, "_delay")) return Gate::kExact;
+    return ends_with(key, "_ff") || ends_with(key, "_lut") ? Gate::kNoRise
+                                                           : Gate::kNone;
+  }
+  if (schema == kBenchWindowSchema) {
+    // Solver outputs and work counters; the speedups time two engines that
+    // each get faster on their own, so they are reported only.
+    if (key == "period_monolithic" || key == "period_windowed") {
+      return Gate::kExact;
+    }
+    return key.rfind("monolithic_", 0) == 0 && key != "monolithic_seconds"
+               ? Gate::kNoRise
+               : Gate::kNone;
+  }
+  // Per-entry columns are "speedup[_*]", the summary's "geomean_speedup".
+  return key.find("speedup") != std::string::npos ? Gate::kRatio
+                                                  : Gate::kNone;
+}
+
+}  // namespace
+
+Json assemble_bench_report(const char* schema, const BenchOptions& options,
+                           int reps, Json::Array entries) {
   Json summary = summary_json(entries);
   Json report = Json::object();
   report.set("schema", schema);
@@ -472,8 +507,6 @@ Json assemble(const char* schema, const BenchOptions& options, int reps,
   return report;
 }
 
-}  // namespace
-
 Json run_window_bench(const BenchOptions& options) {
   // Macro-scale runs (seconds to minutes): one rep per engine.
   const int reps = 1;
@@ -481,7 +514,8 @@ Json run_window_bench(const BenchOptions& options) {
   for (const WindowBenchCase& bench_case : window_bench_suite(options)) {
     entries.push_back(bench_window_case(bench_case, options.seed + 300));
   }
-  return assemble(kBenchWindowSchema, options, reps, std::move(entries));
+  return assemble_bench_report(kBenchWindowSchema, options, reps,
+                               std::move(entries));
 }
 
 Json run_cslow_bench(const BenchOptions& options) {
@@ -510,7 +544,8 @@ Json run_cslow_bench(const BenchOptions& options) {
       c2.push_back(entry.at("speedup_throughput").as_number());
     }
   }
-  Json report = assemble(kBenchCslowSchema, options, reps, std::move(entries));
+  Json report = assemble_bench_report(kBenchCslowSchema, options, reps,
+                                      std::move(entries));
   Json summary = report.at("summary");
   summary.set("geomean_speedup_throughput_c2", geomean(c2));
   report.set("summary", std::move(summary));
@@ -524,6 +559,8 @@ std::string validate_bench_report(const Json& report,
     return "schema mismatch: expected " + schema + ", got '" +
            report.at("schema").as_string() + "'";
   }
+  // The paper suite measures results, not speed: it has no speedup columns.
+  const bool paper = schema == kBenchPaperSchema;
   const Json::Array& entries = report.at("entries").as_array();
   if (entries.empty()) return "no entries";
   for (const Json& entry : entries) {
@@ -537,15 +574,20 @@ std::string validate_bench_report(const Json& report,
         }
         has_speedup = true;
       }
+      if (ends_with(key, "_equivalent") && !value.as_bool()) {
+        return circuit + ": not equivalent (" + key + "=false)";
+      }
     }
-    if (!has_speedup) return circuit + ": no speedup column";
+    if (!has_speedup && !paper) return circuit + ": no speedup column";
     // A bench where the engines disagreed measured two different
     // computations; the numbers are meaningless.
     if (!entry.at("identical").as_bool()) {
-      return circuit + ": engines diverged (identical=false)";
+      const std::string& error = entry.at("error").as_string();
+      return circuit + ": " +
+             (error.empty() ? "engines diverged (identical=false)" : error);
     }
   }
-  if (report.at("summary").at("geomean_speedup").as_number() <= 0) {
+  if (!paper && report.at("summary").at("geomean_speedup").as_number() <= 0) {
     return "summary missing geomean_speedup";
   }
   return "";
@@ -562,23 +604,12 @@ std::vector<std::string> bench_regressions(const Json& current,
                           schema + "'");
     return regressions;
   }
-  const bool window = schema == kBenchWindowSchema;
   const double floor_ratio = 1.0 - max_regress;
   const auto check = [&](const std::string& label, const Json& cur_obj,
                          const Json& base_obj) {
     for (const auto& [key, base_value] : base_obj.as_object()) {
-      // The window suite gates its solver outputs and work counters; its
-      // speedups time two engines that each get faster on their own, so
-      // they are reported only. Elsewhere per-entry columns are
-      // "speedup[_*]" and the summary's is "geomean_speedup": gate anything
-      // carrying a speedup ratio.
-      const bool period =
-          window && (key == "period_monolithic" || key == "period_windowed");
-      const bool counter = window && key.rfind("monolithic_", 0) == 0 &&
-                           key != "monolithic_seconds";
-      const bool ratio =
-          !window && key.find("speedup") != std::string::npos;
-      if (!(period || counter || ratio) || !base_value.is_number()) continue;
+      const Gate gate = gate_for(schema, key);
+      if (gate == Gate::kNone || !base_value.is_number()) continue;
       const Json* cur_value = cur_obj.find(key);
       if (cur_value == nullptr || !cur_value->is_number()) {
         regressions.push_back(label + ": column " + key +
@@ -588,15 +619,15 @@ std::vector<std::string> bench_regressions(const Json& current,
       const double base = base_value.as_number();
       const double cur = cur_value->as_number();
       char buf[160];
-      if (period && cur != base) {
+      if (gate == Gate::kExact && cur != base) {
         std::snprintf(buf, sizeof(buf), "%s: %s changed %.0f -> %.0f",
                       label.c_str(), key.c_str(), base, cur);
         regressions.emplace_back(buf);
-      } else if (counter && cur > base) {
+      } else if (gate == Gate::kNoRise && cur > base) {
         std::snprintf(buf, sizeof(buf), "%s: %s rose %.0f -> %.0f",
                       label.c_str(), key.c_str(), base, cur);
         regressions.emplace_back(buf);
-      } else if (ratio && cur < base * floor_ratio) {
+      } else if (gate == Gate::kRatio && cur < base * floor_ratio) {
         std::snprintf(buf, sizeof(buf),
                       "%s: %s regressed %.2fx -> %.2fx (floor %.2fx)",
                       label.c_str(), key.c_str(), base, cur,

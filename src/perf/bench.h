@@ -1,10 +1,15 @@
 // Benchmark harness: pinned workload suites emitted as schema-versioned
-// JSON so the perf trajectory is tracked in-repo (BENCH_window.json and
-// BENCH_cslow.json at the repo root, regenerated by
-// tools/update_bench_baseline.sh). The paper's end-to-end flow is measured
-// separately, by the flowbench/ package that BENCHMARK.json runs.
+// JSON so the perf trajectory is tracked in-repo (BENCH_paper.json,
+// BENCH_window.json and BENCH_cslow.json at the repo root, regenerated by
+// tools/update_bench_baseline.sh). flowbench/, which BENCHMARK.json runs,
+// times the paper's flow end to end and per layer on scaled designs.
 //
-// Two reports:
+// Three reports:
+//  - paper: the paper's §6 evidence — Tables 1-3, Figs. 1, 4 and 5, the
+//    area/period trade-off and the class-count ablation — on the
+//    paper_suite() circuits and two fixed-netlist sweeps
+//    (BENCH_paper.json; src/perf/paper_bench.cpp lists the columns). Table
+//    2 and 3 rows are verified sequentially equivalent to their input.
 //  - window: retime_windowed's label solve vs the monolithic minperiod
 //    solver on workload::scaled_profile designs (BENCH_window.json). Small
 //    entries run the monolithic solver to completion and record its
@@ -33,18 +38,20 @@
 //    peripheral retiming could do better) — and excluded from the
 //    headline geomean, which measures the recoverable rest.
 //
-// Every entry is also *verified* (legal stitched labels and period
-// dominance for window; stream equivalence and the period floor for
-// cslow), so a bench run doubles as a coarse-grained differential —
-// `identical` is part of the schema and validate_bench_report() rejects
-// documents where any entry failed its check.
+// Every entry is also *verified* (equivalence for paper; legal stitched
+// labels and period dominance for window; stream equivalence and the
+// period floor for cslow), so a bench run doubles as a coarse-grained
+// differential — `identical` is part of the schema and
+// validate_bench_report() rejects documents where any entry failed its
+// check.
 //
 // Regression gating never compares wall-clock, so the committed baselines
-// are machine-independent. The window suite is gated on exact periods and
-// on its work counters, which may not rise; its wall-clock speedup is
-// reported only, because it shrinks whenever the monolithic solver gets
-// faster. The cslow ratios are deterministic solver outputs and are gated
-// as ratios.
+// are machine-independent. The paper suite is gated on its Table 1-3
+// columns: delays exact, FF and LUT counts may not rise. The window suite
+// is gated on exact periods and on its work counters, which may not rise;
+// its wall-clock speedup is reported only, because it shrinks whenever the
+// monolithic solver gets faster. The cslow ratios are deterministic solver
+// outputs and are gated as ratios.
 #pragma once
 
 #include <cstdint>
@@ -55,6 +62,7 @@
 
 namespace mcrt {
 
+inline constexpr const char* kBenchPaperSchema = "mcrt-bench-paper/1";
 inline constexpr const char* kBenchWindowSchema = "mcrt-bench-window/1";
 inline constexpr const char* kBenchCslowSchema = "mcrt-bench-cslow/1";
 
@@ -66,6 +74,10 @@ struct BenchOptions {
   std::uint64_t seed = 1;
 };
 
+/// Runs the paper suite; returns a kBenchPaperSchema document. Quick and
+/// full mode run the same suite.
+Json run_paper_bench(const BenchOptions& options);
+
 /// Runs the windowed-vs-monolithic retiming benchmark; returns a
 /// kBenchWindowSchema document. Quick mode keeps the uncapped entries only
 /// (minutes -> seconds); the full run adds the capped 1e5-gate headline.
@@ -76,18 +88,27 @@ Json run_window_bench(const BenchOptions& options);
 /// headline aggregate-throughput multiplier at C=2 (contract: >= 1.5).
 Json run_cslow_bench(const BenchOptions& options);
 
+/// A bench document: schema, options, `entries` and a summary with the
+/// entry count, the geomean of the speedup columns (if any) and whether
+/// every entry is identical.
+Json assemble_bench_report(const char* schema, const BenchOptions& options,
+                           int reps, Json::Array entries);
+
 /// Structural check of a bench document against `schema` (one of the
-/// constants above): entries present, speedup columns numeric, every entry
+/// constants above): entries present, speedup columns numeric (and present
+/// outside the paper suite), no `*_equivalent` column false, every entry
 /// verified identical. Returns "" when valid, else a description.
 std::string validate_bench_report(const Json& report,
                                   const std::string& schema);
 
 /// Compares `current` against `baseline`; a circuit missing from
-/// `current` is a regression. Window reports: a period_monolithic or
-/// period_windowed that differs from the baseline, or a monolithic_*
-/// work counter above it. Other reports: any speedup column (per circuit
-/// or in the summary) below baseline * (1 - max_regress). Returns
-/// human-readable descriptions; empty = no regression.
+/// `current` is a regression. Paper reports: a t1_/t2_/t3_ delay that
+/// differs from the baseline, or such an FF or LUT count above it. Window
+/// reports: a period_monolithic or period_windowed that differs from the
+/// baseline, or a monolithic_* work counter above it. Other reports: any
+/// speedup column (per circuit or in the summary) below
+/// baseline * (1 - max_regress). Returns human-readable descriptions;
+/// empty = no regression.
 std::vector<std::string> bench_regressions(const Json& current,
                                            const Json& baseline,
                                            double max_regress);

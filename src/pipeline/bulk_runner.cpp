@@ -43,11 +43,6 @@ void BulkRunner::run_one(const BulkJob& job, BulkJobResult& out) const {
 
 BulkReport BulkRunner::run(const std::vector<BulkJob>& jobs) const {
   ThreadPool pool(options_.jobs);
-  return run(jobs, pool);
-}
-
-BulkReport BulkRunner::run(const std::vector<BulkJob>& jobs,
-                           ThreadPool& pool) const {
   BulkReport report;
   report.script = script_;
   report.jobs = pool.worker_count();

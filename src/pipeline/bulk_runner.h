@@ -143,9 +143,6 @@ class BulkRunner {
 
   /// Runs the batch on an internal pool of options.jobs workers.
   [[nodiscard]] BulkReport run(const std::vector<BulkJob>& jobs) const;
-  /// Same, sharing a caller-owned pool (jobs option ignored).
-  [[nodiscard]] BulkReport run(const std::vector<BulkJob>& jobs,
-                               ThreadPool& pool) const;
 
  private:
   void run_one(const BulkJob& job, BulkJobResult& out) const;

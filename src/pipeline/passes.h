@@ -120,13 +120,6 @@ class RetimePass final : public Pass {
   /// LUTs given delay 10 (matching the legacy `mcrt retime` subcommand).
   /// `windowed` selects the `retime-windowed` driver.
   explicit RetimePass(bool windowed = false) : windowed_(windowed) {}
-  /// Programmatic use (benches): full options, and by default no delay
-  /// rewriting — mapped netlists already carry the mapper's delays.
-  explicit RetimePass(McRetimeOptions options,
-                      std::int64_t default_lut_delay = 0)
-      : default_lut_delay_(default_lut_delay) {
-    options_.base = options;
-  }
   [[nodiscard]] std::string_view name() const override {
     return windowed_ ? "retime-windowed" : "retime";
   }

@@ -181,13 +181,8 @@ void Session::unregister_request(const std::string& id) {
 }
 
 void Session::run_job(JobRequest request, std::shared_ptr<CancelToken> token) {
-  // The admission slot claimed in handle_frame is held for the whole job.
-  struct AdmissionSlot {
-    RetimingServer& server;
-    const std::string& tenant;
-    ~AdmissionSlot() { server.admission().release(tenant); }
-  } slot{server_, request.tenant};
-
+  // The admission slot claimed in handle_frame is held for the whole job;
+  // every path below ends in exactly one finish_job(), which releases it.
   const std::string name = job_name_for(request);
   BulkJobResult result;
   result.name = name;
@@ -373,9 +368,11 @@ void Session::finish_job(const JobRequest& request,
   BulkJsonOptions json;
   json.canonical = request.options.canonical;
   const std::string job_json = bulk_job_result_to_json(result, json);
-  // Count before the terminal frame goes out: a client that has seen its
-  // result must never read stats that don't include it yet.
+  // Count and release the admission slot before the terminal frame goes
+  // out: a client that has seen its result must never read stats that
+  // don't include it, nor see it still in flight.
   server_.note_job_finished(result.status, cached);
+  server_.admission().release(request.tenant);
   (void)send_frame(make_result_frame(
       request.id, result, cached, job_json,
       request.options.return_blif ? blif : nullptr));

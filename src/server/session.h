@@ -67,8 +67,8 @@ class Session {
   /// Serves `request` from `cached`, re-stamping the job identity and
   /// honoring a server-side output write.
   void serve_cached(const JobRequest& request, CachedResult cached);
-  /// Streams a finished job's diagnostics and result frame and updates the
-  /// server counters.
+  /// Streams a finished job's diagnostics and result frame, updates the
+  /// server counters and releases the job's admission slot.
   void finish_job(const JobRequest& request, const BulkJobResult& result,
                   bool cached, const std::string* blif);
 

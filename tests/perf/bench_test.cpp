@@ -169,6 +169,95 @@ TEST(BenchRegressionTest, WindowSpeedupReportedNotGated) {
   EXPECT_TRUE(bench_regressions(current, baseline, 0.20).empty());
 }
 
+// A paper entry: the gated Table 1-3 columns, both equivalence verdicts and
+// an ungated figure column.
+Json paper_entry(const char* circuit) {
+  Json e = Json::object();
+  e.set("circuit", circuit);
+  for (const std::string table : {"t1", "t2", "t3"}) {
+    e.set(table + "_ff", std::size_t{30});
+    e.set(table + "_lut", std::size_t{68});
+    e.set(table + "_delay", std::int64_t{50});
+  }
+  e.set("t2_equivalent", true);
+  e.set("t3_equivalent", true);
+  e.set("fig4_nosharing_physical", std::size_t{43});
+  e.set("identical", true);
+  return e;
+}
+
+Json paper_report(std::initializer_list<Json> entries) {
+  return assemble_bench_report(kBenchPaperSchema, BenchOptions{}, 1,
+                               Json::Array(entries));
+}
+
+Json with(Json entry, const char* key, Json value) {
+  entry.set(key, std::move(value));
+  return entry;
+}
+
+TEST(BenchPaperTest, ReportWithoutSpeedupColumnsValidates) {
+  const Json doc = paper_report({paper_entry("C1"), paper_entry("C2")});
+  EXPECT_FALSE(doc.at("summary").has("geomean_speedup"));
+  EXPECT_EQ(validate_bench_report(doc, kBenchPaperSchema), "");
+  // Other suites still require their speedup columns.
+  Json other = doc;
+  other.set("schema", kBenchCslowSchema);
+  EXPECT_NE(validate_bench_report(other, kBenchCslowSchema), "");
+}
+
+TEST(BenchPaperTest, NonEquivalentRowRejected) {
+  for (const char* key : {"t2_equivalent", "t3_equivalent"}) {
+    // Rejected even when the entry still claims identical=true.
+    const Json doc =
+        paper_report({paper_entry("C1"), with(paper_entry("C2"), key, false)});
+    const std::string problem = validate_bench_report(doc, kBenchPaperSchema);
+    EXPECT_NE(problem.find("C2"), std::string::npos) << problem;
+    EXPECT_NE(problem.find(key), std::string::npos) << problem;
+  }
+}
+
+TEST(BenchPaperTest, ChangedDelayFlagged) {
+  const Json baseline = paper_report({paper_entry("C1")});
+  // A better delay is still a change: the flow answered differently.
+  for (const std::int64_t delay : {40, 60}) {
+    const Json current =
+        paper_report({with(paper_entry("C1"), "t2_delay", delay)});
+    const auto regressions = bench_regressions(current, baseline, 0.20);
+    ASSERT_EQ(regressions.size(), 1u) << delay;
+    EXPECT_NE(regressions[0].find("t2_delay"), std::string::npos);
+  }
+}
+
+TEST(BenchPaperTest, CountAboveBaselineFlagged) {
+  const Json baseline = paper_report({paper_entry("C1")});
+  for (const char* key : {"t1_ff", "t2_lut", "t3_ff", "t3_lut"}) {
+    const Json current =
+        paper_report({with(paper_entry("C1"), key, std::size_t{69})});
+    const auto regressions = bench_regressions(current, baseline, 0.20);
+    ASSERT_EQ(regressions.size(), 1u) << key;
+    EXPECT_NE(regressions[0].find(key), std::string::npos);
+  }
+}
+
+TEST(BenchPaperTest, LowerCountAndFigureColumnsNotFlagged) {
+  const Json baseline = paper_report({paper_entry("C1")});
+  Json current = with(paper_entry("C1"), "t2_ff", std::size_t{12});
+  current = with(current, "t3_lut", std::size_t{10});
+  // Figure and ablation columns are reported, not gated.
+  current = with(current, "fig4_nosharing_physical", std::size_t{99});
+  EXPECT_TRUE(
+      bench_regressions(paper_report({current}), baseline, 0.20).empty());
+}
+
+TEST(BenchPaperTest, MissingCircuitFlagged) {
+  const Json baseline = paper_report({paper_entry("C1"), paper_entry("C2")});
+  const Json current = paper_report({paper_entry("C1")});
+  const auto regressions = bench_regressions(current, baseline, 0.20);
+  ASSERT_EQ(regressions.size(), 1u);
+  EXPECT_NE(regressions[0].find("C2"), std::string::npos);
+}
+
 TEST(BenchReportTest, PrettyWriterRoundTrips) {
   const Json doc = report({entry("C1", 2.5), entry("C2", 3.0)}, 2.7);
   const std::string text = write_bench_report(doc);

@@ -129,8 +129,8 @@ not read is an error.
           with an explicit --seed it first regenerates that case into <file>
           --plant-bug <spec> sabotages an engine (fuzzer self-tests only)
   bench:  mcrt bench [--quick] [--out-dir D] [--seed S] [--baseline <dir>
-          --max-regress <frac=0.20>]: windowed and C-slow benchmarks,
-          writes BENCH_window.json and BENCH_cslow.json
+          --max-regress <frac=0.20>]: paper tables/figures, windowed and
+          C-slow benchmarks, writes BENCH_{paper,window,cslow}.json
   serve:  mcrt serve (--socket <path> | --port <n>) [--jobs N] [--cache-mb M]
           [--disk-cache-dir D --disk-cache-mb M --disk-cache-ttl-s S]
           [--max-inflight N --retry-after-ms MS]: retiming daemon with a
@@ -503,6 +503,7 @@ int cmd_bench(const BenchFlags& flags, std::uint64_t seed,
     Json (*run)(const BenchOptions&);
   };
   const Suite suites[] = {
+      {"paper", kBenchPaperSchema, "BENCH_paper.json", run_paper_bench},
       {"window", kBenchWindowSchema, "BENCH_window.json", run_window_bench},
       {"cslow", kBenchCslowSchema, "BENCH_cslow.json", run_cslow_bench}};
   std::vector<Json> reports;
@@ -515,20 +516,29 @@ int cmd_bench(const BenchFlags& flags, std::uint64_t seed,
       diag.error("bench", std::string(suite.label) + ": " + problem);
       return 1;
     }
+    // Speedup columns, or the Table 2 columns of the paper suite.
     for (const Json& entry : report.at("entries").as_array()) {
       std::string line =
-          str_format("  %-8s", entry.at("circuit").as_string().c_str());
+          str_format("  %-11s", entry.at("circuit").as_string().c_str());
       for (const auto& [key, value] : entry.as_object()) {
         if (key.rfind("speedup", 0) == 0) {
           line += str_format(" %s=%.2fx", key.c_str(), value.as_number());
+        } else if (key == "t2_ff" || key == "t2_lut" || key == "t2_delay") {
+          line += str_format(" %s=%lld", key.c_str(),
+                             static_cast<long long>(value.as_int()));
         }
       }
       std::printf("%s\n", line.c_str());
     }
-    std::printf("  geomean %.2fx over %lld circuits\n",
-                report.at("summary").at("geomean_speedup").as_number(),
-                static_cast<long long>(
-                    report.at("summary").at("circuits").as_int()));
+    const Json& summary = report.at("summary");
+    if (const Json* geomean = summary.find("geomean_speedup")) {
+      std::printf("  geomean %.2fx over %lld circuits\n", geomean->as_number(),
+                  static_cast<long long>(summary.at("circuits").as_int()));
+    } else {
+      std::printf("  Table 2 vs Table 1: Rlut %.2f, Rdelay %.2f\n",
+                  summary.at("rlut").as_number(),
+                  summary.at("rdelay").as_number());
+    }
     if (!write_bench_file(report, flags, "bench", suite.file_name, diag)) {
       return 1;
     }

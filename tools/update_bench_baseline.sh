@@ -1,17 +1,20 @@
 #!/bin/sh
 # Regenerates the committed bench documents:
-#   BENCH_window.json / BENCH_cslow.json / BENCH_serve.json
+#   BENCH_paper.json / BENCH_window.json / BENCH_cslow.json / BENCH_serve.json
 #                                        full-suite perf trajectory (repo root;
-#                                        the window report's headline entry runs
-#                                        a deadline-capped monolithic solve and
-#                                        takes a few minutes)
+#                                        the paper suite is the same in both
+#                                        modes; the window report's headline
+#                                        entry runs a deadline-capped
+#                                        monolithic solve and takes a few
+#                                        minutes)
 #   bench/baseline/BENCH_*.json          quick-suite baseline for CI's
 #                                        bench-smoke and serve-chaos gates
 #
-# Run from the repo root on a quiet machine. The CI gates compare periods,
-# work counters and speedup *ratios*, never wall-clock, so the baseline
-# does not need to come from CI hardware — but it must come from the
-# default (RelWithDebInfo) build, matching what bench-smoke configures.
+# Run from the repo root on a quiet machine. The CI gates compare delays,
+# FF/LUT counts, periods, work counters and speedup *ratios*, never
+# wall-clock, so the baseline does not need to come from CI hardware — but
+# it must come from the default (RelWithDebInfo) build, matching what
+# bench-smoke configures.
 #
 #   sh tools/update_bench_baseline.sh [build-dir]
 set -eu
@@ -32,8 +35,10 @@ mkdir -p "$repo_root/bench/baseline"
 "$build_dir/tools/mcrt" loadtest --quick --out-dir "$repo_root/bench/baseline"
 
 echo "Updated:"
-for doc in BENCH_window.json BENCH_cslow.json BENCH_serve.json; do
+for doc in BENCH_paper.json BENCH_window.json BENCH_cslow.json \
+    BENCH_serve.json; do
   echo "  $repo_root/$doc"
   echo "  $repo_root/bench/baseline/$doc"
 done
-echo "Review the periods, counters and speedup columns, then commit all six files."
+echo "Review the delays, counts, periods, counters and speedup columns, then"
+echo "commit all eight files."
