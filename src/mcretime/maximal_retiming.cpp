@@ -1,71 +1,118 @@
 #include "mcretime/maximal_retiming.h"
 
 #include <deque>
+#include <optional>
+#include <utility>
 
 namespace mcrt {
 namespace {
 
-/// Runs one maximal-retiming phase. `backward` selects direction. Returns
-/// per-vertex move counts; counts capped at `cap` are reported as such and
-/// flagged in `capped_vertices`.
-std::vector<std::int64_t> run_phase(McGraph& graph, bool backward,
+/// One edge's registers as a FIFO running in the phase's direction: the
+/// live registers are regs[head..], the head is the end a step consumes at
+/// and new registers are appended at the end a step produces at.
+struct RegQueue {
+  std::vector<McReg> regs;
+  std::size_t head = 0;
+
+  [[nodiscard]] bool empty() const { return head == regs.size(); }
+  [[nodiscard]] ClassId front_class() const { return regs[head].cls; }
+  void pop() {
+    // Drop the consumed prefix once it outgrows the live part; a compaction
+    // moves fewer registers than the pops since the last one.
+    ++head;
+    if (head > regs.size() - head) {
+      regs.erase(regs.begin(),
+                 regs.begin() + static_cast<std::ptrdiff_t>(head));
+      head = 0;
+    }
+  }
+  /// The live registers, head first.
+  [[nodiscard]] std::vector<McReg> take() && {
+    regs.erase(regs.begin(), regs.begin() + static_cast<std::ptrdiff_t>(head));
+    return std::move(regs);
+  }
+};
+
+/// Runs one maximal-retiming phase over `queues` (one per edge of `graph`,
+/// oriented as in RegQueue). A backward step consumes at the source end of
+/// every fanout edge and produces at the sink end of every fanin edge; a
+/// forward step consumes at the sink end of the fanins and produces at the
+/// source end of the fanouts. `fresh_uid` names each produced register, in
+/// produced-edge order. Returns per-vertex move counts; a vertex still
+/// movable after `cap` moves rotates a compatible cycle and is flagged in
+/// `capped_vertices`.
+template <typename FreshUid>
+std::vector<std::int64_t> run_phase(const McGraph& graph, bool backward,
                                     std::int64_t cap,
+                                    std::vector<RegQueue>& queues,
                                     std::vector<bool>& capped_vertices,
-                                    bool& hit_cap) {
+                                    bool& hit_cap, FreshUid fresh_uid) {
   const std::size_t n = graph.vertex_count();
+  const Digraph& g = graph.digraph();
   std::vector<std::int64_t> count(n, 0);
   capped_vertices.assign(n, false);
 
-  std::deque<std::uint32_t> queue;
-  std::vector<bool> in_queue(n, false);
-  for (std::size_t v = 1; v < n; ++v) {
-    queue.push_back(static_cast<std::uint32_t>(v));
-    in_queue[v] = true;
-  }
-  const Digraph& g = graph.digraph();
-
-  auto push = [&](VertexId v) {
-    if (!in_queue[v.index()]) {
-      in_queue[v.index()] = true;
-      queue.push_back(v.value());
+  auto consumed = [&](VertexId v) {
+    return backward ? g.out_edges(v) : g.in_edges(v);
+  };
+  auto produced = [&](VertexId v) {
+    return backward ? g.in_edges(v) : g.out_edges(v);
+  };
+  // The class of the layer a step at v would move, or nullopt (McGraph's
+  // backward/forward_step_class on the queues).
+  auto step_class = [&](VertexId v) -> std::optional<ClassId> {
+    const McVertexKind k = graph.kind(v);
+    if (k != McVertexKind::kGate && k != McVertexKind::kSeparator) {
+      return std::nullopt;
     }
+    // A vertex without produced edges (e.g. a constant generator moving
+    // backward) would delete the layer without replacement.
+    if (consumed(v).empty() || produced(v).empty()) return std::nullopt;
+    std::optional<ClassId> cls;
+    for (const EdgeId e : consumed(v)) {
+      const RegQueue& q = queues[e.index()];
+      if (q.empty() || (cls && *cls != q.front_class())) return std::nullopt;
+      cls = q.front_class();
+    }
+    return cls;
   };
 
-  while (!queue.empty()) {
-    const VertexId v{queue.front()};
-    queue.pop_front();
-    in_queue[v.index()] = false;
+  std::deque<std::uint32_t> worklist;
+  std::vector<bool> in_worklist(n, false);
+  for (std::size_t v = 1; v < n; ++v) {
+    worklist.push_back(static_cast<std::uint32_t>(v));
+    in_worklist[v] = true;
+  }
+
+  while (!worklist.empty()) {
+    const VertexId v{worklist.front()};
+    worklist.pop_front();
+    in_worklist[v.index()] = false;
     if (capped_vertices[v.index()]) continue;
-    bool moved = false;
-    while (count[v.index()] < cap) {
-      const auto cls = backward ? graph.backward_step_class(v)
-                                : graph.forward_step_class(v);
-      if (!cls) break;
-      if (backward) {
-        graph.apply_backward_step(v);
-      } else {
-        graph.apply_forward_step(v);
+    std::int64_t& moves = count[v.index()];
+    const std::int64_t moves_before = moves;
+    std::optional<ClassId> cls = step_class(v);
+    for (; cls && moves < cap; ++moves, cls = step_class(v)) {
+      for (const EdgeId e : consumed(v)) queues[e.index()].pop();
+      for (const EdgeId e : produced(v)) {
+        McReg reg;
+        reg.cls = *cls;
+        reg.uid = fresh_uid();
+        queues[e.index()].regs.push_back(reg);
       }
-      ++count[v.index()];
-      moved = true;
     }
-    if (count[v.index()] >= cap) {
+    if (cls) {
       // Still movable at the cap: the vertex rotates a compatible cycle.
-      const auto cls = backward ? graph.backward_step_class(v)
-                                : graph.forward_step_class(v);
-      if (cls) {
-        capped_vertices[v.index()] = true;
-        hit_cap = true;
-      }
+      capped_vertices[v.index()] = true;
+      hit_cap = true;
     }
-    if (moved) {
-      // A backward move feeds the sources of v's fanin edges (their fanout
-      // edges gained registers); a forward move feeds the sinks of v's
-      // fanout edges.
-      if (backward) {
-        for (const EdgeId e : g.in_edges(v)) push(g.from(e));
-      } else {
-        for (const EdgeId e : g.out_edges(v)) push(g.to(e));
+    if (moves == moves_before) continue;
+    // The far ends of the produced edges gained registers to consume.
+    for (const EdgeId e : produced(v)) {
+      const VertexId u = backward ? g.from(e) : g.to(e);
+      if (!in_worklist[u.index()]) {
+        in_worklist[u.index()] = true;
+        worklist.push_back(u.value());
       }
     }
   }
@@ -77,6 +124,7 @@ std::vector<std::int64_t> run_phase(McGraph& graph, bool backward,
 MaximalRetimingResult compute_mc_bounds(const McGraph& graph) {
   MaximalRetimingResult result;
   const std::size_t n = graph.vertex_count();
+  const std::size_t m = graph.digraph().edge_count();
   const std::int64_t cap =
       static_cast<std::int64_t>(graph.total_edge_registers()) +
       static_cast<std::int64_t>(n) + 2;
@@ -84,25 +132,41 @@ MaximalRetimingResult compute_mc_bounds(const McGraph& graph) {
   McBounds& bounds = result.bounds;
   bounds.r_max.assign(n, 0);
   bounds.r_min.assign(n, 0);
+  std::vector<bool> capped;
 
-  // Backward phase (keeps the retimed copy for the sharing modifier).
-  result.backward_graph = graph;
+  // Backward phase: the queues run source to sink, i.e. in sequence order,
+  // and are written back as the retimed copy for the sharing modifier.
   {
-    std::vector<bool> capped;
+    McGraph& backward_graph = result.backward_graph;
+    backward_graph = graph;
+    std::vector<RegQueue> queues(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      queues[e].regs = std::move(
+          backward_graph.regs_mutable(EdgeId{static_cast<std::uint32_t>(e)}));
+    }
     const auto count =
-        run_phase(result.backward_graph, /*backward=*/true, cap, capped,
-                  bounds.hit_cap);
+        run_phase(graph, /*backward=*/true, cap, queues, capped,
+                  bounds.hit_cap, [&] { return backward_graph.fresh_uid(); });
     for (std::size_t v = 0; v < n; ++v) {
       bounds.r_max[v] = capped[v] ? McBounds::kUnbounded : count[v];
       bounds.possible_steps += static_cast<std::size_t>(count[v]);
     }
+    for (std::size_t e = 0; e < m; ++e) {
+      backward_graph.regs_mutable(EdgeId{static_cast<std::uint32_t>(e)}) =
+          std::move(queues[e]).take();
+    }
   }
-  // Forward phase on a fresh copy.
+  // Forward phase: the queues run sink to source (reversed sequences). Its
+  // registers are discarded, so they need no uids.
   {
-    McGraph forward_graph = graph;
-    std::vector<bool> capped;
-    const auto count = run_phase(forward_graph, /*backward=*/false, cap,
-                                 capped, bounds.hit_cap);
+    std::vector<RegQueue> queues(m);
+    for (std::size_t e = 0; e < m; ++e) {
+      const auto& regs = graph.regs(EdgeId{static_cast<std::uint32_t>(e)});
+      queues[e].regs.assign(regs.rbegin(), regs.rend());
+    }
+    const auto count =
+        run_phase(graph, /*backward=*/false, cap, queues, capped,
+                  bounds.hit_cap, [] { return std::uint32_t{0}; });
     for (std::size_t v = 0; v < n; ++v) {
       bounds.r_min[v] = capped[v] ? -McBounds::kUnbounded : -count[v];
       bounds.possible_steps += static_cast<std::size_t>(count[v]);

@@ -1,19 +1,26 @@
 // Maximal backward/forward retiming: the mc-retiming bounds (paper §4.1).
 //
-// On a scratch copy of the mc-graph, registers are moved backward by valid
-// mc-steps until no vertex can move; the number of layers moved across each
-// vertex is the backward bound r_max^mc(v). Symmetrically forward for
-// r_min^mc(v). Reset values are ignored (paper's design decision: the
-// bounds stay unique; justification failures are handled when implementing
-// the solution).
+// Registers are moved backward by valid mc-steps until no vertex can move;
+// the number of layers moved across each vertex is the backward bound
+// r_max^mc(v). Symmetrically forward for r_min^mc(v). Reset values are
+// ignored (paper's design decision: the bounds stay unique; justification
+// failures are handled when implementing the solution).
+//
+// Each phase holds every edge's registers in a FIFO queue oriented in the
+// phase's direction (source end first when moving backward, sink end first
+// when moving forward). A step at v pops the head of each consumed edge and
+// appends one fresh register to each produced edge, so a phase costs
+// O(n + m + possible_steps x degree) and allocates only as queues grow.
 //
 // Termination: on an acyclic movement structure no vertex can move more
-// than R (total registers) layers; a vertex exceeding R lies on a rotating
-// cycle of compatible registers and is *unbounded* (no class constraint —
-// exactly basic-retiming semantics, e.g. the whole circuit in a single-
-// class design with feedback). Such vertices are capped and marked; all
-// other counts are exact or conservative (never too large), so the derived
-// constraints are always sound.
+// than R (total registers) layers; a vertex still movable after
+// cap = R + n + 2 moves lies on a rotating cycle of compatible registers
+// and is *unbounded* (no class constraint -- exactly basic-retiming
+// semantics, e.g. the whole circuit in a single-class design with
+// feedback). Such vertices are capped and marked; all other counts are
+// exact or conservative (never too large), so the derived constraints are
+// always sound. The cap is still what stops a rotating ring: a design whose
+// whole fanin cone rotates steps every vertex of that cone `cap` times.
 #pragma once
 
 #include <cstdint>
