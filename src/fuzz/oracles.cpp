@@ -409,17 +409,18 @@ OracleVerdict mono_vs_windowed(const FuzzCase& c,
 
 // --- production engines vs independent references ---------------------------
 
-/// Leg 2: CSR FEAS min-period vs Leiserson-Saxe's W/D period constraints
-/// solved by Bellman-Ford, on the case's lowered graph with its bounds
-/// dropped (FEAS solves the unbounded problem). The FEAS optimum must be
-/// the smallest candidate period the W/D check accepts.
+/// Leg 2: bounded FEAS min-period vs Leiserson-Saxe's W/D period
+/// constraints solved by SPFA, on the case's lowered graph with its class
+/// bounds. The FEAS optimum must be the smallest candidate period the W/D
+/// check accepts, and the labels there must be the W/D check's: both
+/// return the greatest solution <= 0.
 void check_minperiod_vs_wd(const FuzzCase& c, const OracleOptions& options,
                            OracleVerdict& v) {
   Netlist delayed = c.netlist;
   set_default_lut_delays(delayed, 10);  // the retime pass's d=10
   const McPrepared prepared = prepare_mc_graph(delayed, McRetimeOptions{});
   const RetimeGraph graph =
-      lower_to_retime_graph(prepared.graph, prepared.bounds).without_bounds();
+      lower_to_retime_graph(prepared.graph, prepared.bounds);
   const RetimeSolution feas =
       minperiod_retime(graph, FeasImpl::kCsr, options.cancel);
   const std::string illegal = graph.check_legal(feas.r);
@@ -436,16 +437,17 @@ void check_minperiod_vs_wd(const FuzzCase& c, const OracleOptions& options,
       candidate_periods(graph, options.cancel);
   const auto at =
       std::lower_bound(candidates.begin(), candidates.end(), feas.period);
-  const bool accepted =
-      bounded_feasible(graph, feas.period, nullptr, options.cancel)
-          .has_value();
+  const auto wd = bounded_feasible(graph, feas.period, nullptr, options.cancel);
   const bool below_rejected =
       at == candidates.begin() ||
       !bounded_feasible(graph, *(at - 1), nullptr, options.cancel);
-  add_leg(v, "minperiod-vs-wd", accepted && below_rejected,
-          str_format("FEAS optimum %lld: W/D %s it and %s the candidate below",
+  const bool same_labels = wd && *wd == feas.r;
+  add_leg(v, "minperiod-vs-wd", wd && below_rejected && same_labels,
+          str_format("FEAS optimum %lld: W/D %s it%s and %s the candidate "
+                     "below",
                      static_cast<long long>(feas.period),
-                     accepted ? "accepts" : "rejects",
+                     wd ? "accepts" : "rejects",
+                     !wd || same_labels ? "" : " with other labels",
                      below_rejected ? "rejects" : "accepts"));
   if (v.legs.back().pass) v.legs.back().detail.clear();
 }

@@ -1,6 +1,7 @@
 #include "mcretime/mc_retime.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "mcretime/lower.h"
 #include "mcretime/maximal_retiming.h"
@@ -127,61 +128,49 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
   }
 
   // --- Steps 4-5 under the bounds added so far -----------------------------
-  // Across justification-failure retries the target period usually stays
-  // valid: keep it (and its period-constraint set, which min-area reuses)
-  // unless the new bound makes it infeasible. Retries only tighten bounds,
-  // so one W/D sweep (and one unbounded FEAS optimum, its lower end)
-  // serves every attempt: the table re-prunes under the current bounds.
+  // Across justification-failure retries the period usually stays valid:
+  // each attempt re-probes it with the bounded FEAS and minimizes again
+  // only when the new bound makes it infeasible. Min-area generates the
+  // period constraints once per period and keeps them across retries:
+  // retries only tighten bounds, which keeps every constraint the looser
+  // bounds did not prune valid.
   std::int64_t phi = -1;
   std::vector<DifferenceConstraint> period_constraints;
-  PeriodConstraintTable table;
+  std::int64_t constraints_phi = -1;  // the period they were made for
   const RetimeWorkCounters work_before = retime_work_counters();
   const McResolve solve = [&](const BoundOverlay& overlay, VertexId,
                               std::vector<std::int64_t>& labels) {
     RetimeGraph basic = lower_to_retime_graph(graph, bounds);
     overlay.apply(basic);
     stats.period_before = basic.period();
-    bool have_labels = false;
-    if (phi < 0 && options.target_period > 0) {
-      // Try the requested target first; fall back to minimization if it
-      // is below the minimum feasible period (below the unbounded
-      // optimum, the table's lower end, it certainly is).
-      if (!table.built()) {
-        table.build(basic, unbounded_min_period(basic, options.cancel),
-                    std::max(stats.period_before, options.target_period),
-                    options.cancel);
-      }
-      if (table.covers(options.target_period)) {
-        std::vector<DifferenceConstraint> target_constraints;
-        table.append(basic, options.target_period, target_constraints);
-        if (auto r = bounded_feasible(basic, options.target_period,
-                                      &target_constraints)) {
-          labels = std::move(*r);
-          phi = options.target_period;
-          period_constraints = std::move(target_constraints);
-          have_labels = true;
-        }
-      }
+    // Try the requested target first; fall back to minimization if it is
+    // below the minimum feasible period.
+    std::optional<std::vector<std::int64_t>> probe;
+    if (phi >= 0) {
+      probe = feas_check(basic, phi);
+    } else if (options.target_period > 0) {
+      probe = feas_check(basic, options.target_period);
+      if (probe) phi = options.target_period;
     }
-    if (!have_labels && phi >= 0) {
-      if (auto r = bounded_feasible(basic, phi, &period_constraints)) {
-        labels = std::move(*r);
-        have_labels = true;
-      }
-    }
-    if (!have_labels) {
+    if (probe) {
+      labels = std::move(*probe);
+    } else {
       const RetimeSolution minperiod =
-          minperiod_retime(basic, FeasImpl::kCsr, options.cancel, &table);
+          minperiod_retime(basic, FeasImpl::kCsr, options.cancel);
       if (!minperiod.feasible) {
         return std::string("minperiod retiming infeasible");
       }
       labels = minperiod.r;
       phi = minperiod.period;
-      period_constraints.clear();
-      table.append(basic, phi, period_constraints);
     }
     stats.period_after = phi;
     if (options.objective == McRetimeOptions::Objective::kMinAreaMinPeriod) {
+      if (constraints_phi != phi) {
+        period_constraints.clear();
+        generate_period_constraints(basic, phi, period_constraints,
+                                    options.cancel);
+        constraints_phi = phi;
+      }
       const MinAreaResult minarea =
           minarea_retime(basic, phi, &period_constraints, options.cancel);
       // Infeasible minarea (should not happen) falls back to the feasible

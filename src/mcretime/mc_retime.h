@@ -68,12 +68,13 @@ struct McRetimeStats {
   std::int64_t register_estimate = 0;
   std::size_t attempts = 1;          ///< 1 = no recomputation needed
   /// Deterministic work counters of steps 4-5 over all attempts: all-pairs
-  /// W/D sweeps (one per call: the period constraints are shared across
-  /// min-period probes, min-area and relocation retries) and feasibility
-  /// probes (FEAS runs plus difference-constraint solves), with the FEAS
-  /// rounds and difference-constraint relaxations those probes took, and
-  /// the min-cost-flow phases and augmenting paths of the min-area solves.
-  /// retime_windowed() leaves them all 0.
+  /// W/D sweeps (none for min-period, whose probes and retries run the
+  /// bounded FEAS alone; one per period min-area optimizes, its constraints
+  /// kept across relocation retries), feasibility probes (FEAS runs) with
+  /// their rounds, difference-constraint relaxations (0: only the W/D
+  /// reference solves by SPFA), and the min-cost-flow phases and
+  /// augmenting paths of the min-area solves. retime_windowed() leaves
+  /// them all 0.
   RetimeWorkCounters work;
   RelocateStats relocate;
   /// Buckets: "graph" (steps 1-3), "retime" (4-5), "implement" (6).

@@ -1,33 +1,57 @@
-// The FEAS algorithm (Leiserson & Saxe, "Retiming Synchronous Circuitry").
+// The FEAS algorithm (Leiserson & Saxe, "Retiming Synchronous Circuitry"),
+// run in the lowering direction and extended to per-vertex bounds.
 //
-// Decides whether a clock period phi is feasible for an (unbounded)
-// retiming graph in O(V * E): repeatedly compute combinational arrival
-// times under the current tentative retiming and increment r(v) for every
-// vertex whose arrival exceeds phi. After |V| - 1 rounds, phi is feasible
-// iff the retimed clock period is at most phi. The engine iterates over
-// the RetimeGraph's flat CSR view with scratch arrays reused across rounds.
+// Decides whether a clock period phi is feasible in O(V * E): repeatedly
+// compute combinational departure times (the largest delay of a
+// zero-weight path leaving each vertex) under the current tentative
+// retiming and decrement r(u) for every vertex whose departure exceeds
+// phi. Between these timing rounds, every other constraint is repaired by
+// lowering labels to a fixed point:
+//  - legality, r(u) <= r(v) + w(e) for every edge e = u -> v;
+//  - the §4.1 class bounds, which are difference constraints through the
+//    host (paper §5.1): r(v) <= r(host) + r_max(v) and
+//    r(host) <= r(v) - r_min(v), pseudo-edges host -> v and v -> host that
+//    carry no timing.
+// Bounds that exclude 0 (r_min > 0 or r_max < 0, as window retries create)
+// are repaired before the first round. Labels only fall, and each fall is
+// forced by a constraint that every solution r* <= r also meets, so r
+// stays at or above every such solution: the first fixed point is the
+// greatest solution <= 0 of the whole system, normalized to r(host) = 0.
+// That is the solution bounded_feasible() (W/D + SPFA, minperiod.h)
+// returns, so the two agree on labels as well as on verdicts.
 //
-// An infeasible phi is usually rejected long before round |V| - 1, by a
-// parent-cycle certificate (the walk-to-root test of Bellman-Ford
-// labeling methods; Tarjan 1981, Cherkassky-Goldberg 1999). Each raise of
-// r(v) records the vertex u that forced it: the first vertex of v's
-// critical zero-weight path p for a timing increment (tight against
-// r(v) - r(u) >= 1 - w(p), since every period-phi retiming puts a register
-// on p), the edge's tail for a legality repair (tight against
-// r(v) - r(u) >= -w(e)). Each pointer is set by a strict raise, so the
-// constraints around a cycle of pointers sum to more than 0 and no
-// retiming satisfies them. An O(V) walk after every round finds such a
-// cycle; it cannot exist for a feasible phi, so accepted probes are
-// unchanged. The |V| - 1 round bound stays as the backstop: the worst case
-// is still O(V * E). Rounds are counted in retime_work_counters().
+// Rounds. After a repair every retimed path weight is >= 0, so a W/D
+// period constraint r(u) <= r(v) + W(u,v) - 1 is violated by exactly 1
+// when it is violated at all, and its vertex u is then one whose departure
+// exceeds phi. A timing round is thus one Jacobi pass of Bellman-Ford over
+// the period constraints, and a repair runs the circuit and bound
+// constraints to completion. By the Bellman-Ford induction, after k rounds
+// every vertex whose shortest constraint path (from the all-zero start)
+// uses at most k period constraints holds its final label. A feasible
+// system has a simple shortest path to every vertex, with at most |V| - 1
+// edges, so a feasible phi reaches its fixed point within |V| - 1 lowering
+// rounds, bounds or not, and the round after them finds nothing to lower.
+// A phi that still needs a lowering in round |V| is infeasible: this
+// backstop never rejects a feasible phi. The initial bound repair is not
+// a round. Rounds and probes are counted in retime_work_counters().
 //
-// Its independent reference is the W/D formulation: Leiserson-Saxe's
-// period constraints solved by Bellman-Ford (bounded_feasible() in
-// minperiod.h). tests/retime/feas_differential_test.cpp checks that both
-// accept exactly the same periods.
+// An infeasible phi is usually rejected long before that, by a
+// parent-cycle certificate (the walk-to-root test of Bellman-Ford labeling
+// methods; Tarjan 1981, Cherkassky-Goldberg 1999). Each lowering of r(x)
+// records the vertex whose constraint forced it: the last vertex v of x's
+// critical zero-weight path p for a timing decrement (against
+// r(x) - r(v) <= w(p) - 1, since every period-phi retiming puts a register
+// on p), the edge's head for a legality repair, the host for an upper
+// bound and the bounded vertex for a lower bound. Each pointer is set by a
+// strict decrease, so the constraints around a cycle of pointers sum to
+// less than 0 and no retiming satisfies them. An O(V) walk after every
+// round, and every |V| relaxations inside a repair, finds such a cycle; it
+// cannot exist for a feasible phi, so accepted probes are unchanged.
 //
-// FEAS cannot honor per-vertex retiming bounds; the bounded feasibility
-// check lives in minperiod.cpp (difference-constraint formulation).
+// Its independent reference is bounded_feasible(): Leiserson-Saxe's W/D
+// period constraints solved by SPFA. tests/retime/feas_differential_test.cpp
+// checks that both give the same verdict and labels, with and without
+// bounds.
 #pragma once
 
 #include <cstdint>
@@ -43,8 +67,9 @@ namespace mcrt {
 /// library (the flow benchmark) pass FeasImpl::kCsr explicitly.
 enum class FeasImpl { kCsr };
 
-/// Returns the retiming labels achieving period <= phi, or std::nullopt if
-/// phi is infeasible for the graph (ignoring bounds).
+/// Returns the greatest legal labels <= 0 (normalized to r(host) = 0) that
+/// honour the graph's bounds and achieve period <= phi, or std::nullopt if
+/// there are none.
 std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
                                                     std::int64_t phi);
 

@@ -202,82 +202,34 @@ WdLabels compute_wd_from_source(const RetimeGraph& graph, VertexId source) {
   return labels;
 }
 
-void PeriodConstraintTable::build(const RetimeGraph& graph,
-                                  std::int64_t phi_lo, std::int64_t phi_hi,
-                                  const CancelToken* cancel) {
+void generate_period_constraints(const RetimeGraph& graph, std::int64_t phi,
+                                 std::vector<DifferenceConstraint>& out,
+                                 const CancelToken* cancel) {
   const std::size_t n = graph.vertex_count();
-  built_ = false;
-  phi_lo_ = phi_lo;
-  phi_hi_ = phi_hi;
-  offsets_.assign(n + 1, 0);
-  to_.clear();
-  weight_.clear();
-  delay_.clear();
-  candidates_.clear();
-  std::vector<std::int64_t> fresh;
-  std::vector<std::int64_t> scratch;
   sweep_sources(graph, cancel, [&](std::uint32_t u, const WdSweep& sweep) {
     const std::int64_t delay_u = graph.delay(VertexId{u});
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (!sweep.reached(v)) continue;
-      const std::int64_t d = sweep.delay(v);
-      if (phi_lo <= d && d <= phi_hi) fresh.push_back(d);
-      if (v == u) continue;
-      // Emitted at phi iff max(d - d(u), d - d(v)) <= phi < d (before the
-      // bound pruning); keep the pair if that interval meets the range.
-      if (d <= phi_lo ||
-          d - std::min(delay_u, graph.delay(VertexId{v})) > phi_hi) {
-        continue;
-      }
-      to_.push_back(v);
-      weight_.push_back(sweep.weight(v));
-      delay_.push_back(d);
-    }
-    offsets_[u + 1] = static_cast<std::uint32_t>(to_.size());
-    merge_distinct(candidates_, fresh, scratch);
-  });
-  built_ = true;
-}
-
-void PeriodConstraintTable::append(
-    const RetimeGraph& graph, std::int64_t phi,
-    std::vector<DifferenceConstraint>& out) const {
-  if (!covers(phi) || offsets_.size() != graph.vertex_count() + 1) {
-    throw std::logic_error(
-        "period-constraint table does not cover this graph and period");
-  }
-  const std::size_t n = graph.vertex_count();
-  for (std::uint32_t u = 1; u < n; ++u) {
-    const std::int64_t delay_u = graph.delay(VertexId{u});
     const std::int64_t upper_u = graph.upper_bound(VertexId{u});
-    for (std::uint32_t i = offsets_[u]; i < offsets_[u + 1]; ++i) {
-      const std::int64_t d = delay_[i];
+    for (std::uint32_t v = 0; v < n; ++v) {
+      if (!sweep.reached(v) || v == u) continue;
+      const std::int64_t d = sweep.delay(v);
       if (d <= phi) continue;
-      const VertexId v{to_[i]};
+      const VertexId vid{v};
       // Shenoy-Rudell pruning: only minimally violating pairs.
-      if (d - delay_u > phi || d - graph.delay(v) > phi) continue;
+      if (d - delay_u > phi || d - graph.delay(vid) > phi) continue;
       // Maheshwari-Sapatnekar bound pruning (the refinement §5.1 of the
       // paper anticipates): the class bounds already imply
       // r(u) - r(v) <= upper(u) - lower(v); if that is at most W-1 the
       // period constraint is redundant.
-      const std::int64_t lower_v = graph.lower_bound(v);
+      const std::int64_t lower_v = graph.lower_bound(vid);
       if (upper_u < RetimeGraph::kNoBound &&
           lower_v > -RetimeGraph::kNoBound &&
-          upper_u - lower_v <= weight_[i] - 1) {
+          upper_u - lower_v <= sweep.weight(v) - 1) {
         continue;
       }
-      out.push_back({u, v.value(), weight_[i] - 1});
+      out.push_back({u, v, sweep.weight(v) - 1});
     }
-  }
+  });
   append_slow_vertex_markers(graph, phi, out);
-}
-
-void generate_period_constraints(const RetimeGraph& graph, std::int64_t phi,
-                                 std::vector<DifferenceConstraint>& out,
-                                 const CancelToken* cancel) {
-  PeriodConstraintTable table;
-  table.build(graph, phi, phi, cancel);
-  table.append(graph, phi, out);
 }
 
 void generate_period_constraints_unpruned(

@@ -15,13 +15,12 @@
 // constraints, so dropping them preserves the feasible set while
 // shrinking the system drastically.
 //
-// W and D depend only on the graph's edges, weights and delays; phi and
-// the retiming bounds only decide which pairs are emitted. One all-pairs
-// sweep can therefore serve every period in a range and every tightening
-// of the bounds: PeriodConstraintTable keeps the pairs some phi in
-// [phi_lo, phi_hi] could emit and re-applies both prunings on demand.
-// generate_period_constraints() is a one-period table, so the pruning
-// rules exist once.
+// Min-period never needs these constraints: the bounded FEAS of feas.h
+// decides every probe. Min-area does, at the one period it optimizes: a
+// caller generates them once per period and keeps them while the bounds
+// only tighten (the bound pruning drops a pair only when the bounds imply
+// its constraint, and tighter bounds still imply it). The W/D reference
+// bounded_feasible() (minperiod.h) also solves them.
 #pragma once
 
 #include <cstdint>
@@ -49,12 +48,12 @@ struct WdLabels {
 WdLabels compute_wd_from_source(const RetimeGraph& graph, VertexId source);
 
 /// Deterministic work counters of the retiming layer, kept per thread and
-/// only ever incremented: all-pairs W/D sweeps (every table build, so every
-/// generate_period_constraints() call too, plus candidate_periods() and the
-/// unpruned reference), feasibility probes (FEAS runs and bounded
-/// difference-constraint solves of minperiod.h), FEAS rounds (every
-/// feas_check() call), the successful relaxations of those bounded
-/// solves, and the min-cost-flow phases (Dijkstras) and augmenting paths of
+/// only ever incremented: all-pairs W/D sweeps (every
+/// generate_period_constraints() call, plus candidate_periods() and the
+/// unpruned reference), feasibility probes (every feas_check() run and
+/// every bounded_feasible() solve), the timing rounds of those FEAS runs,
+/// the successful relaxations of the bounded_feasible() solves, and the
+/// min-cost-flow phases (Dijkstras) and augmenting paths of
 /// minarea_retime(). A caller measures its own work as the difference across
 /// its calls (operator-); mc_retime reports it in McRetimeStats.
 struct RetimeWorkCounters {
@@ -88,55 +87,12 @@ inline RetimeWorkCounters operator-(RetimeWorkCounters after,
   return after;
 }
 
-/// The result of one all-pairs W/D sweep, restricted to the periods
-/// [phi_lo, phi_hi]. It stores, in CSR by source (targets ascending), only
-/// the pairs (u,v) that some phi in the range could emit: D(u,v) > phi_lo
-/// and D(u,v) - min(d(u), d(v)) <= phi_hi. The bound pruning is not applied
-/// at build time, so the table stays valid when the graph's bounds change,
-/// as long as its vertices, edges, weights and delays do not.
-class PeriodConstraintTable {
- public:
-  /// Runs the sweep (one Dijkstra per non-host source, `cancel` polled once
-  /// per source) and replaces any earlier contents. Requires phi_lo <=
-  /// phi_hi.
-  void build(const RetimeGraph& graph, std::int64_t phi_lo,
-             std::int64_t phi_hi, const CancelToken* cancel = nullptr);
-
-  [[nodiscard]] bool built() const noexcept { return built_; }
-  [[nodiscard]] bool covers(std::int64_t phi) const noexcept {
-    return built_ && phi_lo_ <= phi && phi <= phi_hi_;
-  }
-  /// Distinct path delays D(u,v), single vertices included, that lie in
-  /// [phi_lo, phi_hi], ascending: the only periods at which feasibility
-  /// can change inside the range.
-  [[nodiscard]] const std::vector<std::int64_t>& candidates() const noexcept {
-    return candidates_;
-  }
-
-  /// Appends to `out` exactly what generate_period_constraints(graph, phi)
-  /// emits, in the same order, pruned under `graph`'s current bounds.
-  /// Requires covers(phi) (throws std::logic_error otherwise) and `graph`
-  /// structurally equal to the graph the table was built from.
-  void append(const RetimeGraph& graph, std::int64_t phi,
-              std::vector<DifferenceConstraint>& out) const;
-
- private:
-  bool built_ = false;
-  std::int64_t phi_lo_ = 0;
-  std::int64_t phi_hi_ = 0;
-  std::vector<std::uint32_t> offsets_;  ///< vertex_count + 1, by source
-  std::vector<std::uint32_t> to_;
-  std::vector<std::int64_t> weight_;  ///< W(u,v)
-  std::vector<std::int64_t> delay_;   ///< D(u,v)
-  std::vector<std::int64_t> candidates_;
-};
-
-/// Appends the pruned period constraints for `phi` to `out` (variable ids =
-/// vertex indices). `cancel` (may be null) is polled once per path source:
-/// the generation is one Dijkstra per vertex, the quadratic-ish cost that
-/// dominates large monolithic solves, so it must be interruptible. A
-/// one-period PeriodConstraintTable; callers that need several periods or
-/// bound sets of one graph should keep a table instead.
+/// Appends the period constraints for `phi` to `out` (variable ids = vertex
+/// indices), pruned by Shenoy-Rudell and by the graph's current bounds
+/// (Maheshwari-Sapatnekar), sources ascending and targets ascending per
+/// source. `cancel` (may be null) is polled once per path source: the
+/// generation is one Dijkstra per vertex, the quadratic-ish cost that
+/// dominates large monolithic solves, so it must be interruptible.
 void generate_period_constraints(const RetimeGraph& graph, std::int64_t phi,
                                  std::vector<DifferenceConstraint>& out,
                                  const CancelToken* cancel = nullptr);

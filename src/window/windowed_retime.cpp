@@ -17,9 +17,10 @@ namespace {
 /// Solves one window for minimum period. Robust to bounds that exclude
 /// r = 0 (delta-space justification retries tighten past the current
 /// label): when minperiod's fallback labeling is illegal under the
-/// bounds, walk the candidate periods upward — any achievable period is
-/// an exact path delay, so the scan is exhaustive. nullopt = the window
-/// alone cannot satisfy its bounds (caller escalates).
+/// bounds, walk the candidate periods upward with the bounded FEAS — any
+/// achievable period is an exact path delay, so the scan is exhaustive.
+/// nullopt = the window alone cannot satisfy its bounds (caller
+/// escalates).
 std::optional<std::vector<std::int64_t>> solve_window(
     const RetimeGraph& local, const CancelToken* cancel) {
   const RetimeSolution sol = minperiod_retime(local, FeasImpl::kCsr, cancel);
@@ -27,7 +28,8 @@ std::optional<std::vector<std::int64_t>> solve_window(
   if (local.check_legal(sol.r).empty()) return sol.r;
   for (const std::int64_t phi : candidate_periods(local, cancel)) {
     if (phi < sol.period) continue;
-    if (auto r = bounded_feasible(local, phi, nullptr, cancel)) return r;
+    poll_cancel(cancel);
+    if (auto r = feas_check(local, phi)) return r;
   }
   return std::nullopt;
 }
@@ -222,9 +224,7 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
   // Re-solves only the window owning the failing vertex, in delta space
   // under the overlay; escalates to a full-graph re-solve when the window
   // alone cannot absorb the new bound (overlays admit the global label 0,
-  // so the full problem is always feasible). Global fallbacks re-solve
-  // under ever tighter overlays: one W/D sweep serves them all.
-  PeriodConstraintTable fallback_table;
+  // so the full problem is always feasible).
   const McResolve resolve = [&](const BoundOverlay& overlay, VertexId failed,
                                 std::vector<std::int64_t>& labels) {
     RetimeGraph bounded = global;
@@ -249,8 +249,8 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
     }
     if (!resolved) {
       ++wstats.global_fallbacks;
-      const RetimeSolution sol = minperiod_retime(
-          bounded, FeasImpl::kCsr, options.base.cancel, &fallback_table);
+      const RetimeSolution sol =
+          minperiod_retime(bounded, FeasImpl::kCsr, options.base.cancel);
       if (!sol.feasible || !bounded.check_legal(sol.r).empty()) {
         return std::string("windowed retiming: global fallback infeasible");
       }

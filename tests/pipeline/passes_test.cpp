@@ -74,9 +74,10 @@ TEST(PassesTest, RetimePassFillsTypedStatsAndMetrics) {
 
 TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
   // Corpus circuit r03 needs several relocation attempts under both
-  // objectives; every attempt, min-period probe and min-area solve must
-  // share one all-pairs W/D sweep. The counter is deterministic, so this
-  // guards the shared period-constraint table on any machine.
+  // objectives. Min-period probes and retries run the bounded FEAS alone:
+  // no all-pairs W/D sweep and no difference-constraint solve. Min-area
+  // sweeps once for its period's constraints and keeps them across every
+  // retry. The counters are deterministic, so this holds on any machine.
   auto read = read_blif_file(std::string(MCRT_TESTDATA_DIR) +
                              "/corpus/r03.blif");
   ASSERT_TRUE(std::holds_alternative<Netlist>(read));
@@ -93,14 +94,14 @@ TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
     ASSERT_TRUE(result.success) << result.error;
     EXPECT_GE(context.metric("retime.attempts").value_or(0), 2)
         << "r03 no longer exercises relocation retries";
-    EXPECT_EQ(context.metric("retime.wd_sweeps"), 1) << "minperiod "
-                                                     << minperiod;
+    EXPECT_EQ(context.metric("retime.wd_sweeps"), minperiod ? 0 : 1)
+        << "minperiod " << minperiod;
     EXPECT_GT(context.metric("retime.feas_probes").value_or(0),
               context.metric("retime.attempts").value_or(0));
-    // Phase 1 runs FEAS and the bounded probes solve difference
-    // constraints, so both work counters are reported and nonzero.
     EXPECT_GT(context.metric("retime.feas_rounds").value_or(0), 0);
-    EXPECT_GT(context.metric("retime.dc_relaxations").value_or(0), 0);
+    if (minperiod) {
+      EXPECT_EQ(context.metric("retime.dc_relaxations"), 0);
+    }
     // Min-area runs a min-cost flow on every attempt; a phase routes at
     // least one augmenting path. The min-period objective runs none.
     const std::int64_t phases =

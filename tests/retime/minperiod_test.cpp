@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "base/rng.h"
 #include "retime/feas.h"
+#include "retime/period_constraints.h"
 
 namespace mcrt {
 namespace {
@@ -174,6 +180,188 @@ TEST(MinPeriodTest, BoundedFeasibleHonorsBounds) {
   ASSERT_TRUE(r);
   EXPECT_TRUE(g.check_legal(*r).empty()) << g.check_legal(*r);
 }
+
+// --- Random graphs over four delay sets, against the W/D reference --------
+// The suite keeps the name it had when these properties were checked
+// against a multi-period W/D constraint table, so its test ids stay
+// stable. Checked here:
+//  - the period constraints min-area generates once per period serve the
+//    tightened bounds of later retries: appended to the tightened graph's
+//    circuit constraints they give the labels of a fresh generation, and
+//    those of the bounded FEAS;
+//  - the bisection over multiples of the delay gcd finds the smallest
+//    candidate period the W/D check accepts, also when the gcd is 1
+//    (delays 3/5/7) and with zero-delay vertices, without a W/D sweep;
+//  - repeated calls under tightened bounds (relocation retries) return the
+//    W/D reference's period and labels, without a W/D sweep.
+
+RetimeGraph random_delay_graph(std::uint64_t seed, std::size_t vertices,
+                               const std::vector<std::int64_t>& delays,
+                               bool with_bounds) {
+  Rng rng(seed);
+  RetimeGraph g;
+  std::vector<VertexId> vs;
+  for (std::size_t i = 0; i < vertices; ++i) {
+    vs.push_back(g.add_vertex(delays[rng.below(delays.size())]));
+  }
+  g.add_edge(g.host(), vs[0], 0);
+  for (std::size_t i = 0; i + 1 < vertices; ++i) {
+    g.add_edge(vs[i], vs[i + 1], rng.below(3));
+  }
+  for (std::size_t i = 0; i < vertices; ++i) {
+    const std::size_t a = rng.below(vertices);
+    const std::size_t b = rng.below(vertices);
+    if (a < b) {
+      g.add_edge(vs[a], vs[b], rng.below(2));
+    } else if (a > b) {
+      g.add_edge(vs[a], vs[b], 1 + rng.below(2));
+    }
+  }
+  g.add_edge(vs[vertices - 1], g.host(), 0);
+  if (with_bounds) {
+    for (std::size_t i = 0; i < vertices; ++i) {
+      g.set_bounds(vs[i], -static_cast<std::int64_t>(rng.below(3)),
+                   static_cast<std::int64_t>(rng.below(3)));
+    }
+  }
+  return g;
+}
+
+/// Narrows the bounds of about a third of the vertices; 0 stays admitted.
+RetimeGraph tightened(const RetimeGraph& g, std::uint64_t seed) {
+  Rng rng(seed);
+  RetimeGraph out = g;
+  for (std::size_t v = 1; v < out.vertex_count(); ++v) {
+    if (rng.below(3) != 0) continue;
+    const VertexId id{static_cast<std::uint32_t>(v)};
+    const std::int64_t lower = out.lower_bound(id);
+    const std::int64_t upper = out.upper_bound(id);
+    out.set_bounds(id, -static_cast<std::int64_t>(rng.below(
+                           static_cast<std::uint64_t>(-lower) + 1)),
+                   static_cast<std::int64_t>(
+                       rng.below(static_cast<std::uint64_t>(upper) + 1)));
+  }
+  return out;
+}
+
+/// W/D reference for min-period: the smallest candidate period that
+/// bounded_feasible accepts, or the current period when none below it does.
+std::int64_t reference_min_period(const RetimeGraph& g) {
+  for (const std::int64_t phi : candidate_periods(g)) {
+    if (phi >= g.period()) break;
+    if (bounded_feasible(g, phi)) return phi;
+  }
+  return g.period();
+}
+
+/// minperiod_retime against the W/D reference: the same period, and the
+/// same labels (all 0 when no smaller period is feasible), legal.
+void expect_reference_solution(const RetimeGraph& g, const std::string& where) {
+  const RetimeSolution solution = minperiod_retime(g);
+  const std::int64_t want = reference_min_period(g);
+  EXPECT_EQ(solution.period, want) << where;
+  if (want < g.period()) {
+    EXPECT_EQ(solution.r, *bounded_feasible(g, want)) << where;
+  } else {
+    EXPECT_EQ(solution.r, std::vector<std::int64_t>(g.vertex_count(), 0))
+        << where;
+  }
+  EXPECT_TRUE(g.check_legal(solution.r).empty()) << where;
+  EXPECT_LE(g.period(solution.r), solution.period) << where;
+}
+
+const std::vector<std::vector<std::int64_t>> kDelaySets = {
+    {1, 2, 3, 4, 5, 6, 7, 8, 9},  // the pruning tests' delays
+    {3, 5, 7},                    // gcd 1 from coprime delays
+    {0, 4, 6},                    // zero-delay vertices, gcd 2
+    {0, 0, 10, 20},               // mostly zero, gcd 10
+};
+
+class PeriodTableProperty
+    : public ::testing::TestWithParam<std::tuple<std::uint64_t, int>> {};
+
+TEST_P(PeriodTableProperty, AppendMatchesGeneratorAcrossRangeAndBounds) {
+  const auto [seed, delay_set] = GetParam();
+  const RetimeGraph g =
+      random_delay_graph(seed, 12, kDelaySets[delay_set], true);
+  const RetimeGraph narrow = tightened(g, seed + 1000);
+  for (std::int64_t phi = minperiod_retime(g).period; phi <= g.period();
+       ++phi) {
+    const std::size_t sweeps = retime_work_counters().wd_sweeps;
+    std::vector<DifferenceConstraint> kept;
+    generate_period_constraints(g, phi, kept);
+    EXPECT_EQ(retime_work_counters().wd_sweeps - sweeps, 1u);
+    for (const RetimeGraph* graph : {&g, &narrow}) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " phi " + std::to_string(phi) +
+          (graph == &g ? " built bounds" : " tightened bounds");
+      const auto reused = bounded_feasible(*graph, phi, &kept);
+      EXPECT_EQ(reused, bounded_feasible(*graph, phi)) << where;
+      EXPECT_EQ(reused, feas_check(*graph, phi)) << where;
+    }
+  }
+}
+
+TEST_P(PeriodTableProperty, CandidatesAreThePathDelaysInRange) {
+  const auto [seed, delay_set] = GetParam();
+  const RetimeGraph g =
+      random_delay_graph(seed, 12, kDelaySets[delay_set], true);
+  // Reference: every W/D label, sorted and deduplicated at the end.
+  std::vector<std::int64_t> all;
+  for (std::size_t u = 1; u < g.vertex_count(); ++u) {
+    const WdLabels labels =
+        compute_wd_from_source(g, VertexId{static_cast<std::uint32_t>(u)});
+    for (std::size_t v = 0; v < g.vertex_count(); ++v) {
+      if (labels.reached[v]) all.push_back(labels.delay[v]);
+    }
+  }
+  std::sort(all.begin(), all.end());
+  all.erase(std::unique(all.begin(), all.end()), all.end());
+  EXPECT_EQ(candidate_periods(g), all);
+
+  // The bisection probes multiples of the delay gcd; the optimum it lands
+  // on is still a path delay, in [max d(v), current period].
+  const RetimeSolution solution = minperiod_retime(g);
+  EXPECT_TRUE(std::binary_search(all.begin(), all.end(), solution.period))
+      << solution.period;
+  const auto delays = g.delays();
+  EXPECT_GE(solution.period, *std::max_element(delays.begin(), delays.end()));
+  EXPECT_LE(solution.period, g.period());
+}
+
+TEST_P(PeriodTableProperty, FeasPhaseOneMatchesWdReference) {
+  const auto [seed, delay_set] = GetParam();
+  const RetimeGraph g =
+      random_delay_graph(seed, 12, kDelaySets[delay_set], false);
+  const std::size_t sweeps = retime_work_counters().wd_sweeps;
+  EXPECT_TRUE(minperiod_retime(g).feasible);
+  EXPECT_EQ(retime_work_counters().wd_sweeps, sweeps) << "min-period sweeps";
+  expect_reference_solution(g, "seed " + std::to_string(seed));
+}
+
+TEST_P(PeriodTableProperty, SharedTableMatchesFreshCallAndReference) {
+  const auto [seed, delay_set] = GetParam();
+  RetimeGraph current =
+      random_delay_graph(seed, 12, kDelaySets[delay_set], true);
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    if (round > 0) current = tightened(current, seed * 31 + round);
+    const std::size_t before = retime_work_counters().wd_sweeps;
+    const RetimeSolution solution = minperiod_retime(current);
+    EXPECT_EQ(retime_work_counters().wd_sweeps, before);
+    EXPECT_EQ(minperiod_retime(current).r, solution.r);
+    expect_reference_solution(current, "seed " + std::to_string(seed) +
+                                           " round " + std::to_string(round));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomGraphs, PeriodTableProperty,
+    ::testing::Combine(::testing::Range<std::uint64_t>(1, 9),
+                       ::testing::Range(0, 4)),
+    [](const auto& info) {
+      return "seed" + std::to_string(std::get<0>(info.param)) + "_delays" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace mcrt
