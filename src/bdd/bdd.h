@@ -7,9 +7,9 @@
 //     (index) equality;
 //   - ITE with a computed table (all Boolean connectives derive from it);
 //   - cofactor/restrict, existential quantification, composition;
-//   - shortest-cube extraction, which yields the justification assignment
-//     with the maximum number of don't-cares (§5.2: "we select as many
-//     don't cares for the reset values as possible").
+//   - shortest-path cube extraction, which yields the justification
+//     assignment with many don't-cares (§5.2: "we select as many don't
+//     cares for the reset values as possible").
 //
 // No garbage collection: managers are scoped per analysis and dropped whole.
 #pragma once
@@ -64,8 +64,10 @@ class BddManager {
     std::uint32_t var;
     bool value;
   };
-  /// Finds a satisfying cube of f with the fewest literals (maximum
-  /// don't-cares). Returns std::nullopt iff f == false.
+  /// Finds a satisfying cube of f with the fewest literals among f's
+  /// root-to-true paths (a cube of the variable order; an implicant that
+  /// skips a tested variable can be shorter). Returns std::nullopt iff
+  /// f == false.
   std::optional<std::vector<Literal>> shortest_cube(BddRef f);
 
   /// Number of satisfying assignments over `var_count` variables.

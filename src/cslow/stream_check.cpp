@@ -1,7 +1,6 @@
 #include "cslow/stream_check.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <vector>
 
@@ -9,56 +8,11 @@
 #include "base/strings.h"
 #include "cslow/cslow.h"
 #include "netlist/compact.h"
+#include "sim/equivalence.h"
 #include "sim/word_simulator.h"
 
 namespace mcrt {
 namespace {
-
-struct IoMap {
-  std::vector<std::pair<NetId, NetId>> inputs;  // (original, cslowed)
-  std::vector<std::string> input_names;
-  std::vector<std::pair<std::size_t, std::size_t>> outputs;  // PO positions
-  std::vector<std::string> output_names;
-  std::string error;
-};
-
-IoMap build_io_map(const Netlist& a, const Netlist& b) {
-  IoMap map;
-  std::map<std::string, NetId> b_inputs;
-  for (const NodeId in : b.inputs()) {
-    b_inputs[b.node(in).name] = b.node(in).output;
-  }
-  for (const NodeId in : a.inputs()) {
-    const auto it = b_inputs.find(a.node(in).name);
-    if (it == b_inputs.end()) {
-      map.error = "input " + a.node(in).name + " missing in C-slowed netlist";
-      return map;
-    }
-    map.inputs.push_back({a.node(in).output, it->second});
-    map.input_names.push_back(a.node(in).name);
-  }
-  std::map<std::string, std::size_t> b_outputs;
-  for (std::size_t i = 0; i < b.outputs().size(); ++i) {
-    b_outputs[b.node(b.outputs()[i]).name] = i;
-  }
-  for (std::size_t i = 0; i < a.outputs().size(); ++i) {
-    const std::string& name = a.node(a.outputs()[i]).name;
-    const auto it = b_outputs.find(name);
-    if (it == b_outputs.end()) {
-      map.error = "output " + name + " missing in C-slowed netlist";
-      return map;
-    }
-    map.outputs.push_back({i, it->second});
-    map.output_names.push_back(name);
-  }
-  return map;
-}
-
-bool looks_like_reset(const std::string& name) {
-  return name.find("rst") != std::string::npos ||
-         name.find("reset") != std::string::npos ||
-         name.find("__por") != std::string::npos;
-}
 
 /// Primary-input nets in the combinational support of any register's async
 /// control. Returns false when a cone crosses a register output (the
@@ -123,7 +77,8 @@ StreamCheckResult check_stream_equivalence(const Netlist& original,
         "cannot be imposed from the inputs");
   }
 
-  const IoMap io = build_io_map(original, cslowed);
+  const IoPairing io =
+      pair_io_by_name(original, cslowed, "C-slowed netlist");
   if (!io.error.empty()) {
     result.pass = false;
     result.reason = io.error;

@@ -2,7 +2,6 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -20,7 +19,6 @@
 #include "pipeline/job_executor.h"
 #include "pipeline/passes.h"
 #include "retime/minperiod.h"
-#include "retime/period_constraints.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "sim/equivalence.h"
@@ -411,9 +409,10 @@ OracleVerdict mono_vs_windowed(const FuzzCase& c,
 
 /// Leg 2: bounded FEAS min-period vs Leiserson-Saxe's W/D period
 /// constraints solved by SPFA, on the case's lowered graph with its class
-/// bounds. The FEAS optimum must be the smallest candidate period the W/D
-/// check accepts, and the labels there must be the W/D check's: both
-/// return the greatest solution <= 0.
+/// bounds. W/D must accept the FEAS optimum phi* with the same labels (both
+/// return the greatest solution <= 0) and reject phi* - 1: W/D feasibility
+/// is monotone in phi, so phi* is then the smallest period it accepts,
+/// whatever multiples the engine searched.
 void check_minperiod_vs_wd(const FuzzCase& c, const OracleOptions& options,
                            OracleVerdict& v) {
   Netlist delayed = c.netlist;
@@ -433,22 +432,17 @@ void check_minperiod_vs_wd(const FuzzCase& c, const OracleOptions& options,
               : illegal);
   if (v.legs.back().pass) v.legs.back().detail.clear();
 
-  const std::vector<std::int64_t> candidates =
-      candidate_periods(graph, options.cancel);
-  const auto at =
-      std::lower_bound(candidates.begin(), candidates.end(), feas.period);
   const auto wd = bounded_feasible(graph, feas.period, nullptr, options.cancel);
   const bool below_rejected =
-      at == candidates.begin() ||
-      !bounded_feasible(graph, *(at - 1), nullptr, options.cancel);
+      !bounded_feasible(graph, feas.period - 1, nullptr, options.cancel);
   const bool same_labels = wd && *wd == feas.r;
   add_leg(v, "minperiod-vs-wd", wd && below_rejected && same_labels,
-          str_format("FEAS optimum %lld: W/D %s it%s and %s the candidate "
-                     "below",
+          str_format("FEAS optimum %lld: W/D %s it%s and %s %lld",
                      static_cast<long long>(feas.period),
                      wd ? "accepts" : "rejects",
                      !wd || same_labels ? "" : " with other labels",
-                     below_rejected ? "rejects" : "accepts"));
+                     below_rejected ? "rejects" : "accepts",
+                     static_cast<long long>(feas.period - 1)));
   if (v.legs.back().pass) v.legs.back().detail.clear();
 }
 

@@ -18,16 +18,10 @@ RetimeGraph lower_to_retime_graph(const McGraph& graph,
         out.set_bounds(vid, 0, 0);
         break;
       case McVertexKind::kGate:
-      case McVertexKind::kSeparator: {
-        const std::int64_t upper = bounds.r_max[v] >= McBounds::kUnbounded
-                                       ? RetimeGraph::kNoBound
-                                       : bounds.r_max[v];
-        const std::int64_t lower = bounds.r_min[v] <= -McBounds::kUnbounded
-                                       ? -RetimeGraph::kNoBound
-                                       : bounds.r_min[v];
-        out.set_bounds(vid, lower, upper);
+      case McVertexKind::kSeparator:
+        // McBounds::kUnbounded is RetimeGraph::kNoBound: a plain copy.
+        out.set_bounds(vid, bounds.r_min[v], bounds.r_max[v]);
         break;
-      }
       case McVertexKind::kHost:
         break;
     }

@@ -33,16 +33,16 @@ struct RegQueue {
   }
 };
 
-/// Runs one maximal-retiming phase over `queues` (one per edge of `graph`,
-/// oriented as in RegQueue). A backward step consumes at the source end of
-/// every fanout edge and produces at the sink end of every fanin edge; a
-/// forward step consumes at the sink end of the fanins and produces at the
-/// source end of the fanouts. `fresh_uid` names each produced register, in
-/// produced-edge order. Returns per-vertex move counts; a vertex still
-/// movable after `cap` moves rotates a compatible cycle and is flagged in
-/// `capped_vertices`.
+/// Runs one maximal-retiming phase in direction `dir` over `queues` (one
+/// per edge of `graph`, oriented as in RegQueue): a step pops the head of
+/// each consumed edge and appends to each produced edge (McGraph's
+/// consumed_edges/produced_edges). `fresh_uid` names each produced
+/// register, in produced-edge order. Returns per-vertex move counts; a
+/// vertex still movable after `cap` moves rotates a compatible cycle and
+/// is flagged in `capped_vertices`.
 template <typename FreshUid>
-std::vector<std::int64_t> run_phase(const McGraph& graph, bool backward,
+std::vector<std::int64_t> run_phase(const McGraph& graph,
+                                    McGraph::StepDirection dir,
                                     std::int64_t cap,
                                     std::vector<RegQueue>& queues,
                                     std::vector<bool>& capped_vertices,
@@ -52,29 +52,14 @@ std::vector<std::int64_t> run_phase(const McGraph& graph, bool backward,
   std::vector<std::int64_t> count(n, 0);
   capped_vertices.assign(n, false);
 
-  auto consumed = [&](VertexId v) {
-    return backward ? g.out_edges(v) : g.in_edges(v);
-  };
-  auto produced = [&](VertexId v) {
-    return backward ? g.in_edges(v) : g.out_edges(v);
-  };
-  // The class of the layer a step at v would move, or nullopt (McGraph's
-  // backward/forward_step_class on the queues).
-  auto step_class = [&](VertexId v) -> std::optional<ClassId> {
-    const McVertexKind k = graph.kind(v);
-    if (k != McVertexKind::kGate && k != McVertexKind::kSeparator) {
-      return std::nullopt;
-    }
-    // A vertex without produced edges (e.g. a constant generator moving
-    // backward) would delete the layer without replacement.
-    if (consumed(v).empty() || produced(v).empty()) return std::nullopt;
-    std::optional<ClassId> cls;
-    for (const EdgeId e : consumed(v)) {
+  // The class of the layer a step at v would move, or nullopt: McGraph's
+  // step rule on the queues' heads.
+  auto step_class = [&](VertexId v) {
+    return graph.step_class(v, dir, [&](EdgeId e) -> std::optional<ClassId> {
       const RegQueue& q = queues[e.index()];
-      if (q.empty() || (cls && *cls != q.front_class())) return std::nullopt;
-      cls = q.front_class();
-    }
-    return cls;
+      if (q.empty()) return std::nullopt;
+      return q.front_class();
+    });
   };
 
   std::deque<std::uint32_t> worklist;
@@ -93,8 +78,10 @@ std::vector<std::int64_t> run_phase(const McGraph& graph, bool backward,
     const std::int64_t moves_before = moves;
     std::optional<ClassId> cls = step_class(v);
     for (; cls && moves < cap; ++moves, cls = step_class(v)) {
-      for (const EdgeId e : consumed(v)) queues[e.index()].pop();
-      for (const EdgeId e : produced(v)) {
+      for (const EdgeId e : graph.consumed_edges(v, dir)) {
+        queues[e.index()].pop();
+      }
+      for (const EdgeId e : graph.produced_edges(v, dir)) {
         McReg reg;
         reg.cls = *cls;
         reg.uid = fresh_uid();
@@ -108,8 +95,9 @@ std::vector<std::int64_t> run_phase(const McGraph& graph, bool backward,
     }
     if (moves == moves_before) continue;
     // The far ends of the produced edges gained registers to consume.
-    for (const EdgeId e : produced(v)) {
-      const VertexId u = backward ? g.from(e) : g.to(e);
+    for (const EdgeId e : graph.produced_edges(v, dir)) {
+      const VertexId u =
+          dir == McGraph::StepDirection::kBackward ? g.from(e) : g.to(e);
       if (!in_worklist[u.index()]) {
         in_worklist[u.index()] = true;
         worklist.push_back(u.value());
@@ -145,7 +133,7 @@ MaximalRetimingResult compute_mc_bounds(const McGraph& graph) {
           backward_graph.regs_mutable(EdgeId{static_cast<std::uint32_t>(e)}));
     }
     const auto count =
-        run_phase(graph, /*backward=*/true, cap, queues, capped,
+        run_phase(graph, McGraph::StepDirection::kBackward, cap, queues, capped,
                   bounds.hit_cap, [&] { return backward_graph.fresh_uid(); });
     for (std::size_t v = 0; v < n; ++v) {
       bounds.r_max[v] = capped[v] ? McBounds::kUnbounded : count[v];
@@ -165,7 +153,7 @@ MaximalRetimingResult compute_mc_bounds(const McGraph& graph) {
       queues[e].regs.assign(regs.rbegin(), regs.rend());
     }
     const auto count =
-        run_phase(graph, /*backward=*/false, cap, queues, capped,
+        run_phase(graph, McGraph::StepDirection::kForward, cap, queues, capped,
                   bounds.hit_cap, [] { return std::uint32_t{0}; });
     for (std::size_t v = 0; v < n; ++v) {
       bounds.r_min[v] = capped[v] ? -McBounds::kUnbounded : -count[v];

@@ -27,11 +27,13 @@
 #include <vector>
 
 #include "mcretime/mcgraph.h"
+#include "retime/retime_graph.h"
 
 namespace mcrt {
 
 struct McBounds {
-  static constexpr std::int64_t kUnbounded = INT64_MAX / 4;
+  /// The basic retiming graph's "no bound", so lowering copies bounds.
+  static constexpr std::int64_t kUnbounded = RetimeGraph::kNoBound;
 
   /// r_max^mc per vertex (>= 0; kUnbounded if on a compatible cycle).
   std::vector<std::int64_t> r_max;

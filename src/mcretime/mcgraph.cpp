@@ -26,40 +26,14 @@ EdgeId McGraph::add_edge(VertexId from, VertexId to, std::vector<McReg> regs,
   return e;
 }
 
-std::optional<ClassId> McGraph::backward_step_class(VertexId v) const {
-  if (!movable(v)) return std::nullopt;
-  const auto fanout = graph_.out_edges(v);
-  // A vertex without fanins (e.g. a constant generator) must not move
-  // registers backward: that would delete them without replacement.
-  if (fanout.empty() || graph_.in_edges(v).empty()) return std::nullopt;
-  std::optional<ClassId> cls;
-  for (const EdgeId e : fanout) {
+std::optional<ClassId> McGraph::step_class(VertexId v,
+                                           StepDirection dir) const {
+  return step_class(v, dir, [&](EdgeId e) -> std::optional<ClassId> {
     const auto& regs = regs_[e.index()];
     if (regs.empty()) return std::nullopt;
-    if (!cls) {
-      cls = regs.front().cls;
-    } else if (*cls != regs.front().cls) {
-      return std::nullopt;
-    }
-  }
-  return cls;
-}
-
-std::optional<ClassId> McGraph::forward_step_class(VertexId v) const {
-  if (!movable(v)) return std::nullopt;
-  const auto fanin = graph_.in_edges(v);
-  if (fanin.empty() || graph_.out_edges(v).empty()) return std::nullopt;
-  std::optional<ClassId> cls;
-  for (const EdgeId e : fanin) {
-    const auto& regs = regs_[e.index()];
-    if (regs.empty()) return std::nullopt;
-    if (!cls) {
-      cls = regs.back().cls;
-    } else if (*cls != regs.back().cls) {
-      return std::nullopt;
-    }
-  }
-  return cls;
+    return dir == StepDirection::kBackward ? regs.front().cls
+                                           : regs.back().cls;
+  });
 }
 
 std::vector<std::uint32_t> McGraph::apply_backward_step(VertexId v) {

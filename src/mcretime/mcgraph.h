@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -112,11 +113,58 @@ class McGraph {
   }
 
   // --- mc-retiming steps (paper Fig. 3) --------------------------------------
+  /// A backward step at v consumes the register at the source end of every
+  /// fanout edge and produces one at the sink end of every fanin edge; a
+  /// forward step consumes at the sink end of the fanins and produces at
+  /// the source end of the fanouts.
+  enum class StepDirection : std::uint8_t { kBackward, kForward };
+  [[nodiscard]] std::span<const EdgeId> consumed_edges(
+      VertexId v, StepDirection dir) const {
+    return dir == StepDirection::kBackward ? graph_.out_edges(v)
+                                           : graph_.in_edges(v);
+  }
+  [[nodiscard]] std::span<const EdgeId> produced_edges(
+      VertexId v, StepDirection dir) const {
+    return dir == StepDirection::kBackward ? graph_.in_edges(v)
+                                           : graph_.out_edges(v);
+  }
+
+  /// The step rule, ignoring reset values: the class of the layer a step at
+  /// v in direction `dir` would move, or std::nullopt if the step is not
+  /// valid. `near_class(e)` returns the class of the register at consumed
+  /// edge e's near end (the end the step consumes at), or std::nullopt
+  /// when e holds none, so callers that keep registers elsewhere (the §4.1
+  /// stepper's queues) decide steps by this same rule.
+  template <typename NearClass>
+  [[nodiscard]] std::optional<ClassId> step_class(
+      VertexId v, StepDirection dir, NearClass&& near_class) const {
+    if (!movable(v)) return std::nullopt;
+    // A vertex without produced edges (e.g. a constant generator moving
+    // backward) would delete the layer without replacement.
+    const auto consumed = consumed_edges(v, dir);
+    if (consumed.empty() || produced_edges(v, dir).empty()) {
+      return std::nullopt;
+    }
+    std::optional<ClassId> cls;
+    for (const EdgeId e : consumed) {
+      const std::optional<ClassId> near = near_class(e);
+      if (!near || (cls && *cls != *near)) return std::nullopt;
+      cls = near;
+    }
+    return cls;
+  }
+  /// step_class() on this graph's register sequences.
+  [[nodiscard]] std::optional<ClassId> step_class(VertexId v,
+                                                  StepDirection dir) const;
   /// Would a backward step at v be valid, ignoring reset values? Returns the
   /// class of the layer that would move, or std::nullopt.
-  [[nodiscard]] std::optional<ClassId> backward_step_class(VertexId v) const;
+  [[nodiscard]] std::optional<ClassId> backward_step_class(VertexId v) const {
+    return step_class(v, StepDirection::kBackward);
+  }
   /// Would a forward step at v be valid (class compatibility only)?
-  [[nodiscard]] std::optional<ClassId> forward_step_class(VertexId v) const;
+  [[nodiscard]] std::optional<ClassId> forward_step_class(VertexId v) const {
+    return step_class(v, StepDirection::kForward);
+  }
 
   /// Executes a backward step (first register of each fanout edge removed, a
   /// fresh register of the same class appended to each fanin edge). Reset

@@ -9,14 +9,6 @@
 namespace mcrt {
 namespace {
 
-/// Can two reset values be realized by one physical register?
-bool mergeable(ResetVal a, ResetVal b) {
-  return a == ResetVal::kDontCare || b == ResetVal::kDontCare || a == b;
-}
-ResetVal merge2(ResetVal a, ResetVal b) {
-  return a == ResetVal::kDontCare ? b : a;
-}
-
 struct PhysReg {
   NetId d;
   NetId q;
@@ -206,8 +198,12 @@ class Rebuilder {
       const McReg& reg = g_.regs(e)[depth];
       Bucket* found = nullptr;
       for (Bucket& b : buckets) {
-        if (b.cls == reg.cls && mergeable(b.sync_val, reg.sync_val) &&
-            mergeable(b.async_val, reg.async_val)) {
+        if (b.cls != reg.cls) continue;
+        const auto sync_val = merge_reset_value(b.sync_val, reg.sync_val);
+        const auto async_val = merge_reset_value(b.async_val, reg.async_val);
+        if (sync_val && async_val) {
+          b.sync_val = *sync_val;
+          b.async_val = *async_val;
           found = &b;
           break;
         }
@@ -215,9 +211,6 @@ class Rebuilder {
       if (!found) {
         buckets.push_back({reg.cls, reg.sync_val, reg.async_val, {}});
         found = &buckets.back();
-      } else {
-        found->sync_val = merge2(found->sync_val, reg.sync_val);
-        found->async_val = merge2(found->async_val, reg.async_val);
       }
       found->members.push_back(e);
     }

@@ -5,6 +5,7 @@
 #include <unordered_map>
 
 #include "bdd/bdd.h"
+#include "bdd/truth_table_bdd.h"
 
 namespace mcrt {
 namespace {
@@ -52,7 +53,7 @@ class ControlConeAnalyzer {
           if (!sub) return std::nullopt;
           fanins.push_back(*sub);
         }
-        result = table_bdd(node.function, fanins);
+        result = table_bdd(bdd_, node.function, fanins);
       }
     } else {
       return std::nullopt;  // undriven: should not happen post-validate
@@ -68,18 +69,6 @@ class ControlConeAnalyzer {
       it = boundary_.emplace(net.value(), bdd_.var(var)).first;
     }
     return it->second;
-  }
-
-  /// Shannon expansion of a truth table over fanin BDDs.
-  BddRef table_bdd(const TruthTable& tt, const std::vector<BddRef>& fanins) {
-    if (tt.input_count() == 0) {
-      return tt.eval(0) ? BddManager::kTrue : BddManager::kFalse;
-    }
-    const std::uint32_t last = tt.input_count() - 1;
-    std::vector<BddRef> rest(fanins.begin(), fanins.end() - 1);
-    const BddRef low = table_bdd(tt.cofactor(last, false), rest);
-    const BddRef high = table_bdd(tt.cofactor(last, true), rest);
-    return bdd_.ite(fanins[last], high, low);
   }
 
   const Netlist& netlist_;

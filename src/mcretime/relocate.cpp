@@ -7,6 +7,7 @@
 
 #include "base/strings.h"
 #include "bdd/bdd.h"
+#include "bdd/truth_table_bdd.h"
 #include "mcretime/reset_state.h"
 
 namespace mcrt {
@@ -274,24 +275,6 @@ class Relocator {
 
     auto uid_bdd = [&](std::uint32_t uid) { return bdd.var(var_of.at(uid)); };
 
-    // f(g) over pin literals supplied as BDDs.
-    auto apply_function = [&](const TruthTable& f,
-                              const std::vector<BddRef>& pin_bdds) {
-      // Shannon expansion over rows.
-      BddRef acc = BddManager::kFalse;
-      for (std::uint32_t row = 0; row < (1u << f.input_count()); ++row) {
-        if (!f.eval(row)) continue;
-        BddRef cube = BddManager::kTrue;
-        for (std::uint32_t i = 0; i < f.input_count(); ++i) {
-          const BddRef lit = ((row >> i) & 1) ? pin_bdds[i]
-                                              : bdd.bdd_not(pin_bdds[i]);
-          cube = bdd.bdd_and(cube, lit);
-        }
-        acc = bdd.bdd_or(acc, cube);
-      }
-      return acc;
-    };
-
     // --- constraints ---------------------------------------------------------
     BddRef constraint = BddManager::kTrue;
     constexpr std::size_t kNodeBudget = 500000;
@@ -322,7 +305,7 @@ class Relocator {
         for (std::size_t i = 0; i < m.created.size(); ++i) {
           pin_bdds[m.created_pin[i]] = uid_bdd(m.created[i]);
         }
-        const BddRef out = apply_function(f, pin_bdds);
+        const BddRef out = table_bdd(bdd, f, pin_bdds);
         for (const std::uint32_t c : m.consumed) {
           require_equal(uid_bdd(c), out);
         }
@@ -330,7 +313,7 @@ class Relocator {
         for (std::size_t i = 0; i < m.consumed.size(); ++i) {
           pin_bdds[m.consumed_pin[i]] = uid_bdd(m.consumed[i]);
         }
-        const BddRef out = apply_function(f, pin_bdds);
+        const BddRef out = table_bdd(bdd, f, pin_bdds);
         for (const std::uint32_t d : m.created) {
           require_equal(uid_bdd(d), out);
         }
@@ -343,7 +326,7 @@ class Relocator {
       for (std::uint32_t p = 0; p < f.input_count(); ++p) {
         pin_bdds.push_back(bdd.var(pending_vars[p]));
       }
-      const BddRef out = apply_function(f, pin_bdds);
+      const BddRef out = table_bdd(bdd, f, pin_bdds);
       for (const McReg& reg : consumed) {
         require_equal(uid_bdd(reg.uid), out);
       }

@@ -1,18 +1,16 @@
 #include "mcretime/reset_state.h"
 
 #include "bdd/bdd.h"
+#include "bdd/truth_table_bdd.h"
 
 namespace mcrt {
 
 std::optional<ResetVal> merge_reset_values(const std::vector<ResetVal>& vals) {
   ResetVal merged = ResetVal::kDontCare;
   for (const ResetVal v : vals) {
-    if (v == ResetVal::kDontCare) continue;
-    if (merged == ResetVal::kDontCare) {
-      merged = v;
-    } else if (merged != v) {
-      return std::nullopt;
-    }
+    const std::optional<ResetVal> next = merge_reset_value(merged, v);
+    if (!next) return std::nullopt;
+    merged = *next;
   }
   return merged;
 }
@@ -32,20 +30,10 @@ ResetVal imply_through(const TruthTable& f, const std::vector<ResetVal>& pins) {
 std::optional<std::vector<ResetVal>> justify_through(const TruthTable& f,
                                                      bool target) {
   BddManager bdd;
-  // Build the BDD of f over one variable per pin.
   std::vector<BddRef> vars;
   for (std::uint32_t i = 0; i < f.input_count(); ++i) vars.push_back(bdd.var(i));
-  // Shannon build.
-  BddRef g = BddManager::kFalse;
-  for (std::uint32_t row = 0; row < (1u << f.input_count()); ++row) {
-    if (f.eval(row) != target) continue;
-    BddRef cube = BddManager::kTrue;
-    for (std::uint32_t i = 0; i < f.input_count(); ++i) {
-      cube = bdd.bdd_and(cube, ((row >> i) & 1) ? vars[i] : bdd.bdd_not(vars[i]));
-    }
-    g = bdd.bdd_or(g, cube);
-  }
-  const auto cube = bdd.shortest_cube(g);
+  const BddRef out = table_bdd(bdd, f, vars);
+  const auto cube = bdd.shortest_cube(target ? out : bdd.bdd_not(out));
   if (!cube) return std::nullopt;
   std::vector<ResetVal> pins(f.input_count(), ResetVal::kDontCare);
   for (const auto& lit : *cube) {

@@ -6,9 +6,10 @@
 //
 // A backward move must *justify*: find per-pin input values x with
 // f(x) = b, where b is the (merged) value of the consumed registers.
-// Implemented with BDDs, selecting the satisfying cube with the fewest
-// literals so as many new registers as possible keep a '-' value — which
-// both avoids later conflicts and improves sharing (paper §5.2).
+// Implemented with BDDs, selecting the satisfying BDD path with the fewest
+// literals so that many new registers keep a '-' value — which both avoids
+// later conflicts and improves sharing (paper §5.2). A path decides every
+// variable it passes, so a shorter implicant can exist (ROADMAP item 3).
 #pragma once
 
 #include <optional>
@@ -28,8 +29,9 @@ std::optional<ResetVal> merge_reset_values(const std::vector<ResetVal>& vals);
 ResetVal imply_through(const TruthTable& f, const std::vector<ResetVal>& pins);
 
 /// Backward justification: values for each pin such that f evaluates to
-/// `target`, with the maximum number of '-' entries. std::nullopt if no
-/// assignment exists (f is constant != target).
+/// `target`, from the shortest path of f's BDD (pin order): as many '-'
+/// entries as a cube of that order allows. std::nullopt if no assignment
+/// exists (f is constant != target).
 std::optional<std::vector<ResetVal>> justify_through(const TruthTable& f,
                                                      bool target);
 

@@ -41,6 +41,17 @@ enum class ResetVal : std::uint8_t { kZero = 0, kOne = 1, kDontCare = 2 };
   return v == ResetVal::kZero ? '0' : (v == ResetVal::kOne ? '1' : '-');
 }
 
+/// The value one register can hold for both `a` and `b`: the concrete value
+/// when they agree or one is '-' (which absorbs), std::nullopt on a 0/1
+/// clash. Reset-value merging (relocation, rebuild, register sweep) is
+/// this rule.
+[[nodiscard]] constexpr std::optional<ResetVal> merge_reset_value(
+    ResetVal a, ResetVal b) noexcept {
+  if (a == ResetVal::kDontCare) return b;
+  if (b == ResetVal::kDontCare || a == b) return a;
+  return std::nullopt;
+}
+
 [[nodiscard]] constexpr Trit reset_val_trit(ResetVal v) noexcept {
   switch (v) {
     case ResetVal::kZero: return Trit::kZero;

@@ -15,9 +15,9 @@
 //    entries run the monolithic solver to completion and record its
 //    period and deterministic work counters (monolithic_feas_probes,
 //    _feas_rounds, _dc_relaxations, _wd_sweeps; see RetimeWorkCounters);
-//    the headline >= 1e5-gate entry caps the monolithic run with a
-//    deadline (it is intractable there — the point of windowing) and
-//    records the speedup as a lower bound with monolithic_capped=true.
+//    the headline >= 1e5-gate entry runs the monolithic solve under a
+//    deadline and, if it hits it, records the speedup as a lower bound
+//    with monolithic_capped=true.
 //    Entries also record the period quality gap vs the monolithic optimum
 //    where it is known.
 //  - cslow: retime(cslow=C) throughput on the workload suite plus the

@@ -4,6 +4,18 @@
 #include <numeric>
 
 namespace mcrt {
+namespace {
+
+/// Do the bounds admit the all-zero labeling (the current circuit)?
+bool bounds_admit_zero(const RetimeGraph& graph) {
+  for (std::size_t v = 1; v < graph.vertex_count(); ++v) {
+    const VertexId id{static_cast<std::uint32_t>(v)};
+    if (graph.lower_bound(id) > 0 || graph.upper_bound(id) < 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
 
 std::optional<std::vector<std::int64_t>> bounded_feasible(
     const RetimeGraph& graph, std::int64_t phi,
@@ -32,19 +44,35 @@ std::optional<std::vector<std::int64_t>> bounded_feasible(
 
 RetimeSolution minperiod_retime(const RetimeGraph& graph, FeasImpl /*impl*/,
                                 const CancelToken* cancel) {
-  RetimeSolution result;
-  result.feasible = true;
-  result.period = graph.period();
-  result.r.assign(graph.vertex_count(), 0);
-  // Every path delay is a sum of vertex delays, hence a multiple of g, and
-  // at least the largest single delay; the current period is achievable.
+  // Every path delay is a sum of vertex delays, hence a multiple of g, at
+  // least the largest single delay and at most the sum of all delays (a
+  // zero-weight path of a legal retiming is simple).
   std::int64_t g = 0;
   std::int64_t max_delay = 0;
+  std::int64_t total_delay = 0;
   for (const std::int64_t d : graph.delays()) {
     g = std::gcd(g, d);
     max_delay = std::max(max_delay, d);
+    total_delay += d;
   }
-  if (g == 0 || result.period <= max_delay) return result;
+  RetimeSolution result;
+  if (bounds_admit_zero(graph)) {
+    // r = 0 achieves the current period.
+    result.feasible = true;
+    result.period = graph.period();
+    result.r.assign(graph.vertex_count(), 0);
+    if (g == 0 || result.period <= max_delay) return result;
+  } else {
+    // Every legal labeling achieves the sum of the delays, so the bounds
+    // are satisfiable iff that period is feasible.
+    poll_cancel(cancel);
+    auto r = feas_check(graph, total_delay);
+    if (!r) return result;
+    result.feasible = true;
+    result.period = total_delay;
+    result.r = std::move(*r);
+    if (g == 0) return result;
+  }
   std::int64_t a = max_delay / g;  // multiples a*g .. b*g, b*g feasible
   std::int64_t b = result.period / g;
   while (a < b) {

@@ -1,10 +1,15 @@
 // Minimum-period retiming (paper §5.1, Step 4).
 //
 // One binary search with the bounded FEAS of feas.h as its oracle, for
-// graphs with and without class bounds alike: it bisects over the
-// multiples of g = gcd of the nonzero vertex delays in [max d(v), current
-// period]. Every path delay is such a multiple, so the smallest accepted
-// one is the optimum; no W/D sweep is needed. FEAS rejects an infeasible
+// every bound set: it bisects over the multiples of g = gcd of the nonzero
+// vertex delays. Every path delay is such a multiple, lies in [max d(v),
+// sum d(v)] (a zero-weight path of a legal retiming is simple) and is where
+// feasibility can change, so the smallest accepted multiple is the
+// optimum; no W/D sweep is needed. When the bounds admit r = 0 the
+// current period is feasible and the search covers [max d(v), current
+// period]; when they exclude 0 (relocation retries in delta space do) it
+// covers [max d(v), sum d(v)] and probes the upper end first, which
+// decides whether any legal labeling exists. FEAS rejects an infeasible
 // period as soon as its parent pointers close a cycle, so an infeasible
 // probe usually costs a few rounds, not the O(V * E) worst case that still
 // bounds it. The W/D formulation survives as bounded_feasible(), the test
@@ -24,13 +29,13 @@ namespace mcrt {
 
 /// Computes the minimum feasible clock period and a retiming achieving it:
 /// the greatest labels <= 0, normalized to r(host) = 0, that FEAS returns
-/// at that period. When no period below the current one is feasible, the
-/// labels are all 0 (legal whenever the bounds admit 0). `feasible` is
-/// false only if the graph is malformed (a single vertex slower than every
-/// period bound cannot happen with finite delays). `impl` names the FEAS
-/// engine (see FeasImpl). `cancel` (may be null) is polled per probe, so
-/// one oversized monolithic solve cannot stall a batch or a window
-/// deadline. Probes and rounds are counted in retime_work_counters().
+/// at the smallest feasible multiple of the delay gcd (`period`). When the
+/// bounds admit 0 and no period below the current one is feasible, the
+/// labels are all 0. `feasible` is false only when no legal labeling meets
+/// the bounds. `impl` names the FEAS engine (see FeasImpl). `cancel` (may
+/// be null) is polled per probe, so one oversized monolithic solve cannot
+/// stall a batch or a window deadline. Probes and rounds are counted in
+/// retime_work_counters().
 RetimeSolution minperiod_retime(const RetimeGraph& graph,
                                 FeasImpl impl = FeasImpl::kCsr,
                                 const CancelToken* cancel = nullptr);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <functional>
-#include <iterator>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -152,20 +151,6 @@ void sweep_sources(const RetimeGraph& graph, const CancelToken* cancel,
   }
 }
 
-/// Merges the values of `fresh` (consumed) into the sorted, distinct
-/// `values`, so a sweep holds one source's values at a time.
-void merge_distinct(std::vector<std::int64_t>& values,
-                    std::vector<std::int64_t>& fresh,
-                    std::vector<std::int64_t>& scratch) {
-  std::sort(fresh.begin(), fresh.end());
-  fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
-  scratch.clear();
-  std::set_union(values.begin(), values.end(), fresh.begin(), fresh.end(),
-                 std::back_inserter(scratch));
-  values.swap(scratch);
-  fresh.clear();
-}
-
 void append_slow_vertex_markers(const RetimeGraph& graph, std::int64_t phi,
                                 std::vector<DifferenceConstraint>& out) {
   // Single-vertex "paths": a gate slower than phi alone is infeasible.
@@ -244,21 +229,6 @@ void generate_period_constraints_unpruned(
     }
   });
   append_slow_vertex_markers(graph, phi, out);
-}
-
-std::vector<std::int64_t> candidate_periods(const RetimeGraph& graph,
-                                            const CancelToken* cancel) {
-  std::vector<std::int64_t> values;
-  std::vector<std::int64_t> fresh;
-  std::vector<std::int64_t> scratch;
-  const std::size_t n = graph.vertex_count();
-  sweep_sources(graph, cancel, [&](std::uint32_t, const WdSweep& sweep) {
-    for (std::uint32_t v = 0; v < n; ++v) {
-      if (sweep.reached(v)) fresh.push_back(sweep.delay(v));
-    }
-    merge_distinct(values, fresh, scratch);
-  });
-  return values;
 }
 
 void generate_circuit_constraints(const RetimeGraph& graph,

@@ -49,13 +49,13 @@ WdLabels compute_wd_from_source(const RetimeGraph& graph, VertexId source);
 
 /// Deterministic work counters of the retiming layer, kept per thread and
 /// only ever incremented: all-pairs W/D sweeps (every
-/// generate_period_constraints() call, plus candidate_periods() and the
-/// unpruned reference), feasibility probes (every feas_check() run and
-/// every bounded_feasible() solve), the timing rounds of those FEAS runs,
-/// the successful relaxations of the bounded_feasible() solves, and the
-/// min-cost-flow phases (Dijkstras) and augmenting paths of
-/// minarea_retime(). A caller measures its own work as the difference across
-/// its calls (operator-); mc_retime reports it in McRetimeStats.
+/// generate_period_constraints() call and the unpruned reference),
+/// feasibility probes (every feas_check() run and every bounded_feasible()
+/// solve), the timing rounds of those FEAS runs, the successful
+/// relaxations of the bounded_feasible() solves, and the min-cost-flow
+/// phases (Dijkstras) and augmenting paths of minarea_retime(). A caller
+/// measures its own work as the difference across its calls (operator-);
+/// mc_retime reports it in McRetimeStats.
 struct RetimeWorkCounters {
   std::size_t wd_sweeps = 0;
   std::size_t feas_probes = 0;
@@ -92,7 +92,7 @@ inline RetimeWorkCounters operator-(RetimeWorkCounters after,
 /// (Maheshwari-Sapatnekar), sources ascending and targets ascending per
 /// source. `cancel` (may be null) is polled once per path source: the
 /// generation is one Dijkstra per vertex, the quadratic-ish cost that
-/// dominates large monolithic solves, so it must be interruptible.
+/// dominates large min-area solves, so it must be interruptible.
 void generate_period_constraints(const RetimeGraph& graph, std::int64_t phi,
                                  std::vector<DifferenceConstraint>& out,
                                  const CancelToken* cancel = nullptr);
@@ -103,14 +103,6 @@ void generate_period_constraints(const RetimeGraph& graph, std::int64_t phi,
 void generate_period_constraints_unpruned(
     const RetimeGraph& graph, std::int64_t phi,
     std::vector<DifferenceConstraint>& out);
-
-/// All distinct D(u,v) values (candidate clock periods), sorted ascending.
-/// Includes single-vertex "paths" (d(v) alone). One sweep, deduplicated
-/// per source, so memory is O(V + distinct values). `cancel` is polled
-/// once per path source.
-std::vector<std::int64_t> candidate_periods(const RetimeGraph& graph,
-                                            const CancelToken* cancel =
-                                                nullptr);
 
 /// Circuit constraints r(u) - r(v) <= w(e) for every edge, plus bound
 /// constraints through the host vertex if the graph has bounds.

@@ -10,53 +10,6 @@
 namespace mcrt {
 namespace {
 
-struct IoMap {
-  // Input name -> net id in each circuit; output name -> PO position.
-  std::vector<std::pair<NetId, NetId>> inputs;  // (original, transformed)
-  std::vector<std::string> input_names;
-  std::vector<std::pair<std::size_t, std::size_t>> outputs;
-  std::vector<std::string> output_names;
-  std::string error;
-};
-
-IoMap build_io_map(const Netlist& a, const Netlist& b) {
-  IoMap map;
-  std::map<std::string, NetId> b_inputs;
-  for (const NodeId in : b.inputs()) {
-    b_inputs[b.node(in).name] = b.node(in).output;
-  }
-  for (const NodeId in : a.inputs()) {
-    const auto it = b_inputs.find(a.node(in).name);
-    if (it == b_inputs.end()) {
-      map.error = "input " + a.node(in).name + " missing in transformed";
-      return map;
-    }
-    map.inputs.push_back({a.node(in).output, it->second});
-    map.input_names.push_back(a.node(in).name);
-  }
-  std::map<std::string, std::size_t> b_outputs;
-  for (std::size_t i = 0; i < b.outputs().size(); ++i) {
-    b_outputs[b.node(b.outputs()[i]).name] = i;
-  }
-  for (std::size_t i = 0; i < a.outputs().size(); ++i) {
-    const std::string& name = a.node(a.outputs()[i]).name;
-    const auto it = b_outputs.find(name);
-    if (it == b_outputs.end()) {
-      map.error = "output " + name + " missing in transformed";
-      return map;
-    }
-    map.outputs.push_back({i, it->second});
-    map.output_names.push_back(name);
-  }
-  return map;
-}
-
-bool looks_like_reset(const std::string& name) {
-  return name.find("rst") != std::string::npos ||
-         name.find("reset") != std::string::npos ||
-         name.find("__por") != std::string::npos;
-}
-
 /// Registers matched by name between the two circuits (for
 /// init_registers_by_name), in original-register order — the order the
 /// per-run RNG draws happen in.
@@ -111,7 +64,8 @@ RunStimulus draw_run(Rng& rng, const EquivalenceOptions& opt,
 
 EquivalenceResult check_scalar(const Netlist& original,
                                const Netlist& transformed,
-                               const EquivalenceOptions& opt, const IoMap& io,
+                               const EquivalenceOptions& opt,
+                               const IoPairing& io,
                                const std::vector<bool>& is_reset) {
   EquivalenceResult result;
   const auto matched = opt.init_registers_by_name
@@ -157,7 +111,8 @@ EquivalenceResult check_scalar(const Netlist& original,
 
 EquivalenceResult check_word(const Netlist& original,
                              const Netlist& transformed,
-                             const EquivalenceOptions& opt, const IoMap& io,
+                             const EquivalenceOptions& opt,
+                             const IoPairing& io,
                              const std::vector<bool>& is_reset) {
   EquivalenceResult result;
   const auto matched = opt.init_registers_by_name
@@ -233,11 +188,52 @@ EquivalenceResult check_word(const Netlist& original,
 
 }  // namespace
 
+IoPairing pair_io_by_name(const Netlist& a, const Netlist& b,
+                          std::string_view b_label) {
+  IoPairing pairing;
+  std::map<std::string, NetId> b_inputs;
+  for (const NodeId in : b.inputs()) {
+    b_inputs[b.node(in).name] = b.node(in).output;
+  }
+  for (const NodeId in : a.inputs()) {
+    const auto it = b_inputs.find(a.node(in).name);
+    if (it == b_inputs.end()) {
+      pairing.error = "input " + a.node(in).name + " missing in ";
+      pairing.error += b_label;
+      return pairing;
+    }
+    pairing.inputs.push_back({a.node(in).output, it->second});
+    pairing.input_names.push_back(a.node(in).name);
+  }
+  std::map<std::string, std::size_t> b_outputs;
+  for (std::size_t i = 0; i < b.outputs().size(); ++i) {
+    b_outputs[b.node(b.outputs()[i]).name] = i;
+  }
+  for (std::size_t i = 0; i < a.outputs().size(); ++i) {
+    const std::string& name = a.node(a.outputs()[i]).name;
+    const auto it = b_outputs.find(name);
+    if (it == b_outputs.end()) {
+      pairing.error = "output " + name + " missing in ";
+      pairing.error += b_label;
+      return pairing;
+    }
+    pairing.outputs.push_back({i, it->second});
+    pairing.output_names.push_back(name);
+  }
+  return pairing;
+}
+
+bool looks_like_reset(std::string_view name) {
+  return name.find("rst") != std::string_view::npos ||
+         name.find("reset") != std::string_view::npos ||
+         name.find("__por") != std::string_view::npos;
+}
+
 EquivalenceResult check_sequential_equivalence(const Netlist& original,
                                                const Netlist& transformed,
                                                const EquivalenceOptions& opt) {
   EquivalenceResult result;
-  const IoMap io = build_io_map(original, transformed);
+  const IoPairing io = pair_io_by_name(original, transformed, "transformed");
   if (!io.error.empty()) {
     result.equivalent = false;
     result.counterexample = io.error;

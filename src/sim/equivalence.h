@@ -13,6 +13,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -34,7 +36,7 @@ struct EquivalenceOptions {
   std::size_t warmup = 0;         ///< cycles before outputs are compared
   std::size_t reset_prefix = 3;   ///< cycles with reset-like inputs high
   /// Input-net names treated as reset-like (held 1 during the prefix,
-  /// 0 afterwards). Empty = heuristics: names containing "rst"/"reset".
+  /// 0 afterwards). Empty = looks_like_reset() below.
   std::vector<std::string> reset_inputs;
   /// Initialize same-named registers in both circuits to a common random
   /// defined state each run. Use for structural transforms that preserve
@@ -59,6 +61,22 @@ struct EquivalenceResult {
   std::string counterexample;  ///< human-readable mismatch description
   std::size_t compared_defined_outputs = 0;
 };
+
+/// Primary inputs and outputs of `a` paired by name with those of `b`.
+struct IoPairing {
+  std::vector<std::pair<NetId, NetId>> inputs;  ///< (a's net, b's net)
+  std::vector<std::string> input_names;
+  std::vector<std::pair<std::size_t, std::size_t>> outputs;  ///< PO indices
+  std::vector<std::string> output_names;
+  /// The first of a's inputs, then outputs, that `b` lacks, as
+  /// "input|output <name> missing in <b_label>"; empty when all pair.
+  std::string error;
+};
+IoPairing pair_io_by_name(const Netlist& a, const Netlist& b,
+                          std::string_view b_label);
+
+/// The reset-name heuristic: names containing "rst", "reset" or "__por".
+bool looks_like_reset(std::string_view name);
 
 /// Both netlists must have identical primary-input and output name lists
 /// (order-insensitive match by name).

@@ -7,17 +7,6 @@
 #include <vector>
 
 namespace mcrt {
-namespace {
-
-/// Two reset values mergeable: equal, or one is '-'.
-bool mergeable(ResetVal a, ResetVal b) {
-  return a == b || a == ResetVal::kDontCare || b == ResetVal::kDontCare;
-}
-ResetVal merge2(ResetVal a, ResetVal b) {
-  return a == ResetVal::kDontCare ? b : a;
-}
-
-}  // namespace
 
 Netlist register_sweep(const Netlist& input, RegisterSweepStats* stats) {
   // Iterate to a fixed point: merging one layer of duplicates can make the
@@ -47,10 +36,12 @@ Netlist register_sweep(const Netlist& input, RegisterSweepStats* stats) {
         bool placed = false;
         for (const std::uint32_t leader : leaders) {
           Register& lead = current.reg(RegId{leader});
-          if (mergeable(lead.sync_val, ff.sync_val) &&
-              mergeable(lead.async_val, ff.async_val)) {
-            lead.sync_val = merge2(lead.sync_val, ff.sync_val);
-            lead.async_val = merge2(lead.async_val, ff.async_val);
+          const auto sync_val = merge_reset_value(lead.sync_val, ff.sync_val);
+          const auto async_val =
+              merge_reset_value(lead.async_val, ff.async_val);
+          if (sync_val && async_val) {
+            lead.sync_val = *sync_val;
+            lead.async_val = *async_val;
             rep[r] = leader;
             placed = true;
             break;

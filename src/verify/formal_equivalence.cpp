@@ -8,15 +8,11 @@
 
 #include "base/strings.h"
 #include "bdd/bdd.h"
+#include "bdd/truth_table_bdd.h"
+#include "sim/equivalence.h"
 
 namespace mcrt {
 namespace {
-
-bool looks_like_reset(const std::string& name) {
-  return name.find("rst") != std::string::npos ||
-         name.find("reset") != std::string::npos ||
-         name.find("__por") != std::string::npos;
-}
 
 /// Symbolic encoding of one netlist over a shared BddManager.
 /// Variable layout (created by the caller): current-state vars and
@@ -111,7 +107,7 @@ class SymbolicMachine {
         std::vector<BddRef> fanins;
         fanins.reserve(node.fanins.size());
         for (const NetId f : node.fanins) fanins.push_back(net_bdd(f));
-        result = table_bdd(node.function, fanins);
+        result = table_bdd(bdd_, node.function, fanins);
       }
     }
     net_cache_[net.value()] = result;
@@ -120,17 +116,6 @@ class SymbolicMachine {
 
  private:
   static constexpr BddRef kBuilding = ~BddRef{0};
-
-  BddRef table_bdd(const TruthTable& tt, const std::vector<BddRef>& fanins) {
-    if (tt.input_count() == 0) {
-      return tt.eval(0) ? BddManager::kTrue : BddManager::kFalse;
-    }
-    const std::uint32_t last = tt.input_count() - 1;
-    std::vector<BddRef> rest(fanins.begin(), fanins.end() - 1);
-    const BddRef low = table_bdd(tt.cofactor(last, false), rest);
-    const BddRef high = table_bdd(tt.cofactor(last, true), rest);
-    return bdd_.ite(fanins[last], high, low);
-  }
 
   const Netlist& netlist_;
   BddManager& bdd_;

@@ -1,12 +1,10 @@
 // Bounded-size, register-class-aware partitioning of the mc-graph
 // (windowed retiming step 1; docs/WINDOWING.md).
 //
-// The monolithic solver's quadratic parts (the per-source W/D Dijkstras of
-// period-constraint generation) cap it at Table-1 scale, so the windowed
-// flow clusters the movable vertices (kGate, kSeparator) into regions of
-// bounded size and solves each region as an independent retiming problem
-// with its boundary frozen. The partitioner is a seeded multi-source BFS
-// growth in the mockturtle windowing idiom:
+// The windowed flow clusters the movable vertices (kGate, kSeparator) into
+// regions of bounded size and solves each region as an independent
+// retiming problem with its boundary frozen. The partitioner is a seeded
+// multi-source BFS growth in the mockturtle windowing idiom:
 //
 //  - seeds are spread evenly over the movable vertices (a seed-derived
 //    rotation makes successive rounds produce *shifted* partitions, which
@@ -30,8 +28,8 @@
 namespace mcrt {
 
 struct PartitionOptions {
-  /// Movable-vertex capacity per window. The default keeps the per-window
-  /// W/D constraint generation (the quadratic bit) comfortably cheap.
+  /// Movable-vertex capacity per window; min-area runs one W/D sweep per
+  /// window.
   std::size_t max_window = 1024;
   /// Fixed window count; 0 derives ceil(movable / max_window).
   std::uint64_t window_count = 0;

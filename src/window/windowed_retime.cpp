@@ -3,36 +3,14 @@
 #include <algorithm>
 #include <atomic>
 #include <memory>
-#include <optional>
 
 #include "mcretime/lower.h"
 #include "retime/minarea.h"
 #include "retime/minperiod.h"
-#include "retime/period_constraints.h"
 #include "window/extract.h"
 
 namespace mcrt {
 namespace {
-
-/// Solves one window for minimum period. Robust to bounds that exclude
-/// r = 0 (delta-space justification retries tighten past the current
-/// label): when minperiod's fallback labeling is illegal under the
-/// bounds, walk the candidate periods upward with the bounded FEAS — any
-/// achievable period is an exact path delay, so the scan is exhaustive.
-/// nullopt = the window alone cannot satisfy its bounds (caller
-/// escalates).
-std::optional<std::vector<std::int64_t>> solve_window(
-    const RetimeGraph& local, const CancelToken* cancel) {
-  const RetimeSolution sol = minperiod_retime(local, FeasImpl::kCsr, cancel);
-  if (!sol.feasible) return std::nullopt;
-  if (local.check_legal(sol.r).empty()) return sol.r;
-  for (const std::int64_t phi : candidate_periods(local, cancel)) {
-    if (phi < sol.period) continue;
-    poll_cancel(cancel);
-    if (auto r = feas_check(local, phi)) return r;
-  }
-  return std::nullopt;
-}
 
 std::int64_t shift_lower(std::int64_t bound, std::int64_t r) {
   return bound <= -RetimeGraph::kNoBound ? bound : bound - r;
@@ -135,8 +113,10 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
             if (ma.feasible && prob.graph.check_legal(ma.r).empty()) {
               stitch_window_labels(prob, ma.r, delta);
             }
-          } else if (auto r = solve_window(prob.graph, &token)) {
-            stitch_window_labels(prob, *r, delta);
+          } else if (const RetimeSolution sol = minperiod_retime(
+                         prob.graph, FeasImpl::kCsr, &token);
+                     sol.feasible) {
+            stitch_window_labels(prob, sol.r, delta);
           }
         } catch (const CancelledError&) {
           // A per-window deadline degrades that window to delta = 0; an
@@ -235,9 +215,13 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
       const RetimeGraph rg = reweighted(global, labels, bounded);
       const BoundaryTiming timing = compute_boundary_timing(rg);
       const WindowProblem prob = extract_window(rg, part, w, timing);
-      if (auto r = solve_window(prob.graph, options.base.cancel)) {
+      // The bounds may exclude delta 0: minperiod_retime then searches
+      // above the current period too, or reports the window infeasible.
+      const RetimeSolution sol =
+          minperiod_retime(prob.graph, FeasImpl::kCsr, options.base.cancel);
+      if (sol.feasible) {
         std::vector<std::int64_t> delta(n, 0);
-        stitch_window_labels(prob, *r, delta);
+        stitch_window_labels(prob, sol.r, delta);
         std::vector<std::int64_t> candidate = labels;
         for (std::size_t i = 0; i < n; ++i) candidate[i] += delta[i];
         if (global.check_legal(candidate).empty()) {
@@ -251,7 +235,7 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
       ++wstats.global_fallbacks;
       const RetimeSolution sol =
           minperiod_retime(bounded, FeasImpl::kCsr, options.base.cancel);
-      if (!sol.feasible || !bounded.check_legal(sol.r).empty()) {
+      if (!sol.feasible) {
         return std::string("windowed retiming: global fallback infeasible");
       }
       labels = sol.r;

@@ -1,9 +1,7 @@
 // Windowed multiple-class retiming: partition, solve per window in
 // parallel, stitch, refine (docs/WINDOWING.md).
 //
-// The monolithic flow's period-constraint generation runs a Dijkstra per
-// vertex, which is quadratic-ish and caps it at Table-1 scale. The
-// windowed flow prepares the same mc-graph and §4.1 bounds once, lowers
+// The windowed flow prepares the same mc-graph and §4.1 bounds once, lowers
 // to the bounded basic retiming graph, partitions the movable vertices
 // into bounded-size windows (partition.h), and solves each window as an
 // independent bounded minperiod problem with its boundary frozen at
@@ -23,7 +21,9 @@
 // with the monolithic flow; a justification failure tightens the bound at
 // the offending vertex and this driver's re-solve works on only the window
 // that owns it, falling back to a full-graph re-solve if the window alone
-// cannot absorb the new bound.
+// cannot absorb the new bound. The window is solved in delta space, where
+// the tightened bound can exclude 0; minperiod_retime() then searches
+// above the current period too, or reports the window infeasible.
 #pragma once
 
 #include <functional>

@@ -8,6 +8,7 @@
 #include "base/thread_pool.h"
 #include "base/timer.h"
 #include "bdd/bdd.h"
+#include "bdd/truth_table_bdd.h"
 #include "blif/blif.h"
 #include "flow/maxflow.h"
 #include "flow/mincost_flow.h"

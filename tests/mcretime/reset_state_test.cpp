@@ -2,8 +2,42 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 namespace mcrt {
 namespace {
+
+/// Does every completion of the partial assignment `pins` evaluate f to
+/// `target`?
+bool implies_target(const TruthTable& f, bool target,
+                    const std::vector<ResetVal>& pins) {
+  for (std::uint32_t row = 0; row < (1u << f.input_count()); ++row) {
+    bool in_cube = true;
+    for (std::uint32_t i = 0; i < f.input_count() && in_cube; ++i) {
+      const bool bit = (row >> i) & 1;
+      in_cube = pins[i] == ResetVal::kDontCare ||
+                bit == (pins[i] == ResetVal::kOne);
+    }
+    if (in_cube && f.eval(row) != target) return false;
+  }
+  return true;
+}
+
+constexpr int kNoCube = 1 << 20;
+
+/// Fewest literals of a cube that decides pins in ascending order, each
+/// one only if the function left so far depends on it, until that
+/// function is constant `target`: the cubes that are paths of f's ordered
+/// BDD, enumerated on truth-table cofactors. kNoCube if there is none.
+int shortest_ordered_cube(const TruthTable& f, bool target) {
+  if (f.is_const(target)) return 0;
+  if (f.is_const(!target)) return kNoCube;
+  std::uint32_t top = 0;
+  while (f.input_redundant(top)) ++top;
+  return 1 + std::min(shortest_ordered_cube(f.cofactor(top, false), target),
+                      shortest_ordered_cube(f.cofactor(top, true), target));
+}
 
 TEST(MergeResetValuesTest, AllDontCare) {
   const auto merged = merge_reset_values(
@@ -85,6 +119,37 @@ TEST(JustifyTest, XorNeedsBothInputs) {
   EXPECT_NE((*pins)[0], ResetVal::kDontCare);
   EXPECT_NE((*pins)[1], ResetVal::kDontCare);
   EXPECT_NE((*pins)[0], (*pins)[1]);
+}
+
+TEST(JustifyTest, CubeIsAShortestOrderedImplicant) {
+  // Every table of arity 0-4, both targets, by brute force: the pins are a
+  // satisfying partial assignment with as few literals as any cube of the
+  // BDD's variable order allows, and there are none only when f is the
+  // other constant. (A shorter implicant that skips a variable the
+  // function depends on is not searched for: tt3:0x6 -> 0 takes pins 0
+  // and 1 although pin 2 = 1 alone suffices.)
+  for (std::uint32_t arity = 0; arity <= 4; ++arity) {
+    const std::uint64_t tables = std::uint64_t{1} << (1u << arity);
+    for (std::uint64_t bits = 0; bits < tables; ++bits) {
+      const TruthTable f(arity, bits);
+      for (const bool target : {false, true}) {
+        const int want = shortest_ordered_cube(f, target);
+        const auto pins = justify_through(f, target);
+        const std::string where =
+            f.to_string() + " -> " + std::to_string(target);
+        ASSERT_EQ(pins.has_value(), want != kNoCube) << where;
+        if (!pins) continue;
+        ASSERT_EQ(pins->size(), arity) << where;
+        EXPECT_TRUE(implies_target(f, target, *pins)) << where;
+        EXPECT_EQ(std::count_if(pins->begin(), pins->end(),
+                                [](ResetVal v) {
+                                  return v != ResetVal::kDontCare;
+                                }),
+                  want)
+            << where;
+      }
+    }
+  }
 }
 
 TEST(JustifyTest, JustifiedValuesImplyTarget) {

@@ -13,9 +13,11 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "../common/wd_reference.h"
 #include "base/rng.h"
 #include "mcretime/lower.h"
 #include "mcretime/maximal_retiming.h"
@@ -161,7 +163,7 @@ void expect_minperiod_is_wd_optimum(const RetimeGraph& graph) {
   const auto wd = bounded_feasible(graph, solution.period);
   ASSERT_TRUE(wd);
   EXPECT_EQ(solution.r, *wd);
-  const std::vector<std::int64_t> candidates = candidate_periods(graph);
+  const std::vector<std::int64_t> candidates = testing::wd_path_delays(graph);
   const auto at =
       std::lower_bound(candidates.begin(), candidates.end(), solution.period);
   ASSERT_NE(at, candidates.end());
@@ -185,7 +187,8 @@ TEST(FeasDifferentialTest, WorkloadGraphsAgreeOnEveryCandidate) {
     SCOPED_TRACE(profile.name);
     const RetimeGraph bounded = bounded_lowered_graph(profile);
     for (const RetimeGraph& graph : {bounded, bounded.without_bounds()}) {
-      const std::vector<std::int64_t> candidates = candidate_periods(graph);
+      const std::vector<std::int64_t> candidates =
+          testing::wd_path_delays(graph);
       // Every distinct path delay, feasible and infeasible alike
       // (decimated to keep the suite fast on the big circuits).
       const std::size_t stride =
@@ -199,11 +202,14 @@ TEST(FeasDifferentialTest, WorkloadGraphsAgreeOnEveryCandidate) {
 
 TEST(FeasDifferentialTest, RandomBoundsAgreeOnEveryPeriod) {
   // Every period from 1 to past the current period, on random graphs with
-  // random bounds, some excluding 0 and some empty. The counts keep the
-  // test from passing on rejections alone.
+  // random bounds, some excluding 0 and some empty, and the min-period
+  // search on the same graphs. The counts keep the test from passing on
+  // rejections alone.
   std::size_t accepted = 0;
   std::size_t accepted_without_zero = 0;
   std::size_t rejected = 0;
+  std::size_t above_current = 0;  // minperiod optimum above the period
+  std::size_t no_period = 0;      // no legal labeling at any period
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     Rng rng(seed);
@@ -220,10 +226,24 @@ TEST(FeasDifferentialTest, RandomBoundsAgreeOnEveryPeriod) {
         ++rejected;
       }
     }
+    // minperiod_retime against the W/D scan over every path delay: the
+    // smallest accepted one with its labels, or infeasible when none is.
+    const RetimeSolution solution = minperiod_retime(g);
+    const std::optional<std::int64_t> want = testing::wd_min_period(g);
+    ASSERT_EQ(solution.feasible, want.has_value());
+    if (!want) {
+      ++no_period;
+      continue;
+    }
+    EXPECT_EQ(solution.period, *want);
+    EXPECT_EQ(solution.r, *bounded_feasible(g, *want));
+    if (*want > g.period()) ++above_current;
   }
   EXPECT_GT(accepted, 300u);
   EXPECT_GT(accepted_without_zero, 100u);
   EXPECT_GT(rejected, 300u);
+  EXPECT_GT(above_current, 10u);
+  EXPECT_GT(no_period, 10u);
 }
 
 TEST(FeasDifferentialTest, WorkloadGraphsAgreeUnderBoundsExcludingZero) {
@@ -237,7 +257,7 @@ TEST(FeasDifferentialTest, WorkloadGraphsAgreeUnderBoundsExcludingZero) {
       const std::int64_t r = rng.below(2) == 0 ? -1 : 1;
       graph.set_bounds(VertexId{v}, r, r);
     }
-    const std::vector<std::int64_t> candidates = candidate_periods(graph);
+    const std::vector<std::int64_t> candidates = testing::wd_path_delays(graph);
     const std::size_t stride =
         candidates.size() > 24 ? candidates.size() / 24 : 1;
     for (std::size_t i = 0; i < candidates.size(); i += stride) {

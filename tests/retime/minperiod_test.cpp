@@ -7,6 +7,7 @@
 #include <tuple>
 #include <vector>
 
+#include "../common/wd_reference.h"
 #include "base/rng.h"
 #include "retime/feas.h"
 #include "retime/period_constraints.h"
@@ -181,6 +182,89 @@ TEST(MinPeriodTest, BoundedFeasibleHonorsBounds) {
   EXPECT_TRUE(g.check_legal(*r).empty()) << g.check_legal(*r);
 }
 
+// --- Bounds that exclude 0 ----------------------------------------------
+// Relocation retries in delta space create these: r = 0 is illegal, so
+// the current period says nothing about feasibility and the optimum may
+// lie above it.
+
+/// host -> a -> b [-> c] -> host, one register on every internal edge, a
+/// pinned at 0 like an interface vertex and b forced to r = -1: b's
+/// register moves from a -> b onto b's out-edge, joining a and b into one
+/// zero-weight path of delay 8.
+RetimeGraph forced_move_graph(bool with_c) {
+  RetimeGraph g;
+  const VertexId a = g.add_vertex(3, "a");
+  const VertexId b = g.add_vertex(5, "b");
+  g.add_edge(g.host(), a, 0);
+  g.add_edge(a, b, 1);
+  if (with_c) {
+    const VertexId c = g.add_vertex(4, "c");
+    g.add_edge(b, c, 1);
+    g.add_edge(c, g.host(), 0);
+  } else {
+    g.add_edge(b, g.host(), 0);
+  }
+  g.set_bounds(a, 0, 0);
+  g.set_bounds(b, -1, -1);
+  return g;
+}
+
+/// minperiod_retime agrees with the W/D scan: the smallest path delay
+/// bounded_feasible() accepts, with its labels, legal and meeting it.
+void expect_wd_scan_solution(const RetimeGraph& g, std::int64_t want) {
+  const RetimeSolution solution = minperiod_retime(g);
+  ASSERT_EQ(testing::wd_min_period(g), want);
+  ASSERT_TRUE(solution.feasible);
+  EXPECT_EQ(solution.period, want);
+  EXPECT_EQ(solution.r, *bounded_feasible(g, want));
+  EXPECT_EQ(g.check_legal(solution.r), "");
+  EXPECT_LE(g.period(solution.r), want);
+}
+
+TEST(MinPeriodTest, BoundsExcludingZeroAdmitNothingAtOrBelowCurrent) {
+  // The current period 5 is the largest delay, so nothing lies below it,
+  // and the forced move rules it out too: the optimum is the delay sum 8.
+  const RetimeGraph g = forced_move_graph(false);
+  ASSERT_EQ(g.period(), 5);
+  expect_wd_scan_solution(g, 8);
+}
+
+TEST(MinPeriodTest, OptimumAboveCurrentPeriodBelowDelaySum) {
+  // c's registers stay put, so the optimum 8 lies strictly between the
+  // current period 5 and the delay sum 12 the search starts from.
+  const RetimeGraph g = forced_move_graph(true);
+  ASSERT_EQ(g.period(), 5);
+  expect_wd_scan_solution(g, 8);
+}
+
+TEST(MinPeriodTest, ContradictoryBoundsAreInfeasible) {
+  // b's out-edge carries no register, so legality caps r(b) at 0.
+  RetimeGraph g = forced_move_graph(false);
+  g.set_bounds(VertexId{2}, 1, 1);
+  EXPECT_FALSE(testing::wd_min_period(g));
+  EXPECT_FALSE(minperiod_retime(g).feasible);
+  // An empty box.
+  RetimeGraph empty = correlator();
+  empty.set_bounds(VertexId{3}, 1, 0);
+  EXPECT_FALSE(testing::wd_min_period(empty));
+  EXPECT_FALSE(minperiod_retime(empty).feasible);
+}
+
+TEST(MinPeriodTest, BoundsExcludingZeroWithAllDelaysZero) {
+  // Every delay 0: the only candidate period is 0.
+  RetimeGraph g;
+  const VertexId a = g.add_vertex(0, "a");
+  const VertexId b = g.add_vertex(0, "b");
+  g.add_edge(g.host(), a, 0);
+  g.add_edge(a, b, 1);
+  g.add_edge(b, g.host(), 0);
+  g.set_bounds(a, 0, 0);
+  g.set_bounds(b, -1, -1);
+  expect_wd_scan_solution(g, 0);
+  g.set_bounds(b, 1, 1);
+  EXPECT_FALSE(minperiod_retime(g).feasible);
+}
+
 // --- Random graphs over four delay sets, against the W/D reference --------
 // The suite keeps the name it had when these properties were checked
 // against a multi-period W/D constraint table, so its test ids stay
@@ -244,21 +328,11 @@ RetimeGraph tightened(const RetimeGraph& g, std::uint64_t seed) {
   return out;
 }
 
-/// W/D reference for min-period: the smallest candidate period that
-/// bounded_feasible accepts, or the current period when none below it does.
-std::int64_t reference_min_period(const RetimeGraph& g) {
-  for (const std::int64_t phi : candidate_periods(g)) {
-    if (phi >= g.period()) break;
-    if (bounded_feasible(g, phi)) return phi;
-  }
-  return g.period();
-}
-
 /// minperiod_retime against the W/D reference: the same period, and the
 /// same labels (all 0 when no smaller period is feasible), legal.
 void expect_reference_solution(const RetimeGraph& g, const std::string& where) {
   const RetimeSolution solution = minperiod_retime(g);
-  const std::int64_t want = reference_min_period(g);
+  const std::int64_t want = *testing::wd_min_period(g);
   EXPECT_EQ(solution.period, want) << where;
   if (want < g.period()) {
     EXPECT_EQ(solution.r, *bounded_feasible(g, want)) << where;
@@ -306,18 +380,7 @@ TEST_P(PeriodTableProperty, CandidatesAreThePathDelaysInRange) {
   const auto [seed, delay_set] = GetParam();
   const RetimeGraph g =
       random_delay_graph(seed, 12, kDelaySets[delay_set], true);
-  // Reference: every W/D label, sorted and deduplicated at the end.
-  std::vector<std::int64_t> all;
-  for (std::size_t u = 1; u < g.vertex_count(); ++u) {
-    const WdLabels labels =
-        compute_wd_from_source(g, VertexId{static_cast<std::uint32_t>(u)});
-    for (std::size_t v = 0; v < g.vertex_count(); ++v) {
-      if (labels.reached[v]) all.push_back(labels.delay[v]);
-    }
-  }
-  std::sort(all.begin(), all.end());
-  all.erase(std::unique(all.begin(), all.end()), all.end());
-  EXPECT_EQ(candidate_periods(g), all);
+  const std::vector<std::int64_t> all = testing::wd_path_delays(g);
 
   // The bisection probes multiples of the delay gcd; the optimum it lands
   // on is still a path delay, in [max d(v), current period].

@@ -5,6 +5,7 @@
 // satisfy the full one (implied-constraint property).
 #include <gtest/gtest.h>
 
+#include "../common/wd_reference.h"
 #include "base/rng.h"
 #include "graph/difference_constraints.h"
 #include "retime/period_constraints.h"
@@ -49,7 +50,7 @@ class PruningProperty
 TEST_P(PruningProperty, SameFeasibilityAsUnpruned) {
   const auto [seed, with_bounds] = GetParam();
   const RetimeGraph g = random_graph(seed, 10, with_bounds);
-  const auto candidates = candidate_periods(g);
+  const auto candidates = testing::wd_path_delays(g);
   for (const std::int64_t phi : candidates) {
     std::vector<DifferenceConstraint> pruned;
     generate_circuit_constraints(g, pruned);
