@@ -1,10 +1,11 @@
 // Minimum k-LUT mapping depth by exhaustive cut enumeration.
 //
 // The independent reference for FlowMap (tech/flowmap.h). FlowMap finds
-// each net's label with one small max-flow; this module computes the same
-// label straight from its definition. It enumerates the k-feasible cuts
-// of every net bottom-up (a cut of a gate's output is a union of one cut
-// per fanin, where a fanin's own net is also a cut of it) and takes
+// each net's label with one max-flow search over its cone; this module
+// computes the same label straight from its definition. It enumerates the
+// k-feasible cuts of every net bottom-up (a cut of a gate's output is a
+// union of one cut per fanin, where a fanin's own net is also a cut of it)
+// and takes
 //
 //     label(n) = min over cuts C of n of (max_{c in C} label(c) + 1),
 //

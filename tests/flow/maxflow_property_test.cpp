@@ -1,13 +1,15 @@
-// Property: max-flow equals min-cut on random small networks, checked
-// against exhaustive cut enumeration, and the reported source side is a
-// valid minimum cut.
+// Property: the reference max-flow equals min-cut on random small
+// networks, checked against exhaustive cut enumeration, and the reported
+// source side is a valid minimum cut.
 #include <gtest/gtest.h>
 
+#include "../common/maxflow_reference.h"
 #include "base/rng.h"
-#include "flow/maxflow.h"
 
 namespace mcrt {
 namespace {
+
+using testing::MaxFlow;
 
 struct Network {
   std::size_t nodes;

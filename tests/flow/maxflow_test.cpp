@@ -1,9 +1,12 @@
-#include "flow/maxflow.h"
+// Unit tests of the reference Dinic max-flow (tests/common).
+#include "../common/maxflow_reference.h"
 
 #include <gtest/gtest.h>
 
 namespace mcrt {
 namespace {
+
+using testing::MaxFlow;
 
 TEST(MaxFlowTest, SingleArc) {
   MaxFlow flow(2);

@@ -10,7 +10,6 @@
 #include "bdd/bdd.h"
 #include "bdd/truth_table_bdd.h"
 #include "blif/blif.h"
-#include "flow/maxflow.h"
 #include "flow/mincost_flow.h"
 #include "graph/difference_constraints.h"
 #include "graph/digraph.h"

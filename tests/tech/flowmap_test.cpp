@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "../common/test_circuits.h"
+#include "blif/blif.h"
 #include "sim/equivalence.h"
 #include "tech/decompose.h"
 #include "tech/sta.h"
+#include "workload/generator.h"
 #include "workload/random_circuit.h"
 
 namespace mcrt {
@@ -167,6 +171,74 @@ TEST(FlowMapTest, RejectsUnboundedSubjectGraph) {
   FlowMapOptions opt;
   opt.k = 4;
   EXPECT_THROW(flowmap_map(n, opt), std::invalid_argument);
+}
+
+TEST(FlowMapTest, PreCancelledTokenThrows) {
+  // Labels poll the token once each, so a stop requested before the call
+  // unwinds at the first label.
+  CancelToken token;
+  token.request_cancel();
+  FlowMapOptions opt;
+  opt.k = 4;
+  opt.cancel = &token;
+  EXPECT_THROW(
+      flowmap_map(decompose_to_binary(random_sequential_circuit(11)), opt),
+      CancelledError);
+}
+
+std::uint64_t fnv1a64(const std::string& text) {
+  std::uint64_t hash = 14695981039346656037ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;
+  }
+  return hash;
+}
+
+TEST(FlowMapTest, CoversPinnedToParent) {
+  // FNV-1a of the mapped BLIF at k = 4, without and with area recovery,
+  // recorded before the label search was rewritten: any change to a label,
+  // a cut or the realization order shows up here.
+  struct Pin {
+    const char* name;
+    std::uint64_t plain;
+    std::uint64_t recovered;
+  };
+  static constexpr Pin kPins[] = {
+      {"C1", 0xe8ac0e980623c87bull, 0xed3c83f233911948ull},
+      {"C2", 0x57cb9e1f8aacc155ull, 0x0ecc40428bf7f05aull},
+      {"C3", 0x0377cba47e5cb0c4ull, 0x0377cba47e5cb0c4ull},
+      {"C4", 0xc0f9f9710ffcadadull, 0x1d88a7470a5b9060ull},
+      {"C5", 0xee4fe953d9d086c5ull, 0xee4fe953d9d086c5ull},
+      {"C6", 0x1ccc72c0879131cfull, 0x05e84d2fbe4b7df8ull},
+      {"C7", 0xabe08309f390a565ull, 0x57be98500ea1e276ull},
+      {"C8", 0xa41613c6ca5effcfull, 0xf03fff44fd775cddull},
+      {"C9", 0x53702c550d61f013ull, 0x6f4f6c95a4a050a8ull},
+      {"C10", 0xef1eb8ed738e82a4ull, 0x15c28e10eb168dd4ull},
+      {"s1000", 0xa1d29e6147026525ull, 0x901ce6488a05c040ull},
+  };
+  std::vector<Netlist> designs;
+  for (const CircuitProfile& profile : paper_suite()) {
+    designs.push_back(generate_circuit(profile));
+  }
+  designs.push_back(generate_circuit(scaled_profile(1000, 1)));
+  ASSERT_EQ(designs.size(), std::size(kPins));
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    SCOPED_TRACE(kPins[i].name);
+    const Netlist subject = decompose_to_binary(designs[i]);
+    for (const bool recovery : {false, true}) {
+      FlowMapOptions opt;
+      opt.k = 4;
+      opt.area_recovery = recovery;
+      const std::uint64_t hash =
+          fnv1a64(write_blif_string(flowmap_map(subject, opt).mapped));
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "0x%016llxull",
+                    static_cast<unsigned long long>(hash));
+      EXPECT_EQ(hash, recovery ? kPins[i].recovered : kPins[i].plain)
+          << "recovery=" << recovery << " got " << hex;
+    }
+  }
 }
 
 }  // namespace
