@@ -70,6 +70,7 @@ std::string implement_retiming(const McGraph& graph, const Netlist& input,
                                const McResolve& resolve, McRetimeStats& stats,
                                Netlist& out) {
   BoundOverlay overlay;
+  JustificationMemo memo;  // retries meet the same justifications again
   McGraph relocated;
   bool implemented = false;
   for (std::size_t attempt = 0; attempt < options.max_attempts; ++attempt) {
@@ -80,8 +81,10 @@ std::string implement_retiming(const McGraph& graph, const Netlist& input,
       ScopedPhase phase(stats.profile, "implement");
       relocated = graph;
       relocation = relocate_registers(relocated, input, labels,
-                                      options.global_justification_budget);
+                                      options.global_justification_budget,
+                                      &memo);
       stats.relocate = relocation.stats;
+      stats.justification_reuses = memo.reuses();
     }
     if (relocation.success) {
       implemented = true;
@@ -128,6 +131,10 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
   }
 
   // --- Steps 4-5 under the bounds added so far -----------------------------
+  // The graph is lowered once; each retry intersects its bounds with the
+  // overlay. Overlay bounds only tighten, so min(new, min(old, base)) =
+  // min(new, base): the kept graph carries exactly the bounds a fresh
+  // lowering under the overlay would, and its CSR view stays valid.
   // Across justification-failure retries the period usually stays valid:
   // each attempt re-probes it with the bounded FEAS and minimizes again
   // only when the new bound makes it infeasible. Min-area generates the
@@ -138,11 +145,10 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
   std::vector<DifferenceConstraint> period_constraints;
   std::int64_t constraints_phi = -1;  // the period they were made for
   const RetimeWorkCounters work_before = retime_work_counters();
+  RetimeGraph basic;
   const McResolve solve = [&](const BoundOverlay& overlay, VertexId,
                               std::vector<std::int64_t>& labels) {
-    RetimeGraph basic = lower_to_retime_graph(graph, bounds);
     overlay.apply(basic);
-    stats.period_before = basic.period();
     // Try the requested target first; fall back to minimization if it is
     // below the minimum feasible period.
     std::optional<std::vector<std::int64_t>> probe;
@@ -186,6 +192,8 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
   poll_cancel(options.cancel);
   {
     ScopedPhase phase(stats.profile, "retime");
+    basic = lower_to_retime_graph(graph, bounds);
+    stats.period_before = basic.period();
     result.error = solve(BoundOverlay(), VertexId(), labels);
   }
   // --- Step 6: implement, bounding away justification failures ------------

@@ -7,7 +7,10 @@
 //   5. Minimum-area retiming at phi_min.
 //   6. Relocate registers, computing equivalent reset states (local BDD
 //      justification, global fallback); on a justification failure, add a
-//      retiming bound at the offending vertex and recompute (4)-(6).
+//      retiming bound at the offending vertex and recompute (4)-(6). A
+//      retry costs only its new work: the attempts share one
+//      JustificationMemo (relocate.h), and mc_retime() lowers the graph to
+//      a RetimeGraph once and tightens its bounds in place.
 //
 // The result is a new netlist plus the statistics reported in the paper's
 // Table 2 (#Class, #Step moved/possible, justification counts, and a
@@ -76,7 +79,12 @@ struct McRetimeStats {
   /// augmenting paths of the min-area solves. retime_windowed() leaves
   /// them all 0.
   RetimeWorkCounters work;
+  /// The last relocation's step and justification counts.
   RelocateStats relocate;
+  /// Justifications answered from an earlier attempt's work (the
+  /// JustificationMemo's local plus global reuses, over all attempts); 0
+  /// when the first attempt succeeds.
+  std::size_t justification_reuses = 0;
   /// Buckets: "graph" (steps 1-3), "retime" (4-5), "implement" (6).
   PhaseProfile profile;
 };
@@ -133,7 +141,8 @@ using McResolve = std::function<std::string(
 /// registers of `graph` for `labels`; on a failure tightens the overlay and
 /// calls the driver's `resolve`, for at most options.max_attempts
 /// relocations. On success rebuilds the netlist into `out` and fills
-/// attempts, relocate, moved_layers and registers_after of `stats`.
+/// attempts, relocate, justification_reuses, moved_layers and
+/// registers_after of `stats`.
 /// Returns an error, empty on success.
 std::string implement_retiming(const McGraph& graph, const Netlist& input,
                                const McRetimeOptions& options,

@@ -13,6 +13,61 @@
 namespace mcrt {
 namespace {
 
+// A global-justification program: the BDD operations of one global
+// justification as a flat word list over variable indices, in the order a
+// run executes them (so it also fixes node creation and variable order):
+//
+//   R, then R root literals (var << 1 | value): var == value;
+//   M, then M moves, then the pending move, each
+//     table bits, arity, P, P pin words (pin << 32 | var), E, E vars:
+//     every listed var == table(pins), unlisted pins tied to false.
+//
+// Before each of the M moves a run stops when the constraint is already
+// false (unsatisfiable) or the manager holds more than kNodeBudget nodes.
+constexpr std::size_t kNodeBudget = 500000;
+
+JustificationMemo::GlobalAnswer run_global_program(
+    const std::vector<std::uint64_t>& program) {
+  BddManager bdd;
+  BddRef constraint = BddManager::kTrue;
+  std::size_t at = 0;
+  const auto next = [&] { return program[at++]; };
+  const auto var = [&](std::uint64_t v) {
+    return bdd.var(static_cast<std::uint32_t>(v));
+  };
+  const auto require_equal = [&](BddRef a, BddRef b) {
+    constraint = bdd.bdd_and(constraint, bdd.bdd_xnor(a, b));
+  };
+  const auto run_move = [&] {
+    const std::uint64_t bits = next();
+    const TruthTable f(static_cast<std::uint32_t>(next()), bits);
+    std::vector<BddRef> pins(f.input_count(), BddManager::kFalse);
+    for (std::uint64_t p = next(); p > 0; --p) {
+      const std::uint64_t word = next();
+      pins[word >> 32] = var(word & 0xffffffffu);
+    }
+    const BddRef out = table_bdd(bdd, f, pins);
+    for (std::uint64_t e = next(); e > 0; --e) require_equal(var(next()), out);
+  };
+  for (std::uint64_t r = next(); r > 0; --r) {
+    const std::uint64_t literal = next();
+    require_equal(var(literal >> 1),
+                  (literal & 1) != 0 ? BddManager::kTrue : BddManager::kFalse);
+  }
+  constexpr const char* kUnsatisfiable = "global justification unsatisfiable";
+  for (std::uint64_t m = next(); m > 0; --m) {
+    if (constraint == BddManager::kFalse) return {kUnsatisfiable, {}};
+    if (bdd.node_count() > kNodeBudget) {
+      return {"global justification BDD exceeds node budget", {}};
+    }
+    run_move();
+  }
+  run_move();  // the pending move
+  auto cube = bdd.shortest_cube(constraint);
+  if (!cube) return {kUnsatisfiable, {}};
+  return {{}, std::move(*cube)};
+}
+
 enum class Plane { kSync, kAsync };
 
 ResetVal plane_value(const McReg& reg, Plane plane) {
@@ -26,11 +81,12 @@ class Relocator {
  public:
   Relocator(McGraph& graph, const Netlist& netlist,
             const std::vector<std::int64_t>& target,
-            std::size_t global_var_budget)
+            std::size_t global_var_budget, JustificationMemo* memo)
       : g_(graph),
         netlist_(netlist),
         target_(target),
-        var_budget_(global_var_budget) {}
+        var_budget_(global_var_budget),
+        memo_(memo) {}
 
   RelocateResult run() {
     init();
@@ -123,7 +179,9 @@ class Relocator {
         pins.assign(pin_count(v), ResetVal::kDontCare);
         return true;
       }
-      auto justified = justify_through(f, *merged == ResetVal::kOne);
+      const bool target = *merged == ResetVal::kOne;
+      auto justified = memo_ != nullptr ? memo_->local(f, target)
+                                        : justify_through(f, target);
       if (!justified) return false;
       pins = std::move(*justified);
       return true;
@@ -257,7 +315,6 @@ class Relocator {
     // It also makes the result deterministic.
     std::vector<std::size_t> ordered_moves(moves.begin(), moves.end());
     std::sort(ordered_moves.begin(), ordered_moves.end());
-    BddManager bdd;
     std::unordered_map<std::uint32_t, std::uint32_t> var_of;  // uid -> var
     std::uint32_t next_var = 0;
     auto assign_var = [&](std::uint32_t uid) {
@@ -273,72 +330,64 @@ class Relocator {
       pending_vars.push_back(next_var++);
     }
 
-    auto uid_bdd = [&](std::uint32_t uid) { return bdd.var(var_of.at(uid)); };
-
-    // --- constraints ---------------------------------------------------------
-    BddRef constraint = BddManager::kTrue;
-    constexpr std::size_t kNodeBudget = 500000;
-    auto require_equal = [&](BddRef a, BddRef b) {
-      constraint = bdd.bdd_and(constraint, bdd.bdd_xnor(a, b));
+    // --- constraints, as a program (see run_global_program) ----------------
+    using PinVars = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+    std::vector<std::uint64_t> program;
+    const auto emit_move = [&](const TruthTable& f, const PinVars& pin_vars,
+                               const std::vector<std::uint32_t>& equated) {
+      program.push_back(f.bits());
+      program.push_back(f.input_count());
+      program.push_back(pin_vars.size());
+      for (const auto& [pin, var] : pin_vars) {
+        program.push_back(std::uint64_t{pin} << 32 | var);
+      }
+      program.push_back(equated.size());
+      for (const std::uint32_t uid : equated) program.push_back(var_of.at(uid));
     };
     // Roots: original registers carry their input-circuit values.
     const auto& originals =
         plane == Plane::kSync ? original_sync_ : original_async_;
+    program.push_back(0);
     for (const std::uint32_t uid : closure) {
       if (created_by_.count(uid)) continue;
       const ResetVal value = originals.at(uid);
       if (value == ResetVal::kDontCare) continue;  // free
-      require_equal(uid_bdd(uid), value == ResetVal::kOne
-                                      ? BddManager::kTrue
-                                      : BddManager::kFalse);
+      program.push_back(std::uint64_t{var_of.at(uid)} << 1 |
+                        (value == ResetVal::kOne ? 1u : 0u));
     }
-    // Recorded moves inside the closure, in chronological order.
+    program[0] = program.size() - 1;
+    // Recorded moves inside the closure, in chronological order: a backward
+    // move's created registers feed the gate and its consumed ones equal
+    // the output; a forward move the other way round.
+    program.push_back(ordered_moves.size());
+    PinVars pin_vars;
     for (const std::size_t mi : ordered_moves) {
-      if (constraint == BddManager::kFalse) break;
-      if (bdd.node_count() > kNodeBudget) {
-        return fail(v, "global justification BDD exceeds node budget");
-      }
       const MoveRecord& m = records_[mi];
-      const TruthTable f = function_of(m.vertex);
-      std::vector<BddRef> pin_bdds(f.input_count(), BddManager::kFalse);
-      if (m.backward) {
-        for (std::size_t i = 0; i < m.created.size(); ++i) {
-          pin_bdds[m.created_pin[i]] = uid_bdd(m.created[i]);
-        }
-        const BddRef out = table_bdd(bdd, f, pin_bdds);
-        for (const std::uint32_t c : m.consumed) {
-          require_equal(uid_bdd(c), out);
-        }
-      } else {
-        for (std::size_t i = 0; i < m.consumed.size(); ++i) {
-          pin_bdds[m.consumed_pin[i]] = uid_bdd(m.consumed[i]);
-        }
-        const BddRef out = table_bdd(bdd, f, pin_bdds);
-        for (const std::uint32_t d : m.created) {
-          require_equal(uid_bdd(d), out);
-        }
+      const auto& inputs = m.backward ? m.created : m.consumed;
+      const auto& pins = m.backward ? m.created_pin : m.consumed_pin;
+      pin_vars.clear();
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        pin_vars.emplace_back(pins[i], var_of.at(inputs[i]));
       }
+      emit_move(function_of(m.vertex), pin_vars,
+                m.backward ? m.consumed : m.created);
     }
     // The pending move.
-    {
-      const TruthTable f = function_of(v);
-      std::vector<BddRef> pin_bdds;
-      for (std::uint32_t p = 0; p < f.input_count(); ++p) {
-        pin_bdds.push_back(bdd.var(pending_vars[p]));
-      }
-      const BddRef out = table_bdd(bdd, f, pin_bdds);
-      for (const McReg& reg : consumed) {
-        require_equal(uid_bdd(reg.uid), out);
-      }
+    pin_vars.clear();
+    for (std::uint32_t p = 0; p < pin_count(v); ++p) {
+      pin_vars.emplace_back(p, pending_vars[p]);
     }
+    std::vector<std::uint32_t> consumed_uids;
+    for (const McReg& reg : consumed) consumed_uids.push_back(reg.uid);
+    emit_move(function_of(v), pin_vars, consumed_uids);
 
-    const auto cube = bdd.shortest_cube(constraint);
-    if (!cube) {
-      return fail(v, "global justification unsatisfiable");
-    }
+    const JustificationMemo::GlobalAnswer answer =
+        memo_ != nullptr ? memo_->global(std::move(program))
+                         : run_global_program(program);
+    if (!answer.failure.empty()) return fail(v, answer.failure);
     // Assignment: default '-'; literals in the cube get concrete values.
     std::unordered_map<std::uint32_t, ResetVal> assignment;  // var -> value
-    for (const auto& lit : *cube) {
+    for (const auto& lit : answer.cube) {
       assignment[lit.var] =
           lit.value ? ResetVal::kOne : ResetVal::kZero;
     }
@@ -386,6 +435,7 @@ class Relocator {
   const Netlist& netlist_;
   const std::vector<std::int64_t>& target_;
   std::size_t var_budget_;
+  JustificationMemo* memo_;  ///< null: solve every justification afresh
   std::vector<std::int64_t> moved_;
   std::vector<MoveRecord> records_;
   std::unordered_map<std::uint32_t, std::size_t> created_by_;
@@ -398,10 +448,35 @@ class Relocator {
 
 }  // namespace
 
+const std::optional<std::vector<ResetVal>>& JustificationMemo::local(
+    const TruthTable& f, bool target) {
+  const auto key = std::make_tuple(f.input_count(), f.bits(), target);
+  if (const auto it = local_.find(key); it != local_.end()) {
+    return hit(it->second);
+  }
+  return local_.emplace(key, Entry<std::optional<std::vector<ResetVal>>>{
+                                 justify_through(f, target), relocation_})
+      .first->second.answer;
+}
+
+const JustificationMemo::GlobalAnswer& JustificationMemo::global(
+    std::vector<std::uint64_t> program) {
+  if (const auto it = global_.find(program); it != global_.end()) {
+    return hit(it->second);
+  }
+  GlobalAnswer answer = run_global_program(program);
+  return global_
+      .emplace(std::move(program), Entry<GlobalAnswer>{std::move(answer),
+                                                       relocation_})
+      .first->second.answer;
+}
+
 RelocateResult relocate_registers(McGraph& graph, const Netlist& netlist,
                                   const std::vector<std::int64_t>& r,
-                                  std::size_t global_var_budget) {
-  Relocator relocator(graph, netlist, r, global_var_budget);
+                                  std::size_t global_var_budget,
+                                  JustificationMemo* memo) {
+  if (memo != nullptr) memo->begin_relocation();
+  Relocator relocator(graph, netlist, r, global_var_budget, memo);
   return relocator.run();
 }
 

@@ -228,6 +228,8 @@ PassResult RetimePass::run(FlowContext& context) {
   context.set_metric("retime.registers_after",
                      static_cast<std::int64_t>(s.registers_after));
   context.set_metric("retime.attempts", static_cast<std::int64_t>(s.attempts));
+  context.set_metric("retime.justification_reuses",
+                     static_cast<std::int64_t>(s.justification_reuses));
   if (windowed_) {
     context.set_metric("retime.windows",
                        static_cast<std::int64_t>(w.windows));

@@ -4,7 +4,11 @@
 // intersects it with the graph's own bounds.
 #include <gtest/gtest.h>
 
+#include "mcretime/lower.h"
 #include "mcretime/mc_retime.h"
+#include "netlist/netlist.h"
+#include "transform/sweep.h"
+#include "workload/random_circuit.h"
 
 namespace mcrt {
 namespace {
@@ -79,6 +83,46 @@ TEST(BoundOverlayTest, ApplyIntersectsWithGraphBounds) {
   RetimeGraph untouched = three_vertices();
   BoundOverlay().apply(untouched);
   EXPECT_FALSE(untouched.has_bounds());
+}
+
+TEST(BoundOverlayTest, ReapplyOnKeptGraphEqualsFreshLowering) {
+  // mc_retime() lowers once and applies each retry's overlay to the kept
+  // graph. Overlay bounds only tighten, so after every step the kept graph
+  // must carry exactly the bounds of a fresh lowering under the overlay,
+  // and its CSR view must stay the one built before the first retry.
+  Netlist n = sweep(random_sequential_circuit(7), nullptr);
+  set_default_lut_delays(n, 10);
+  const McPrepared prepared = prepare_mc_graph(n, McRetimeOptions{});
+  RetimeGraph kept = lower_to_retime_graph(prepared.graph, prepared.bounds);
+  const RetimeGraph::CsrView& csr = kept.csr();
+  const std::uint32_t* const out_to = csr.out_to.data();
+  const std::size_t vertices = kept.vertex_count();
+  ASSERT_GT(vertices, 6u);
+
+  BoundOverlay overlay;
+  for (int step = 0; step < 12; ++step) {
+    SCOPED_TRACE(step);
+    // Alternate upper and lower bounds over five vertices, each tighter
+    // than the overlay's last bound there.
+    const std::uint32_t v = 1 + static_cast<std::uint32_t>(step % 5);
+    const bool backward = step % 2 == 0;
+    const std::int64_t achieved = backward ? 2 - step / 5 : -2 + step / 5;
+    ASSERT_EQ(overlay.tighten(failure(v, achieved, backward)), "");
+    overlay.apply(kept);
+    RetimeGraph fresh = lower_to_retime_graph(prepared.graph, prepared.bounds);
+    overlay.apply(fresh);
+    EXPECT_EQ(kept.has_bounds(), fresh.has_bounds());
+    for (std::uint32_t u = 0; u < vertices; ++u) {
+      EXPECT_EQ(kept.lower_bound(VertexId{u}), fresh.lower_bound(VertexId{u}))
+          << "vertex " << u;
+      EXPECT_EQ(kept.upper_bound(VertexId{u}), fresh.upper_bound(VertexId{u}))
+          << "vertex " << u;
+    }
+    EXPECT_EQ(&kept.csr(), &csr);
+    EXPECT_EQ(kept.csr().out_to.data(), out_to) << "CSR view rebuilt";
+    EXPECT_EQ(kept.csr().out_to, fresh.csr().out_to);
+    EXPECT_EQ(kept.csr().in_from, fresh.csr().in_from);
+  }
 }
 
 }  // namespace

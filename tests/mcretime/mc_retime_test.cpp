@@ -5,15 +5,19 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <variant>
 
+#include "../common/fnv1a.h"
 #include "../common/test_circuits.h"
 #include "blif/blif.h"
 #include "sim/equivalence.h"
 #include "tech/decompose.h"
 #include "tech/flowmap.h"
 #include "tech/sta.h"
+#include "transform/decompose_controls.h"
 #include "transform/sweep.h"
+#include "workload/generator.h"
 #include "workload/random_circuit.h"
 
 #ifndef MCRT_TESTDATA_DIR
@@ -168,7 +172,8 @@ TEST(McRetimeTest, StatsAreConsistent) {
   EXPECT_EQ(result.stats.registers_before, 2u);
   EXPECT_GT(result.stats.moved_layers, 0u);
   EXPECT_GE(result.stats.possible_steps, result.stats.moved_layers);
-  EXPECT_GE(result.stats.attempts, 1u);
+  EXPECT_EQ(result.stats.attempts, 1u);
+  EXPECT_EQ(result.stats.justification_reuses, 0u);
   // Profile covers the three phases.
   EXPECT_GE(result.stats.profile.phases().size(), 3u);
 }
@@ -194,6 +199,63 @@ TEST(McRetimeTest, ConflictBoundRecomputeLoop) {
     EXPECT_LT(result.stats.period_after, result.stats.period_before);
     const auto eq = check_sequential_equivalence(n, result.netlist, {});
     EXPECT_TRUE(eq.equivalent) << eq.counterexample;
+  }
+}
+
+TEST(McRetimeTest, RetryOutputsPinnedToParent) {
+  // FNV-1a of the retimed BLIF and the attempt count on designs that go
+  // through the bound-and-recompute loop, recorded before relocation and
+  // the retry driver learned to reuse work across attempts: reuse must not
+  // change a single register, value or retry.
+  struct Pin {
+    const char* name;
+    std::uint64_t blif;
+    std::size_t attempts;
+  };
+  static constexpr Pin kPins[] = {
+      {"s1000.1", 0x34b82d880ec8e4ceull, 15},
+      {"s1000.2", 0x397134cafa79eaeeull, 6},
+      {"s1000.3", 0x55d3c4341e7e99e3ull, 10},
+      {"s1000.4", 0x6539f2944ea4a01cull, 14},
+      {"C6", 0xf7da6c86b032b8a2ull, 7},
+  };
+  struct Design {
+    Netlist netlist;
+    McRetimeOptions options;
+  };
+  std::vector<Design> designs;
+  // Min-period retiming of swept designs with async resets (the
+  // gate-level min-period flow), LUT delay 10.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    CircuitProfile profile = scaled_profile(1000, seed);
+    profile.use_async = true;
+    Netlist n = sweep(generate_circuit(profile));
+    set_default_lut_delays(n, 10);
+    McRetimeOptions options;
+    options.objective = McRetimeOptions::Objective::kMinPeriod;
+    designs.push_back({std::move(n), options});
+  }
+  // The paper's mapped C6 ("decompose-sync; sweep; map"), min-area at the
+  // minimum period.
+  const Netlist c6 =
+      sweep(decompose_sync_controls(generate_circuit(paper_suite()[5])));
+  designs.push_back(
+      {flowmap_map(decompose_to_binary(c6), FlowMapOptions{}).mapped, {}});
+  ASSERT_EQ(designs.size(), std::size(kPins));
+  for (std::size_t i = 0; i < designs.size(); ++i) {
+    SCOPED_TRACE(kPins[i].name);
+    const McRetimeResult result =
+        mc_retime(designs[i].netlist, designs[i].options);
+    ASSERT_TRUE(result.success) << result.error;
+    const std::uint64_t hash =
+        testing::fnv1a64(write_blif_string(result.netlist));
+    char hex[32];
+    std::snprintf(hex, sizeof hex, "0x%016llxull",
+                  static_cast<unsigned long long>(hash));
+    EXPECT_EQ(hash, kPins[i].blif) << "got " << hex;
+    EXPECT_EQ(result.stats.attempts, kPins[i].attempts);
+    // Every retry replays justifications the first attempt solved.
+    EXPECT_GT(result.stats.justification_reuses, 0u);
   }
 }
 

@@ -250,6 +250,25 @@ TEST(BenchPaperTest, LowerCountAndFigureColumnsNotFlagged) {
       bench_regressions(paper_report({current}), baseline, 0.20).empty());
 }
 
+TEST(BenchRegressionTest, PaperAttemptsMayNotRise) {
+  // Relocation retries are gated with and without global justification:
+  // more attempts flag, fewer do not.
+  for (const char* key : {"fig5_attempts", "fig5_local_only_attempts"}) {
+    SCOPED_TRACE(key);
+    const Json baseline =
+        paper_report({with(paper_entry("C6"), key, std::size_t{7})});
+    const Json more =
+        paper_report({with(paper_entry("C6"), key, std::size_t{8})});
+    const auto regressions = bench_regressions(more, baseline, 0.20);
+    ASSERT_EQ(regressions.size(), 1u);
+    EXPECT_NE(regressions[0].find(key), std::string::npos);
+    EXPECT_NE(regressions[0].find("C6"), std::string::npos);
+    const Json fewer =
+        paper_report({with(paper_entry("C6"), key, std::size_t{1})});
+    EXPECT_TRUE(bench_regressions(fewer, baseline, 0.20).empty());
+  }
+}
+
 TEST(BenchPaperTest, MissingCircuitFlagged) {
   const Json baseline = paper_report({paper_entry("C1"), paper_entry("C2")});
   const Json current = paper_report({paper_entry("C1")});

@@ -94,6 +94,8 @@ TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
     ASSERT_TRUE(result.success) << result.error;
     EXPECT_GE(context.metric("retime.attempts").value_or(0), 2)
         << "r03 no longer exercises relocation retries";
+    // The retries replay justifications the first attempt solved.
+    EXPECT_GT(context.metric("retime.justification_reuses").value_or(0), 0);
     EXPECT_EQ(context.metric("retime.wd_sweeps"), minperiod ? 0 : 1)
         << "minperiod " << minperiod;
     EXPECT_GT(context.metric("retime.feas_probes").value_or(0),

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 
+#include "../common/fnv1a.h"
 #include "../common/test_circuits.h"
 #include "blif/blif.h"
 #include "sim/equivalence.h"
@@ -186,15 +187,6 @@ TEST(FlowMapTest, PreCancelledTokenThrows) {
       CancelledError);
 }
 
-std::uint64_t fnv1a64(const std::string& text) {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 TEST(FlowMapTest, CoversPinnedToParent) {
   // FNV-1a of the mapped BLIF at k = 4, without and with area recovery,
   // recorded before the label search was rewritten: any change to a label,
@@ -231,7 +223,7 @@ TEST(FlowMapTest, CoversPinnedToParent) {
       opt.k = 4;
       opt.area_recovery = recovery;
       const std::uint64_t hash =
-          fnv1a64(write_blif_string(flowmap_map(subject, opt).mapped));
+          testing::fnv1a64(write_blif_string(flowmap_map(subject, opt).mapped));
       char hex[32];
       std::snprintf(hex, sizeof hex, "0x%016llxull",
                     static_cast<unsigned long long>(hash));
