@@ -52,6 +52,15 @@
 // period constraints solved by SPFA. tests/retime/feas_differential_test.cpp
 // checks that both give the same verdict and labels, with and without
 // bounds.
+//
+// The period box. The same probe, started from an upper bound on every
+// solution instead of from 0, stops at the greatest solution below that
+// start; run on the reversed graph with the bounds negated and swapped,
+// it gives minus the least solution. These extreme labelings at phi
+// (Maheshwari and Sapatnekar's ASAP/ALAP retimings, "Efficient retiming
+// of large circuits", IEEE TVLSI 1998) bound every feasible labeling, and
+// generate_period_constraints() prunes with them. They are not
+// feas_check()'s labels, which are only the greatest solution <= 0.
 #pragma once
 
 #include <cstdint>
@@ -72,5 +81,22 @@ enum class FeasImpl { kCsr };
 /// there are none.
 std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
                                                     std::int64_t phi);
+
+/// The extreme labelings at phi: every legal labeling with r(host) = 0
+/// that honours the graph's bounds and achieves period <= phi lies in
+/// [lo, hi] componentwise, and both are such labelings where finite. A
+/// vertex that no constraint bounds above has hi = RetimeGraph::kNoBound
+/// (these vertices reach neither the host nor an upper-bounded vertex;
+/// the set is closed under successors), and one unbounded below has
+/// lo = -RetimeGraph::kNoBound (closed under predecessors).
+struct PeriodBox {
+  std::vector<std::int64_t> lo;
+  std::vector<std::int64_t> hi;
+};
+
+/// Two FEAS probes (counted in retime_work_counters()), one per direction;
+/// std::nullopt when phi is infeasible.
+std::optional<PeriodBox> period_box(const RetimeGraph& graph,
+                                    std::int64_t phi);
 
 }  // namespace mcrt

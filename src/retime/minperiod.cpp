@@ -27,7 +27,7 @@ std::optional<std::vector<std::int64_t>> bounded_feasible(
     constraints.insert(constraints.end(), cached_period_constraints->begin(),
                        cached_period_constraints->end());
   } else {
-    generate_period_constraints(graph, phi, constraints, cancel);
+    generate_period_constraints_unpruned(graph, phi, constraints, cancel);
   }
   ++retime_work_counters().feas_probes;
   auto r = solve_difference_constraints(

@@ -42,8 +42,11 @@ RetimeSolution minperiod_retime(const RetimeGraph& graph,
 
 /// Feasibility check honoring bounds by the W/D formulation: circuit, bound
 /// and period constraints solved by SPFA. Is there a legal retiming with
-/// period <= phi? Returns the labels if so. An optional cache of the
-/// period constraints for phi avoids recomputing the all-pairs paths.
+/// period <= phi? Returns the labels if so. Without a cache it generates
+/// the unpruned period constraints, which involve no FEAS, so it stays an
+/// independent reference for feas_check(). A cache (for example
+/// generate_period_constraints() output for phi, which has the same
+/// feasible set) avoids recomputing the all-pairs paths.
 /// The labels are the greatest solution <= 0 (before normalization) of the
 /// constraint system, so any two constraint sets with the same feasible set
 /// give the same labels, and so does feas_check().

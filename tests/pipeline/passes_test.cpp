@@ -98,6 +98,11 @@ TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
     EXPECT_GT(context.metric("retime.justification_reuses").value_or(0), 0);
     EXPECT_EQ(context.metric("retime.wd_sweeps"), minperiod ? 0 : 1)
         << "minperiod " << minperiod;
+    if (minperiod) {
+      EXPECT_EQ(context.metric("retime.wd_settled"), 0);
+    } else {
+      EXPECT_GT(context.metric("retime.wd_settled").value_or(0), 0);
+    }
     EXPECT_GT(context.metric("retime.feas_probes").value_or(0),
               context.metric("retime.attempts").value_or(0));
     EXPECT_GT(context.metric("retime.feas_rounds").value_or(0), 0);
