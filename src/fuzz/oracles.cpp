@@ -410,7 +410,7 @@ OracleVerdict mono_vs_windowed(const FuzzCase& c,
 /// Leg 2: bounded FEAS min-period vs Leiserson-Saxe's W/D period
 /// constraints solved by SPFA, on the case's lowered graph with its class
 /// bounds. W/D must accept the FEAS optimum phi* with the same labels (both
-/// return the greatest solution <= 0) and reject phi* - 1: W/D feasibility
+/// return the least solution >= 0) and reject phi* - 1: W/D feasibility
 /// is monotone in phi, so phi* is then the smallest period it accepts,
 /// whatever multiples the engine searched.
 void check_minperiod_vs_wd(const FuzzCase& c, const OracleOptions& options,
@@ -523,9 +523,12 @@ OracleVerdict engine_vs_reference(const FuzzCase& c,
 
 // --- cslow vs replicated ----------------------------------------------------
 
-/// Extracts C from the script's ",cslow=C" option and writes the script
-/// with the cslow options stripped (the monolithic reference flow) into
-/// *base. Returns 0 when the script has no cslow option.
+/// Extracts C from the script's ",cslow=C" option and writes the
+/// monolithic reference flow into *base: the script with the cslow options
+/// stripped and "decompose-sync; decompose-en" run just before that
+/// statement. cslow_transform() turns sync clears and enables into logic
+/// before it retimes, so the reference retimes the same logic and the two
+/// periods compare. Returns 0 when the script has no cslow option.
 std::uint32_t split_cslow_script(const std::string& script,
                                  std::string* base) {
   const std::size_t at = script.find(",cslow=");
@@ -539,6 +542,10 @@ std::uint32_t split_cslow_script(const std::string& script,
   std::string stripped = script.substr(0, at) + script.substr(end);
   const std::size_t verify = stripped.find(",cslow-verify");
   if (verify != std::string::npos) stripped.erase(verify, 13);
+  const std::size_t previous = script.rfind(';', at);
+  std::size_t statement = previous == std::string::npos ? 0 : previous + 1;
+  while (statement < at && script[statement] == ' ') ++statement;
+  stripped.insert(statement, "decompose-sync; decompose-en; ");
   if (base != nullptr) *base = std::move(stripped);
   return factor;
 }
@@ -569,7 +576,7 @@ OracleVerdict cslow_vs_replicated(const FuzzCase& c,
 
   check_period_consistency(cs, v, "cslow-");
   // C-slowing adds register slack everywhere, so the per-stream minimum
-  // period can never exceed the monolithic one on the same input.
+  // period can never exceed the monolithic one on the same logic.
   add_leg(v, "period-dominance", cs.period_after <= mono.period_after,
           cs.period_after <= mono.period_after
               ? std::string{}

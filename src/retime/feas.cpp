@@ -290,7 +290,11 @@ class FeasProbe {
 std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
                                                     std::int64_t phi) {
   ++retime_work_counters().feas_probes;
-  return FeasProbe(graph, false).run(phi);
+  auto labels = FeasProbe(graph, /*transposed=*/true).run(phi);
+  if (labels) {
+    for (auto& label : *labels) label = -label;
+  }
+  return labels;
 }
 
 std::optional<PeriodBox> period_box(const RetimeGraph& graph,

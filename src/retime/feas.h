@@ -17,8 +17,16 @@
 // forced by a constraint that every solution r* <= r also meets, so r
 // stays at or above every such solution: the first fixed point is the
 // greatest solution <= 0 of the whole system, normalized to r(host) = 0.
-// That is the solution bounded_feasible() (W/D + SPFA, minperiod.h)
-// returns, so the two agree on labels as well as on verdicts.
+//
+// feas_check() runs this probe on the transposed system (see "The period
+// box" below) and negates the result: its labels are the least solution
+// >= 0, normalized to r(host) = 0. A positive label moves registers
+// backward, whose reset values relocation must justify (paper §5.2); the
+// least solution makes the fewest such moves that phi allows, so
+// relocation rarely fails on it (the forward preference of Even,
+// Spillinger and Stok, "Retiming revisited and reversed", IEEE TCAD 1996).
+// bounded_feasible() (W/D + SPFA, minperiod.h) returns the same least
+// solution, so the two agree on labels as well as on verdicts.
 //
 // Rounds. After a repair every retimed path weight is >= 0, so a W/D
 // period constraint r(u) <= r(v) + W(u,v) - 1 is violated by exactly 1
@@ -60,7 +68,9 @@
 // (Maheshwari and Sapatnekar's ASAP/ALAP retimings, "Efficient retiming
 // of large circuits", IEEE TVLSI 1998) bound every feasible labeling, and
 // generate_period_constraints() prunes with them. They are not
-// feas_check()'s labels, which are only the greatest solution <= 0.
+// feas_check()'s labels: box.lo is the least labeling with r(host) = 0
+// and may be unbounded below, feas_check()'s the least labeling >= 0
+// before its normalization.
 #pragma once
 
 #include <cstdint>
@@ -76,9 +86,9 @@ namespace mcrt {
 /// library (the flow benchmark) pass FeasImpl::kCsr explicitly.
 enum class FeasImpl { kCsr };
 
-/// Returns the greatest legal labels <= 0 (normalized to r(host) = 0) that
-/// honour the graph's bounds and achieve period <= phi, or std::nullopt if
-/// there are none.
+/// Returns the least legal labels >= 0 (then normalized to r(host) = 0)
+/// that honour the graph's bounds and achieve period <= phi, or
+/// std::nullopt if there are none. One transposed FEAS probe.
 std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
                                                     std::int64_t phi);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 namespace mcrt {
 namespace {
@@ -29,13 +30,16 @@ std::optional<std::vector<std::int64_t>> bounded_feasible(
   } else {
     generate_period_constraints_unpruned(graph, phi, constraints, cancel);
   }
+  // The least solution >= 0 is minus the greatest solution <= 0 of the
+  // reversed system (q = -r turns r(u) - r(v) <= b into q(v) - q(u) <= b).
+  for (auto& c : constraints) std::swap(c.u, c.v);
   ++retime_work_counters().feas_probes;
   auto r = solve_difference_constraints(
       graph.vertex_count(), constraints,
       &retime_work_counters().dc_relaxations);
   if (!r) return std::nullopt;
   const std::int64_t base = (*r)[graph.host().index()];
-  for (auto& value : *r) value -= base;
+  for (auto& value : *r) value = base - value;
   // Defensive: the labels must actually realize phi (guards against any
   // constraint-generation gap turning into silent wrong answers).
   if (graph.period(*r) > phi) return std::nullopt;

@@ -28,8 +28,8 @@
 namespace mcrt {
 
 /// Computes the minimum feasible clock period and a retiming achieving it:
-/// the greatest labels <= 0, normalized to r(host) = 0, that FEAS returns
-/// at the smallest feasible multiple of the delay gcd (`period`). When the
+/// the least labels >= 0, normalized to r(host) = 0, that FEAS returns at
+/// the smallest feasible multiple of the delay gcd (`period`). When the
 /// bounds admit 0 and no period below the current one is feasible, the
 /// labels are all 0. `feasible` is false only when no legal labeling meets
 /// the bounds. `impl` names the FEAS engine (see FeasImpl). `cancel` (may
@@ -47,9 +47,10 @@ RetimeSolution minperiod_retime(const RetimeGraph& graph,
 /// independent reference for feas_check(). A cache (for example
 /// generate_period_constraints() output for phi, which has the same
 /// feasible set) avoids recomputing the all-pairs paths.
-/// The labels are the greatest solution <= 0 (before normalization) of the
-/// constraint system, so any two constraint sets with the same feasible set
-/// give the same labels, and so does feas_check().
+/// The labels are the least solution >= 0 (before normalization) of the
+/// constraint system: SPFA's greatest solution <= 0 of the system with
+/// every constraint reversed, negated. Any two constraint sets with the
+/// same feasible set give the same labels, and so does feas_check().
 std::optional<std::vector<std::int64_t>> bounded_feasible(
     const RetimeGraph& graph, std::int64_t phi,
     const std::vector<struct DifferenceConstraint>*

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <tuple>
 #include <variant>
 
 #include "../common/fnv1a.h"
@@ -179,44 +180,51 @@ TEST(McRetimeTest, StatsAreConsistent) {
 }
 
 TEST(McRetimeTest, ConflictBoundRecomputeLoop) {
-  // Corpus circuit r03 (after sweep, delay 10 per LUT): the first
-  // retiming asks for register moves whose reset states cannot be
-  // justified, so relocation fails, a bound is added at the conflict
-  // vertex and the recomputed retiming is implemented on a later attempt.
+  // Two inputs (delay 10 per LUT) whose first retiming asks for register
+  // moves whose reset states cannot be justified: a swept ~1k-gate
+  // generated design with async resets under min-period, and corpus
+  // circuit r03 (after sweep) under min-area. Relocation fails, a bound is
+  // added at the conflict vertex and the recomputed retiming is
+  // implemented on a later attempt.
+  Netlist generated = sweep(generate_circuit(scaled_profile(1000, 1)));
+  set_default_lut_delays(generated, 10);
   auto read = read_blif_file(std::string(MCRT_TESTDATA_DIR) +
                              "/corpus/r03.blif");
   ASSERT_TRUE(std::holds_alternative<Netlist>(read));
-  Netlist n = sweep(std::get<Netlist>(read), nullptr);
-  set_default_lut_delays(n, 10);
-  for (const auto objective : {McRetimeOptions::Objective::kMinPeriod,
-                               McRetimeOptions::Objective::kMinAreaMinPeriod}) {
+  Netlist r03 = sweep(std::get<Netlist>(read), nullptr);
+  set_default_lut_delays(r03, 10);
+  for (const auto& [name, n, objective] :
+       {std::tuple{"generated", &generated,
+                   McRetimeOptions::Objective::kMinPeriod},
+        std::tuple{"r03", &r03,
+                   McRetimeOptions::Objective::kMinAreaMinPeriod}}) {
+    SCOPED_TRACE(name);
     McRetimeOptions options;
     options.objective = objective;
-    const auto result = mc_retime(n, options);
+    const auto result = mc_retime(*n, options);
     ASSERT_TRUE(result.success) << result.error;
     EXPECT_GE(result.stats.attempts, 2u)
-        << "r03 no longer exercises the bound-and-recompute loop";
+        << "the input no longer exercises the bound-and-recompute loop";
     EXPECT_LT(result.stats.period_after, result.stats.period_before);
-    const auto eq = check_sequential_equivalence(n, result.netlist, {});
+    const auto eq = check_sequential_equivalence(*n, result.netlist, {});
     EXPECT_TRUE(eq.equivalent) << eq.counterexample;
   }
 }
 
 TEST(McRetimeTest, RetryOutputsPinnedToParent) {
   // FNV-1a of the retimed BLIF and the attempt count on designs that go
-  // through the bound-and-recompute loop, recorded before relocation and
-  // the retry driver learned to reuse work across attempts: reuse must not
-  // change a single register, value or retry.
+  // through the bound-and-recompute loop: reuse of work across attempts
+  // must not change a single register, value or retry.
   struct Pin {
     const char* name;
     std::uint64_t blif;
     std::size_t attempts;
   };
   static constexpr Pin kPins[] = {
-      {"s1000.1", 0x34b82d880ec8e4ceull, 15},
-      {"s1000.2", 0x397134cafa79eaeeull, 6},
-      {"s1000.3", 0x55d3c4341e7e99e3ull, 10},
-      {"s1000.4", 0x6539f2944ea4a01cull, 14},
+      {"s1000.1", 0x535dad2a5db83750ull, 2},
+      {"s1000.2", 0x8a00a6999f56a7afull, 2},
+      {"s1000.3", 0xb300b8c2b7c15180ull, 2},
+      {"s1000.4", 0x8e7cc09d3850003aull, 2},
       {"C6", 0xf7da6c86b032b8a2ull, 7},
   };
   struct Design {

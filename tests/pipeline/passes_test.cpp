@@ -21,6 +21,7 @@
 #include "tech/flowmap.h"
 #include "transform/strash.h"
 #include "transform/sweep.h"
+#include "workload/generator.h"
 
 #ifndef MCRT_TESTDATA_DIR
 #error "MCRT_TESTDATA_DIR must point at the repo's testdata directory"
@@ -73,17 +74,22 @@ TEST(PassesTest, RetimePassFillsTypedStatsAndMetrics) {
 }
 
 TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
-  // Corpus circuit r03 needs several relocation attempts under both
-  // objectives. Min-period probes and retries run the bounded FEAS alone:
-  // no all-pairs W/D sweep and no difference-constraint solve. Min-area
-  // sweeps once for its period's constraints and keeps them across every
-  // retry. The counters are deterministic, so this holds on any machine.
+  // Two inputs that need several relocation attempts: a swept ~1k-gate
+  // generated design with async resets under min-period, and corpus
+  // circuit r03 under min-area. Min-period probes and retries run the
+  // bounded FEAS alone: no all-pairs W/D sweep and no
+  // difference-constraint solve. Min-area sweeps once for its period's
+  // constraints and keeps them across every retry. The counters are
+  // deterministic, so this holds on any machine.
+  const Netlist generated =
+      sweep(generate_circuit(scaled_profile(1000, 1)), nullptr);
   auto read = read_blif_file(std::string(MCRT_TESTDATA_DIR) +
                              "/corpus/r03.blif");
   ASSERT_TRUE(std::holds_alternative<Netlist>(read));
-  const Netlist input = sweep(std::get<Netlist>(read), nullptr);
+  const Netlist r03 = sweep(std::get<Netlist>(read), nullptr);
   for (const bool minperiod : {true, false}) {
-    FlowContext context(input);
+    SCOPED_TRACE(minperiod ? "generated, minperiod" : "r03, min-area");
+    FlowContext context(minperiod ? generated : r03);
     RetimePass pass;
     PassArgs args;
     args.set("d", "10");
@@ -93,7 +99,7 @@ TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
     const PassResult result = pass.run(context);
     ASSERT_TRUE(result.success) << result.error;
     EXPECT_GE(context.metric("retime.attempts").value_or(0), 2)
-        << "r03 no longer exercises relocation retries";
+        << "the input no longer exercises relocation retries";
     // The retries replay justifications the first attempt solved.
     EXPECT_GT(context.metric("retime.justification_reuses").value_or(0), 0);
     EXPECT_EQ(context.metric("retime.wd_sweeps"), minperiod ? 0 : 1)
@@ -123,6 +129,22 @@ TEST(PassesTest, RetimePassSweepsWdOncePerCallAcrossRetries) {
       EXPECT_GE(augmentations, phases);
     }
   }
+}
+
+TEST(PassesTest, MinPeriodScriptConvergesOnScaledDesign) {
+  // "sweep; retime(minperiod)" on the ~4k-gate generated design of
+  // `mcrt corpus D --count 0 --gates 4000` (async resets, enables): FEAS's
+  // least labels make few backward moves, so relocation converges within
+  // two attempts where the greatest labels <= 0 ran out of attempts.
+  PassManager manager;
+  const auto error = compile_flow_script(
+      "sweep; retime(minperiod)", PassRegistry::standard(), manager);
+  ASSERT_FALSE(error.has_value()) << *error;
+  FlowContext context(generate_circuit(scaled_profile(4000, 1)));
+  const FlowResult result = manager.run(context);
+  ASSERT_TRUE(result.success) << result.error;
+  EXPECT_LE(context.metric("retime.attempts").value_or(0), 2);
+  EXPECT_GE(context.metric("retime.attempts").value_or(0), 1);
 }
 
 TEST(PassesTest, RetimePassWarnsOncePerDerivedClockRegister) {

@@ -4,8 +4,8 @@
 // round by round from departure times; the W/D check solves a
 // difference-constraint system built from all-pairs path data. The two
 // share nothing beyond the graph, so their agreement on every probed
-// period - verdict and labels, since both return the greatest solution
-// <= 0 - and on the minimum period checks the formulation rather than one
+// period - verdict and labels, since both return the least solution >= 0
+// - and on the minimum period checks the formulation rather than one
 // copy of the code against another. Graphs are probed without bounds, with
 // their lowered class bounds, and with random bounds, including bounds
 // that exclude 0 and bounds no labeling meets.

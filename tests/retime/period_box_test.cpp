@@ -3,7 +3,8 @@
 // Checked against an exhaustive enumeration of every labeling inside the
 // class bounds on tiny graphs, and through its one consumer, the period
 // constraints min-area solves: the same optimal area as the unpruned
-// system, and the pairs of sources with an unbounded extreme kept.
+// system, and the pairs of sources with an unbounded extreme kept. The
+// same enumeration checks feas_check()'s labels, the least solution >= 0.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -62,16 +63,16 @@ RetimeGraph random_graph(std::uint64_t seed, std::size_t vertices,
   return g;
 }
 
-/// Componentwise max and min over every labeling in the class bounds
-/// (host fixed at 0) that is legal and meets phi; nullopt if there is none.
-std::optional<PeriodBox> enumerate_box(const RetimeGraph& g,
-                                       std::int64_t phi) {
+/// Calls `visit` with every labeling in the class bounds (host fixed at 0)
+/// that is legal and meets phi.
+template <typename Visit>
+void for_each_feasible(const RetimeGraph& g, std::int64_t phi,
+                       Visit visit) {
   const std::size_t n = g.vertex_count();
   std::vector<std::int64_t> r(n, 0);
   for (std::size_t v = 1; v < n; ++v) {
     r[v] = g.lower_bound(VertexId{static_cast<std::uint32_t>(v)});
   }
-  std::optional<PeriodBox> box;
   while (true) {
     bool meets = g.check_legal(r).empty();
     if (meets) {
@@ -81,24 +82,56 @@ std::optional<PeriodBox> enumerate_box(const RetimeGraph& g,
         meets = false;
       }
     }
-    if (meets) {
-      if (!box) {
-        box = PeriodBox{r, r};
-      } else {
-        for (std::size_t v = 0; v < n; ++v) {
-          box->lo[v] = std::min(box->lo[v], r[v]);
-          box->hi[v] = std::max(box->hi[v], r[v]);
-        }
-      }
-    }
+    if (meets) visit(r);
     std::size_t v = 1;
     for (; v < n; ++v) {
       const VertexId id{static_cast<std::uint32_t>(v)};
       if (++r[v] <= g.upper_bound(id)) break;
       r[v] = g.lower_bound(id);
     }
-    if (v == n) return box;
+    if (v == n) return;
   }
+}
+
+/// Componentwise max and min over every labeling in the class bounds
+/// (host fixed at 0) that is legal and meets phi; nullopt if there is none.
+std::optional<PeriodBox> enumerate_box(const RetimeGraph& g,
+                                       std::int64_t phi) {
+  std::optional<PeriodBox> box;
+  for_each_feasible(g, phi, [&](const std::vector<std::int64_t>& r) {
+    if (!box) {
+      box = PeriodBox{r, r};
+      return;
+    }
+    for (std::size_t v = 0; v < r.size(); ++v) {
+      box->lo[v] = std::min(box->lo[v], r[v]);
+      box->hi[v] = std::max(box->hi[v], r[v]);
+    }
+  });
+  return box;
+}
+
+/// The least legal labeling >= 0 that meets phi, normalized to r(host) =
+/// 0; nullopt if there is none. Feasibility is invariant under uniform
+/// shifts, so the labelings >= 0 are the enumerated ones (host at 0)
+/// shifted up by at least minus their smallest label, and the least of
+/// them is the componentwise minimum over the enumerated labelings shifted
+/// by exactly that much.
+std::optional<std::vector<std::int64_t>> enumerate_least(
+    const RetimeGraph& g, std::int64_t phi) {
+  std::optional<std::vector<std::int64_t>> least;
+  for_each_feasible(g, phi, [&](const std::vector<std::int64_t>& r) {
+    const std::int64_t shift = -*std::min_element(r.begin(), r.end());
+    if (!least) least.emplace(r.size(), kNoBound);
+    for (std::size_t v = 0; v < r.size(); ++v) {
+      (*least)[v] = std::min((*least)[v], r[v] + shift);
+    }
+  });
+  if (least) {
+    const std::int64_t base = (*least)[g.host().index()];
+    for (auto& label : *least) label -= base;
+  }
+  return least;
 }
 
 class PeriodBoxProperty : public ::testing::TestWithParam<std::uint64_t> {};
@@ -145,6 +178,33 @@ TEST_P(PeriodBoxProperty, MinAreaMatchesUnprunedConstraints) {
 
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, PeriodBoxProperty,
                          ::testing::Range<std::uint64_t>(1, 21));
+
+class FeasLeastProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+// feas_check() and its W/D reference bounded_feasible() both return the
+// least solution: at every candidate period, the same verdict as the
+// enumeration and the same labels.
+TEST_P(FeasLeastProperty, EqualsExhaustiveLeastSolution) {
+  const std::uint64_t seed = GetParam();
+  for (const Bounds bounds : {Bounds::kAdmitZero, Bounds::kAny}) {
+    const RetimeGraph g = random_graph(seed, 5, bounds);
+    for (const std::int64_t phi : testing::wd_path_delays(g)) {
+      const std::string where = "seed " + std::to_string(seed) + " phi " +
+                                std::to_string(phi) +
+                                (bounds == Bounds::kAny ? " any" : " zero");
+      const auto feas = feas_check(g, phi);
+      const auto reference = enumerate_least(g, phi);
+      ASSERT_EQ(feas.has_value(), reference.has_value()) << where;
+      EXPECT_EQ(bounded_feasible(g, phi), feas) << where;
+      if (feas) {
+        EXPECT_EQ(*feas, *reference) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomGraphs, FeasLeastProperty,
+                         ::testing::Range<std::uint64_t>(1, 41));
 
 TEST(PeriodBoxTest, UnboundedExtremesKeepTheirPairs) {
   // host -> a -> b -> host with a register on each edge, so a and b may
