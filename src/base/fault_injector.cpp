@@ -17,10 +17,6 @@ std::optional<FaultInjector::Action> parse_action(std::string_view text) {
   if (text == "throw") return FaultInjector::Action::kThrow;
   if (text == "fail") return FaultInjector::Action::kFail;
   if (text == "stall") return FaultInjector::Action::kStall;
-  if (text == "short-write") return FaultInjector::Action::kShortWrite;
-  if (text == "fsync-fail") return FaultInjector::Action::kFsyncFail;
-  if (text == "enospc") return FaultInjector::Action::kEnospc;
-  if (text == "corrupt") return FaultInjector::Action::kCorrupt;
   return std::nullopt;
 }
 
@@ -56,10 +52,8 @@ bool FaultInjector::configure(std::string_view spec, std::string* error) {
     const auto action = parse_action(action_text);
     if (!action) {
       if (error != nullptr) {
-        *error =
-            "unknown fault action (throw|fail|stall|short-write|fsync-fail|"
-            "enospc|corrupt): " +
-            std::string(action_text);
+        *error = "unknown fault action (throw|fail|stall): " +
+                 std::string(action_text);
       }
       return false;
     }
@@ -115,13 +109,6 @@ bool FaultInjector::inject(const std::string& site,
         poll_cancel(cancel);
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
-    case Action::kShortWrite:
-    case Action::kFsyncFail:
-    case Action::kEnospc:
-    case Action::kCorrupt:
-      // io-class semantics only exist at disk hook points; a generic
-      // caller reports the same plain failure as `fail`.
-      return true;
   }
   return false;
 }

@@ -17,19 +17,9 @@
 //
 // Spec grammar (';' or ',' separated):
 //   site=action[@hit]
-// where action is throw | fail | stall | short-write | fsync-fail | enospc
-// | corrupt and `@hit` (1-based) fires the fault only on that invocation of
-// the site (default: every invocation). A site ending in '*' matches any
-// site with that prefix ("write:*").
-//
-// The io-class actions (short-write, fsync-fail, enospc, corrupt) target
-// the "io:" sites of the disk cache and chaos harness: "io:write:<file>"
-// fires on entry writes (short-write publishes a torn file — the
-// crash-between-write-and-flush model — fsync-fail and enospc fail the
-// write cleanly), "io:read:<file>" fires on entry reads (corrupt flips a
-// byte in the read buffer so checksums must catch it). Callers that don't
-// understand the io semantics get `true` from inject(), i.e. the plain
-// failure behavior of `fail`.
+// where action is throw | fail | stall and `@hit` (1-based) fires the
+// fault only on that invocation of the site (default: every invocation).
+// A site ending in '*' matches any site with that prefix ("write:*").
 #pragma once
 
 #include <cstdint>
@@ -58,12 +48,6 @@ class FaultInjector {
     kThrow,
     kFail,
     kStall,
-    // io-class actions, interpreted by disk/file hook points; generic
-    // inject() callers treat them as kFail.
-    kShortWrite,  ///< publish a torn (half-written) file
-    kFsyncFail,   ///< durability failure: the write is discarded
-    kEnospc,      ///< no space left on device
-    kCorrupt,     ///< flip a byte in the bytes just read
   };
 
   FaultInjector() = default;

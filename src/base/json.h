@@ -1,11 +1,10 @@
 // Minimal JSON value, parser and writer.
 //
-// The server protocol (src/server/protocol.h) exchanges newline-delimited
-// JSON frames and the bulk report reader needs to consume documents the
-// tool itself wrote, so this is a small, dependency-free JSON implementation
-// tuned for that: a variant value type, a strict recursive-descent parser
-// with line/column error reporting, and a compact (single-line) writer that
-// composes with base/strings.h json_escape.
+// The bulk checkpoint manifest and the bench baseline gate read back
+// documents the tool itself wrote, so this is a small, dependency-free JSON
+// implementation tuned for that: a variant value type, a strict
+// recursive-descent parser with line/column error reporting, and a compact
+// (single-line) writer that composes with base/strings.h json_escape.
 //
 // Numbers are stored as double (integers up to 2^53 round-trip exactly,
 // which covers every counter this tool emits). Object member order is

@@ -35,8 +35,6 @@ constexpr bool kMsan = MCRT_HAS_FEATURE(memory_sanitizer);
 
 const char* version_string() noexcept { return "0.5.0"; }
 
-int protocol_version() noexcept { return 1; }
-
 const char* build_type() noexcept {
 #if defined(MCRT_BUILD_TYPE)
   return MCRT_BUILD_TYPE;
@@ -54,8 +52,7 @@ std::vector<std::string> sanitizer_flags() {
 }
 
 std::string version_line() {
-  std::string line = str_format("mcrt %s (protocol %d, %s", version_string(),
-                                protocol_version(), build_type());
+  std::string line = str_format("mcrt %s (%s", version_string(), build_type());
   for (const std::string& flag : sanitizer_flags()) {
     line += ", " + flag + "-sanitizer";
   }

@@ -1,11 +1,11 @@
 // Build provenance: version, build type and sanitizer configuration.
 //
 // One place answers "which mcrt produced this?" for every surface that
-// needs it: `mcrt --version`, the server's `{"hello"}` handshake, and the
-// provenance block embedded in bulk/server JSON reports
-// (mcrt-bulk-report/3). Canonical reports embed only the stable fields
-// (tool + version), never the build type or sanitizer list, so canonical
-// bytes stay identical across Debug/Release/TSan CI configurations.
+// needs it: `mcrt --version` and the provenance block embedded in bulk
+// JSON reports (mcrt-bulk-report/3). Canonical reports embed only the
+// stable fields (tool + version), never the build type or sanitizer list,
+// so canonical bytes stay identical across Debug/Release/TSan CI
+// configurations.
 #pragma once
 
 #include <string>
@@ -16,9 +16,6 @@ namespace mcrt {
 /// Semantic version of the mcrt tool and library.
 [[nodiscard]] const char* version_string() noexcept;
 
-/// Wire-protocol version of the `mcrt serve` frame protocol.
-[[nodiscard]] int protocol_version() noexcept;
-
 /// CMAKE_BUILD_TYPE the binary was compiled under ("unknown" when the
 /// build system did not pass it down).
 [[nodiscard]] const char* build_type() noexcept;
@@ -28,7 +25,7 @@ namespace mcrt {
 [[nodiscard]] std::vector<std::string> sanitizer_flags();
 
 /// One-line human-readable description, e.g.
-/// "mcrt 0.5.0 (protocol 1, RelWithDebInfo)" with sanitizers appended
+/// "mcrt 0.5.0 (RelWithDebInfo)" with sanitizers appended
 /// when present.
 [[nodiscard]] std::string version_line();
 

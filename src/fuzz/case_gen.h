@@ -5,7 +5,7 @@
 // generator's randomized profiles, a register-class zoo chain (one
 // register per EN/sync/async class) and a dual-clock rig; the flow script
 // is drawn from a small grammar over the registered passes; the oracle
-// rotates round-robin so any five consecutive indices cover every engine
+// rotates round-robin so any four consecutive indices cover every engine
 // pair. Replaying a CI failure therefore needs only the printed case seed.
 #pragma once
 
@@ -34,8 +34,9 @@ namespace mcrt {
 
 /// One register per EN/sync/async class signature chained D -> Q — plus an
 /// enable-chained pair sharing one enable net and an EN+sync-reset combo —
-/// with a randomized combinational tail. Exposed for the serve-path
-/// register-class differentials and the C-slow replication tests.
+/// with a randomized combinational tail. Exposed for the register-class
+/// differentials, the bench's zoo circuit and the C-slow replication
+/// tests.
 [[nodiscard]] Netlist register_class_zoo(std::uint64_t seed);
 
 /// Two pipelines in separate clock domains converging on one gate — the

@@ -37,20 +37,19 @@
 
 namespace mcrt {
 
-/// The five engine pairs the fuzzer cross-checks: serial vs bulk vs serve
+/// The four engine pairs the fuzzer cross-checks: serial vs bulk
 /// execution, monolithic vs windowed retiming, production engines vs
 /// independent references, C-slowed vs replicated stream semantics. The
 /// enum order is the sampling order (case seed modulo kOracleCount).
 enum class OracleKind : std::uint8_t {
   kSerialVsBulk,       ///< execute_flow_job vs BulkRunner, byte identity
-  kBulkVsServe,        ///< BulkRunner vs a live `mcrt serve` round-trip
   kMonoVsWindowed,     ///< retime(...) vs retime-windowed(...) flows
   kEngineVsReference,  ///< word vs scalar sim, FEAS vs W/D + Bellman-Ford,
                        ///< FlowMap depth vs exhaustive cut enumeration
   kCslowVsReplicated,  ///< retime(cslow=C) vs C independent copies (stream
                        ///< interleave sim + ternary BMC + period dominance)
 };
-inline constexpr std::size_t kOracleCount = 5;
+inline constexpr std::size_t kOracleCount = 4;
 
 [[nodiscard]] const char* oracle_name(OracleKind kind) noexcept;
 [[nodiscard]] std::optional<OracleKind> oracle_from_name(

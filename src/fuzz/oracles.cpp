@@ -1,12 +1,7 @@
 #include "fuzz/oracles.h"
 
-#include <unistd.h>
-
-#include <atomic>
 #include <cstdio>
-#include <filesystem>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "base/strings.h"
@@ -19,8 +14,6 @@
 #include "pipeline/job_executor.h"
 #include "pipeline/passes.h"
 #include "retime/minperiod.h"
-#include "server/client.h"
-#include "server/server.h"
 #include "sim/equivalence.h"
 #include "tech/decompose.h"
 #include "tech/flowmap.h"
@@ -38,8 +31,6 @@ std::string OracleVerdict::first_failure() const {
 }
 
 namespace {
-
-namespace fs = std::filesystem;
 
 void add_leg(OracleVerdict& v, std::string name, bool pass,
              std::string detail = {}) {
@@ -82,7 +73,7 @@ class FlipLutSweepPass final : public Pass {
 };
 
 /// Runs `script` serially over a copy of the case's circuit through the
-/// same execute_flow_job() core the bulk engine and the daemon use.
+/// same execute_flow_job() core the bulk engine uses.
 BulkJobResult run_serial(const FuzzCase& c, const std::string& script,
                          const PassRegistry& registry,
                          const OracleOptions& options) {
@@ -208,131 +199,6 @@ OracleVerdict serial_vs_bulk(const FuzzCase& c, const PassRegistry& registry,
   }
   check_flow_behavior(c, serial, v, "");
   check_period_consistency(serial, v, "");
-  return v;
-}
-
-// --- bulk vs serve ----------------------------------------------------------
-
-std::string unique_scratch_dir() {
-  static std::atomic<std::uint64_t> counter{0};
-  const fs::path base = fs::temp_directory_path();
-  return (base / str_format("mcrt-fuzz-%d-%llu",
-                            static_cast<int>(::getpid()),
-                            static_cast<unsigned long long>(
-                                counter.fetch_add(1)))).string();
-}
-
-OracleVerdict bulk_vs_serve(const FuzzCase& c, const PassRegistry& registry,
-                            const OracleOptions& options) {
-  OracleVerdict v;
-  const std::string dir = unique_scratch_dir();
-  std::error_code ec;
-  fs::create_directories(dir, ec);
-  if (ec) {
-    add_leg(v, "serve-setup", false, "cannot create scratch dir " + dir);
-    return v;
-  }
-  const std::string input_path = dir + "/case.blif";
-  if (!write_blif_file(c.netlist, input_path, "case")) {
-    add_leg(v, "serve-setup", false, "cannot write " + input_path);
-    fs::remove_all(dir, ec);
-    return v;
-  }
-
-  // Bulk side: the same file job the daemon will run.
-  BulkOptions bulk_options;
-  bulk_options.jobs = 2;
-  bulk_options.keep_netlists = true;
-  bulk_options.registry = &registry;
-  bulk_options.timeout_seconds = options.timeout_seconds;
-  bulk_options.cancel = options.cancel;
-  const BulkReport report = BulkRunner(c.script, bulk_options)
-                                .run({make_file_job(input_path, "")});
-  const BulkJobResult& bulk = report.results.front();
-  const std::string bulk_json = canonical_json(bulk);
-  const std::string bulk_blif =
-      bulk.netlist.has_value() ? write_blif_string(*bulk.netlist)
-                               : std::string{};
-
-  // Serve side: an in-process daemon on a private Unix socket.
-  ServerOptions server_options;
-  server_options.endpoint.unix_path = dir + "/serve.sock";
-  server_options.jobs = 2;
-  server_options.registry = &registry;
-  server_options.default_timeout_seconds = options.timeout_seconds;
-  RetimingServer server(server_options);
-  std::string error;
-  if (!server.start(&error)) {
-    add_leg(v, "serve-start", false, error);
-    fs::remove_all(dir, ec);
-    return v;
-  }
-  std::thread accept_thread([&server] { server.run(); });
-
-  ServeClient client;
-  if (!client.connect(server.bound_endpoint(), &error)) {
-    add_leg(v, "serve-connect", false, error);
-  } else {
-    const auto submit = [&](const char* id) {
-      JobRequest request;
-      request.id = id;
-      request.script = c.script;
-      request.path = input_path;
-      request.options.canonical = true;
-      request.options.return_blif = true;
-      request.options.timeout_seconds = options.timeout_seconds;
-      return client.submit(request);
-    };
-    // Two rounds, each collected before the next submit: the replay must
-    // only go out once the first job has finished and populated the cache,
-    // otherwise the two requests race and the cache-hit leg is a coin flip.
-    // Two rounds, each collected before the next submit: the replay must
-    // only go out once the first job has finished and populated the cache,
-    // otherwise the two requests race and the cache-hit leg is a coin flip.
-    // collect() returns every submitted job in submission order, so the
-    // second round holds both results.
-    std::vector<ClientJobResult> round1;
-    std::vector<ClientJobResult> round2;
-    if (!submit("f1") || !client.collect(&round1, &error) ||
-        round1.size() != 1 || !submit("f2") ||
-        !client.collect(&round2, &error) || round2.size() != 2) {
-      add_leg(v, "serve-roundtrip", false,
-              error.empty() ? "incomplete results" : error);
-    } else {
-      const ClientJobResult& first = round2[0];
-      const ClientJobResult& replay = round2[1];
-      add_leg(v, "serve-report-identity", first.job_json == bulk_json,
-              first.job_json == bulk_json
-                  ? std::string{}
-                  : "canonical per-job JSON differs between serve and bulk");
-      if (bulk.success) {
-        add_leg(v, "serve-blif-identity", first.blif == bulk_blif,
-                first.blif == bulk_blif
-                    ? std::string{}
-                    : "result BLIF differs between serve and bulk");
-        add_leg(v, "cache-hit", replay.cached,
-                replay.cached ? std::string{}
-                              : "resubmission was not served from cache");
-        add_leg(v, "cache-replay-identity",
-                replay.job_json == first.job_json &&
-                    replay.blif == first.blif,
-                "cached replay bytes differ from the first response");
-        if (replay.job_json == first.job_json && replay.blif == first.blif) {
-          v.legs.back().detail.clear();
-        }
-      } else {
-        add_leg(v, "serve-failure-agreement", !first.success,
-                first.success ? "serve succeeded where bulk failed"
-                              : std::string{});
-      }
-    }
-  }
-  client.close();
-  server.request_stop();
-  accept_thread.join();
-  fs::remove_all(dir, ec);
-
-  check_flow_behavior(c, bulk, v, "");
   return v;
 }
 
@@ -661,8 +527,6 @@ OracleVerdict run_oracle(const FuzzCase& c, const OracleOptions& options) {
   switch (c.oracle) {
     case OracleKind::kSerialVsBulk:
       return serial_vs_bulk(c, registry, options);
-    case OracleKind::kBulkVsServe:
-      return bulk_vs_serve(c, registry, options);
     case OracleKind::kMonoVsWindowed:
       return mono_vs_windowed(c, registry, options);
     case OracleKind::kEngineVsReference:

@@ -222,8 +222,8 @@ class Netlist {
   }
 
   // structural_hash() memoizes its digest here (lazily, invalidated by
-  // touch()) so repeated hashing of an unchanged netlist — serve cache
-  // lookups, bench runs — is O(1) after the first call.
+  // touch()) so repeated hashing of an unchanged netlist is O(1) after
+  // the first call.
   friend StructuralHash structural_hash(const Netlist& netlist);
 
   std::vector<Net> nets_;

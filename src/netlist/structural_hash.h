@@ -15,9 +15,7 @@
 // labels into its output label (registers included, so feedback loops
 // propagate), and the final 128-bit digest order-independently folds every
 // net's label plus the interface bindings. 128 bits (two independently
-// seeded 64-bit lanes) makes accidental collisions implausible at any
-// realistic cache size, which is what the `mcrt serve` result cache keys
-// on (docs/SERVER.md#cache).
+// seeded 64-bit lanes) makes accidental collisions implausible.
 #pragma once
 
 #include <cstdint>

@@ -161,8 +161,9 @@ void append_stats(std::string& out, const char* key,
       key, stats.luts, stats.registers, static_cast<long long>(period));
 }
 
-}  // namespace
-
+/// The report's "provenance" object: always tool + version + report
+/// schema; build type and sanitizer flags only when `canonical` is false
+/// (they vary across CI configurations).
 std::string provenance_json(bool canonical) {
   std::string out = str_format(
       "{\"tool\": \"mcrt\", \"version\": \"%s\", \"report_schema\": 3",
@@ -182,6 +183,8 @@ std::string provenance_json(bool canonical) {
   out += "}";
   return out;
 }
+
+}  // namespace
 
 std::string bulk_job_result_to_json(const BulkJobResult& r,
                                     const BulkJsonOptions& json) {
@@ -226,36 +229,8 @@ std::string bulk_job_result_to_json(const BulkJobResult& r,
   return out;
 }
 
-std::string compose_canonical_report_json(
-    const std::string& script, const std::vector<std::string>& job_jsons,
-    std::size_t succeeded) {
-  std::string out = "{\n";
-  out += "  \"schema\": \"mcrt-bulk-report/3\",\n";
-  out += "  \"provenance\": " + provenance_json(/*canonical=*/true) + ",\n";
-  out += "  \"script\": " + quoted(script) + ",\n";
-  out += str_format("  \"circuits\": %zu,\n", job_jsons.size());
-  out += str_format("  \"succeeded\": %zu,\n", succeeded);
-  out += str_format("  \"failed\": %zu,\n", job_jsons.size() - succeeded);
-  out += "  \"results\": [\n";
-  for (std::size_t i = 0; i < job_jsons.size(); ++i) {
-    out += job_jsons[i];
-    out += i + 1 < job_jsons.size() ? ",\n" : "\n";
-  }
-  out += "  ]\n";
-  out += "}\n";
-  return out;
-}
-
 std::string BulkReport::to_json(const BulkJsonOptions& json) const {
   const bool canonical = json.canonical;
-  if (canonical) {
-    std::vector<std::string> job_jsons;
-    job_jsons.reserve(results.size());
-    for (const BulkJobResult& result : results) {
-      job_jsons.push_back(bulk_job_result_to_json(result, json));
-    }
-    return compose_canonical_report_json(script, job_jsons, succeeded());
-  }
   std::string out = "{\n";
   out += "  \"schema\": \"mcrt-bulk-report/3\",\n";
   out += "  \"provenance\": " + provenance_json(canonical) + ",\n";

@@ -5,7 +5,7 @@
 // PassManager factory — and runs it over N independent jobs on a
 // work-stealing ThreadPool. Each job runs through the shared
 // execute_flow_job() core (pipeline/job_executor.h) — the same entry point
-// the `mcrt serve` daemon uses — with its own FlowContext and private
+// `mcrt flow` uses — with its own FlowContext and private
 // CollectingDiagnostics sink, so nothing is shared between concurrently
 // running flows; per-job results (pass timings, netlist stats and
 // register/period deltas, diagnostics) are merged into a BulkReport in job
@@ -109,26 +109,10 @@ struct BulkReport {
 
 /// One per-job object of the report's "results" array, exactly as
 /// BulkReport::to_json() embeds it (four-space indent, trailing newline
-/// handling left to the caller). The server's result frames reuse this so
-/// a daemon-served job serializes byte-identically to a bulk-run one.
+/// handling left to the caller). The fuzz oracles byte-compare serial and
+/// bulk runs through it.
 [[nodiscard]] std::string bulk_job_result_to_json(const BulkJobResult& result,
                                                   const BulkJsonOptions& json);
-
-/// The "provenance" JSON object embedded in reports and the server's
-/// hello frame: always tool + version + report schema; build type and
-/// sanitizer flags only when `canonical` is false (they vary across CI
-/// configurations).
-[[nodiscard]] std::string provenance_json(bool canonical);
-
-/// Assembles a full canonical report document from pre-serialized per-job
-/// objects (bulk_job_result_to_json with canonical = true). `mcrt client
-/// --report` uses this on the job objects returned in result frames;
-/// BulkReport::to_json(canonical) routes through the same function, so the
-/// two surfaces cannot drift — the server differential test byte-compares
-/// them.
-[[nodiscard]] std::string compose_canonical_report_json(
-    const std::string& script, const std::vector<std::string>& job_jsons,
-    std::size_t succeeded);
 
 class BulkRunner {
  public:

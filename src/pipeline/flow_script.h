@@ -16,9 +16,8 @@
 // additionally instantiates and configures each pass from a registry into
 // a PassManager, turning unknown names or bad arguments into one clear
 // error message. Parse errors carry the 1-based line/column and the
-// offending token, so multi-line scripts (e.g. piped into `mcrt serve`
-// requests) report "line 3, column 14: expected ';' (near 'strash')"
-// instead of a bare byte offset.
+// offending token, so multi-line scripts report "line 3, column 14:
+// expected ';' (near 'strash')" instead of a bare byte offset.
 #pragma once
 
 #include <optional>

@@ -191,6 +191,13 @@ PipelineBuilder script_pipeline(std::string script,
   };
 }
 
+namespace {
+
+/// Writes a result's BLIF `text` to `path` via "<path>.tmp" + rename,
+/// creating missing parent directories, so `path` only ever holds a
+/// complete output. Returns false with *error set, and no temp file left,
+/// on any failure. The "write:<filename>" fault site simulates a failing
+/// filesystem for the retry tests.
 bool store_output_atomically(std::string_view text, const std::string& path,
                              FaultInjector& faults, const CancelToken* cancel,
                              std::string* error) {
@@ -224,6 +231,8 @@ bool store_output_atomically(std::string_view text, const std::string& path,
   return true;
 }
 
+}  // namespace
+
 void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
                       const JobExecutionOptions& options, BulkJobResult& out,
                       DiagnosticsSink* live) {
@@ -236,8 +245,7 @@ void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
   FaultInjector& faults =
       options.faults != nullptr ? *options.faults : FaultInjector::global();
   // Per-job token: chains the caller-wide cancel and arms this job's own
-  // deadline, so one poll observes ctrl-C (or a cancel frame) and the
-  // timeout alike.
+  // deadline, so one poll observes ctrl-C and the timeout alike.
   CancelToken job_cancel(options.cancel);
   if (options.timeout_seconds > 0) {
     job_cancel.set_timeout(options.timeout_seconds);

@@ -6,10 +6,7 @@
 // a bad input, a failing or throwing pass, a deadline, a cancelled batch,
 // an injected fault, an unwritable output — lands as a structured
 // BulkJobResult, never as an escaping exception. The parallel bulk engine
-// (pipeline/bulk_runner.h) and the retiming service (server/server.h) both
-// execute jobs through this entry point, so a request served by the daemon
-// cannot drift from what `mcrt bulk` would have produced for the same
-// circuit and script.
+// (pipeline/bulk_runner.h) executes jobs through this entry point.
 //
 // A job gets its own CancelToken chained onto the caller's (so one poll
 // observes both the caller's stop request and the per-job deadline), its
@@ -19,8 +16,7 @@
 // entry point, streaming the job's diagnostics to stderr as they happen.
 //
 // A job's record has one persisted encoding, job_to_json(): the bulk
-// checkpoint manifest writes one per line and the daemon's disk cache
-// embeds one per entry.
+// checkpoint manifest writes one per line.
 #pragma once
 
 #include <cstdint>
@@ -127,8 +123,8 @@ struct JobExecutionOptions {
   bool keep_netlist = false;
   /// Per-job wall-clock deadline in seconds (0 = none).
   double timeout_seconds = 0;
-  /// Caller-wide cancellation (batch ctrl-C, client disconnect, an
-  /// explicit cancel frame). The job chains its deadline token onto it.
+  /// Caller-wide cancellation (batch ctrl-C). The job chains its deadline
+  /// token onto it.
   const CancelToken* cancel = nullptr;
   /// Per-job resource budgets, threaded into the job's FlowContext.
   ResourceBudgets budgets;
@@ -143,14 +139,5 @@ struct JobExecutionOptions {
 void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
                       const JobExecutionOptions& options, BulkJobResult& out,
                       DiagnosticsSink* live = nullptr);
-
-/// Writes a result's BLIF `text` to `path` via "<path>.tmp" + rename,
-/// creating missing parent directories, so `path` only ever holds a
-/// complete output. Returns false with *error set, and no temp file left,
-/// on any failure. The "write:<filename>" fault site simulates a failing
-/// filesystem for the retry tests.
-bool store_output_atomically(std::string_view text, const std::string& path,
-                             FaultInjector& faults, const CancelToken* cancel,
-                             std::string* error);
 
 }  // namespace mcrt

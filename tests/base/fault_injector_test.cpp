@@ -1,6 +1,6 @@
-// FaultInjector: spec parsing (including the io-class actions), per-site
-// hit counting, @hit one-shot semantics, prefix matching, and inject()'s
-// throw/fail behavior.
+// FaultInjector: spec rejection, @hit one-shot semantics, per-pattern hit
+// counting and separators (tests/base/cancel_test.cpp covers the actions
+// and inject()).
 #include "base/fault_injector.h"
 
 #include <gtest/gtest.h>
@@ -9,24 +9,6 @@
 
 namespace mcrt {
 namespace {
-
-TEST(FaultInjectorTest, ParsesEveryActionIncludingIoClass) {
-  FaultInjector injector;
-  std::string error;
-  ASSERT_TRUE(injector.configure(
-      "a=throw; b=fail; c=stall; d=short-write; e=fsync-fail; f=enospc; "
-      "g=corrupt",
-      &error))
-      << error;
-  EXPECT_EQ(injector.fire("a"), FaultInjector::Action::kThrow);
-  EXPECT_EQ(injector.fire("b"), FaultInjector::Action::kFail);
-  EXPECT_EQ(injector.fire("c"), FaultInjector::Action::kStall);
-  EXPECT_EQ(injector.fire("d"), FaultInjector::Action::kShortWrite);
-  EXPECT_EQ(injector.fire("e"), FaultInjector::Action::kFsyncFail);
-  EXPECT_EQ(injector.fire("f"), FaultInjector::Action::kEnospc);
-  EXPECT_EQ(injector.fire("g"), FaultInjector::Action::kCorrupt);
-  EXPECT_EQ(injector.fire("unconfigured"), FaultInjector::Action::kNone);
-}
 
 TEST(FaultInjectorTest, RejectsMalformedSpecs) {
   FaultInjector injector;
@@ -41,44 +23,30 @@ TEST(FaultInjectorTest, RejectsMalformedSpecs) {
 TEST(FaultInjectorTest, AtHitFiresExactlyOnce) {
   FaultInjector injector;
   std::string error;
-  ASSERT_TRUE(injector.configure("io:write:x=enospc@3", &error)) << error;
-  EXPECT_EQ(injector.fire("io:write:x"), FaultInjector::Action::kNone);
-  EXPECT_EQ(injector.fire("io:write:x"), FaultInjector::Action::kNone);
-  EXPECT_EQ(injector.fire("io:write:x"), FaultInjector::Action::kEnospc);
-  EXPECT_EQ(injector.fire("io:write:x"), FaultInjector::Action::kNone);
+  ASSERT_TRUE(injector.configure("write:x=fail@3", &error)) << error;
+  EXPECT_EQ(injector.fire("write:x"), FaultInjector::Action::kNone);
+  EXPECT_EQ(injector.fire("write:x"), FaultInjector::Action::kNone);
+  EXPECT_EQ(injector.fire("write:x"), FaultInjector::Action::kFail);
+  EXPECT_EQ(injector.fire("write:x"), FaultInjector::Action::kNone);
 }
 
 TEST(FaultInjectorTest, WithoutAtHitFiresEveryTime) {
   FaultInjector injector;
   std::string error;
-  ASSERT_TRUE(injector.configure("io:read:y=corrupt", &error)) << error;
+  ASSERT_TRUE(injector.configure("job:y=stall", &error)) << error;
   for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(injector.fire("io:read:y"), FaultInjector::Action::kCorrupt);
+    EXPECT_EQ(injector.fire("job:y"), FaultInjector::Action::kStall);
   }
 }
 
 TEST(FaultInjectorTest, PrefixPatternCountsHitsPerPatternNotPerSite) {
   FaultInjector injector;
   std::string error;
-  ASSERT_TRUE(injector.configure("io:write:*=short-write@2", &error)) << error;
+  ASSERT_TRUE(injector.configure("write:*=fail@2", &error)) << error;
   // The @2 counter belongs to the pattern, so two different files share it.
-  EXPECT_EQ(injector.fire("io:write:a.entry"), FaultInjector::Action::kNone);
-  EXPECT_EQ(injector.fire("io:write:b.entry"),
-            FaultInjector::Action::kShortWrite);
-  EXPECT_EQ(injector.fire("io:write:a.entry"), FaultInjector::Action::kNone);
-}
-
-TEST(FaultInjectorTest, InjectThrowsForThrowAndReportsFailureForIoActions) {
-  FaultInjector injector;
-  std::string error;
-  ASSERT_TRUE(injector.configure("boom=throw; disk=enospc; ok=short-write",
-                                 &error))
-      << error;
-  EXPECT_THROW((void)injector.inject("boom", nullptr), FaultInjectedError);
-  // Generic inject() callers see io-class actions as a plain failure.
-  EXPECT_TRUE(injector.inject("disk", nullptr));
-  EXPECT_TRUE(injector.inject("ok", nullptr));
-  EXPECT_FALSE(injector.inject("unconfigured", nullptr));
+  EXPECT_EQ(injector.fire("write:a.blif"), FaultInjector::Action::kNone);
+  EXPECT_EQ(injector.fire("write:b.blif"), FaultInjector::Action::kFail);
+  EXPECT_EQ(injector.fire("write:a.blif"), FaultInjector::Action::kNone);
 }
 
 TEST(FaultInjectorTest, EmptyAndSeparators) {

@@ -17,9 +17,8 @@ namespace {
 
 TEST(OracleName, RoundTripsAllKinds) {
   const OracleKind kinds[] = {
-      OracleKind::kSerialVsBulk, OracleKind::kBulkVsServe,
-      OracleKind::kMonoVsWindowed, OracleKind::kEngineVsReference,
-      OracleKind::kCslowVsReplicated};
+      OracleKind::kSerialVsBulk, OracleKind::kMonoVsWindowed,
+      OracleKind::kEngineVsReference, OracleKind::kCslowVsReplicated};
   std::set<std::string> names;
   for (OracleKind kind : kinds) {
     const char* name = oracle_name(kind);

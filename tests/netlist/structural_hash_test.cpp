@@ -142,13 +142,12 @@ TEST(StructuralHashTest, RegisterClassMatters) {
 }
 
 TEST(StructuralHashTest, WriteReadRoundTripIsStable) {
-  // The serve result cache keys on the hash of netlists *parsed from BLIF
-  // text* — that is all the daemon ever sees. Parsed netlists must be a
-  // round-trip fixpoint: write -> read must preserve the hash (and the
-  // bytes), or resubmitting a circuit the server previously wrote out
-  // would silently never hit the cache. (The very first serialization of a
-  // hand-built netlist may differ structurally: the writer materializes
-  // output-binding buffers that exist only implicitly in memory.)
+  // Netlists *parsed from BLIF text* must be a round-trip fixpoint:
+  // write -> read must preserve the hash (and the bytes), so a circuit
+  // hashes the same before and after a trip through a file. (The very
+  // first serialization of a hand-built netlist may differ structurally:
+  // the writer materializes output-binding buffers that exist only
+  // implicitly in memory.)
   const Netlist circuits[] = {demo_forward(), testing::fig1_circuit()};
   for (const Netlist& original : circuits) {
     auto parsed = read_blif_string(write_blif_string(original, "rt"));

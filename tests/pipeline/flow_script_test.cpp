@@ -97,8 +97,7 @@ TEST(FlowScriptTest, BadCharacterFails) {
 TEST(FlowScriptTest, MalformedScriptTable) {
   // One row per malformed-script shape: every diagnostic must carry the
   // 1-based line/column of the offending character, the offending token,
-  // and a message naming the construct — what `mcrt serve` streams back
-  // for a bad request script.
+  // and a message naming the construct.
   struct Row {
     const char* script;
     std::size_t line;

@@ -6,20 +6,17 @@
 // `mcrt flow "retime(minperiod)" in out`.
 #include <algorithm>
 #include <charconv>
-#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <functional>
 #include <iterator>
 #include <limits>
 #include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <variant>
@@ -28,7 +25,6 @@
 #include "base/cancel.h"
 #include "base/fault_injector.h"
 #include "base/json.h"
-#include "base/socket.h"
 #include "base/strings.h"
 #include "base/version.h"
 #include "blif/blif.h"
@@ -38,9 +34,6 @@
 #include "pipeline/diagnostics.h"
 #include "pipeline/pass_manager.h"
 #include "perf/bench.h"
-#include "perf/serve_bench.h"
-#include "server/client.h"
-#include "server/server.h"
 #include "sim/equivalence.h"
 #include "tech/sta.h"
 #include "tech/timing_report.h"
@@ -64,7 +57,7 @@ extern "C" void handle_sigint(int) { g_interrupt.request_cancel(); }
 constexpr std::string_view kCommandNames[] = {
     "stats", "classes", "timing", "dot", "sweep", "strash", "regsweep",
     "map", "retime", "decompose-en", "decompose-sync", "check", "flow",
-    "bulk", "corpus", "fuzz", "bench", "serve", "client", "loadtest"};
+    "bulk", "corpus", "fuzz", "bench"};
 
 /// A set of commands, one bit per kCommandNames entry.
 using CommandSet = std::uint32_t;
@@ -108,13 +101,13 @@ not read is an error.
   flow:   mcrt flow "<script>" in.blif out.blif, script pass[(arg,key=val)];
           pass; ... e.g. "sweep; strash; retime(target=24,no-sharing); map"
           --profile (per-pass timing; also the shorthands)
-  flow, shorthands, bulk, serve and client:
+  flow, shorthands and bulk:
           --verify (per-pass equivalence spot check)  --no-validate
           --timeout <s>       per-flow/per-job deadline (also fuzz)
           --budget-bdd <n>    BDD node cap for verification
           --budget-bmc <n>    BMC unroll depth cap
           --budget-rss-mb <m> peak-RSS budget per flow
-          --faults "<spec>"   inject faults (not client), e.g.
+          --faults "<spec>"   inject faults, e.g.
           "pass:retime=throw; write:*=fail@2" (also MCRT_FAULT_* variables)
   bulk:   mcrt bulk "<script>" [--jobs N] [--out-dir D] [--report F]
           [--canonical] [--manifest F] [--resume] [--retries N] <in|dir>...
@@ -122,26 +115,15 @@ not read is an error.
           (--gates adds one ~G-LUT scaled design)
   fuzz:   mcrt fuzz [--budget-s S] [--cases N] [--seed S] [--oracle O]
           [--out-dir D] [--report F] [--canonical]: differential fuzzing of
-          O = serial-vs-bulk|bulk-vs-serve|mono-vs-windowed|engine-vs-
-          reference|cslow-vs-replicated (default all); failures become
-          reproducers in --out-dir.
+          O = serial-vs-bulk|mono-vs-windowed|engine-vs-reference|
+          cslow-vs-replicated (default all); failures become reproducers
+          in --out-dir.
           mcrt fuzz --repro <file> [--update] replays (and re-minimizes) one;
           with an explicit --seed it first regenerates that case into <file>
           --plant-bug <spec> sabotages an engine (fuzzer self-tests only)
   bench:  mcrt bench [--quick] [--out-dir D] [--seed S] [--baseline <dir>
           --max-regress <frac=0.20>]: paper tables/figures, windowed and
           C-slow benchmarks, writes BENCH_{paper,window,cslow}.json
-  serve:  mcrt serve (--socket <path> | --port <n>) [--jobs N] [--cache-mb M]
-          [--disk-cache-dir D --disk-cache-mb M --disk-cache-ttl-s S]
-          [--max-inflight N --retry-after-ms MS]: retiming daemon with a
-          result cache and a crash-safe disk tier (docs/SERVER.md)
-  client: mcrt client "<script>" (--socket <p> | --port <n>) [--out-dir D]
-          [--report F --canonical] [--retries N --retry-base-ms MS]
-          [--tenant T] <in.blif|dir>...: submit circuits to the daemon;
-          also mcrt client --hello|--stats|--health|--drain|--shutdown
-  loadtest: mcrt loadtest [--quick] [--seed S] [--out-dir D] [--baseline
-          <dir> [--max-regress F]]: chaos load harness for the serve stack,
-          writes BENCH_serve.json
   mcrt --version prints version, build type and sanitizers
 )usage";
 
@@ -214,8 +196,8 @@ bool make_fault_injector(const FlowFlags& flags, FaultInjector& injector,
   return false;
 }
 
-/// Pass-manager options of the flow, bulk and serve commands: --no-validate,
-/// --verify and one equivalence spot-check effort for all three.
+/// Pass-manager options of the flow and bulk commands: --no-validate,
+/// --verify and one equivalence spot-check effort for both.
 PassManagerOptions manager_options(const FlowFlags& flags) {
   PassManagerOptions options;
   options.check_invariants = !flags.no_validate;
@@ -281,10 +263,10 @@ struct BulkFlags {
 /// sorted) into bulk jobs writing to `out_dir` (if given). Deterministic
 /// job order: inputs as given, directory entries sorted by name. Reports
 /// and returns nullopt on an unlistable directory, colliding outputs or no
-/// circuits at all (under `origin`).
+/// circuits at all.
 std::optional<std::vector<BulkJob>> collect_bulk_jobs(
     const std::vector<std::string>& inputs, const std::string& out_dir,
-    const char* origin, DiagnosticsSink& diag) {
+    DiagnosticsSink& diag) {
   namespace fs = std::filesystem;
   std::vector<std::string> files;
   for (const std::string& input : inputs) {
@@ -329,7 +311,7 @@ std::optional<std::vector<BulkJob>> collect_bulk_jobs(
     }
   }
   if (jobs.empty()) {
-    diag.error(origin, "no input circuits");
+    diag.error("bulk", "no input circuits");
     return std::nullopt;
   }
   return jobs;
@@ -347,7 +329,7 @@ bool write_report(const std::string& path, const std::string& text,
 int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
              const BulkFlags& bulk, const FlowFlags& flags,
              StreamDiagnostics& diag) {
-  const auto jobs = collect_bulk_jobs(inputs, bulk.out_dir, "bulk", diag);
+  const auto jobs = collect_bulk_jobs(inputs, bulk.out_dir, diag);
   if (!jobs) return 2;
 
   FaultInjector faults;
@@ -438,48 +420,45 @@ struct BenchFlags {
   double max_regress = 0.20;   ///< allowed fractional speedup loss
 };
 
-/// The --baseline gate of `bench` and `loadtest`: reads the committed
-/// `file_name` from the baseline directory, validates it, and reports every
+/// The --baseline gate of `bench`: reads the committed `file_name` from the
+/// baseline directory, validates it against `schema`, and reports every
 /// bench_regressions() finding of `current`. Returns true when the
 /// baseline is readable, valid and not regressed.
-bool gate_against_baseline(
-    const Json& current, const BenchFlags& flags, const char* origin,
-    const char* file_name,
-    const std::function<std::string(const Json&)>& validate,
-    DiagnosticsSink& diag) {
+bool gate_against_baseline(const Json& current, const BenchFlags& flags,
+                           const char* file_name, const char* schema,
+                           DiagnosticsSink& diag) {
   const std::string path =
       (std::filesystem::path(flags.baseline_dir) / file_name).string();
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) {
-    diag.error(origin, "cannot read baseline " + path);
+    diag.error("bench", "cannot read baseline " + path);
     return false;
   }
   std::string text((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   auto parsed = Json::parse(text);
   if (const auto* err = std::get_if<JsonParseError>(&parsed)) {
-    diag.error(origin, path + ": " + err->message);
+    diag.error("bench", path + ": " + err->message);
     return false;
   }
   const Json& baseline = std::get<Json>(parsed);
-  const std::string problem = validate(baseline);
+  const std::string problem = validate_bench_report(baseline, schema);
   if (!problem.empty()) {
-    diag.error(origin, path + ": " + problem);
+    diag.error("bench", path + ": " + problem);
     return false;
   }
   const std::vector<std::string> regressions =
       bench_regressions(current, baseline, flags.max_regress);
   for (const std::string& regression : regressions) {
-    diag.error(origin, std::string(file_name) + ": " + regression);
+    diag.error("bench", std::string(file_name) + ": " + regression);
   }
   return regressions.empty();
 }
 
 /// Writes `report` as `file_name` into --out-dir (created if missing) and
-/// prints its path; reports under `origin` and returns false on failure.
+/// prints its path; reports and returns false on failure.
 bool write_bench_file(const Json& report, const BenchFlags& flags,
-                      const char* origin, const char* file_name,
-                      DiagnosticsSink& diag) {
+                      const char* file_name, DiagnosticsSink& diag) {
   std::error_code ec;
   std::filesystem::create_directories(flags.out_dir, ec);
   const std::string path =
@@ -487,7 +466,7 @@ bool write_bench_file(const Json& report, const BenchFlags& flags,
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << write_bench_report(report);
   if (!out.good()) {
-    diag.error(origin, "cannot write " + path);
+    diag.error("bench", "cannot write " + path);
     return false;
   }
   std::printf("  wrote %s\n", path.c_str());
@@ -539,7 +518,7 @@ int cmd_bench(const BenchFlags& flags, std::uint64_t seed,
                   summary.at("rlut").as_number(),
                   summary.at("rdelay").as_number());
     }
-    if (!write_bench_file(report, flags, "bench", suite.file_name, diag)) {
+    if (!write_bench_file(report, flags, suite.file_name, diag)) {
       return 1;
     }
     reports.push_back(std::move(report));
@@ -549,302 +528,12 @@ int cmd_bench(const BenchFlags& flags, std::uint64_t seed,
   // Regression gate vs the committed baseline documents (bench_regressions).
   bool ok = true;
   for (std::size_t i = 0; i < reports.size(); ++i) {
-    const char* schema = suites[i].schema;
-    ok &= gate_against_baseline(
-        reports[i], flags, "bench", suites[i].file_name,
-        [&](const Json& j) { return validate_bench_report(j, schema); }, diag);
+    ok &= gate_against_baseline(reports[i], flags, suites[i].file_name,
+                                suites[i].schema, diag);
   }
   if (!ok) return 1;
   std::printf("bench: no regression vs baseline\n");
   return 0;
-}
-
-int cmd_loadtest(const BenchFlags& flags, std::uint64_t seed,
-                 StreamDiagnostics& diag) {
-  namespace fs = std::filesystem;
-  ServeBenchOptions options;
-  options.quick = flags.quick;
-  options.seed = seed;
-  options.work_dir = (fs::path(flags.out_dir) / "loadtest_work").string();
-
-  std::printf("loadtest: running serve chaos phases (%s)...\n",
-              flags.quick ? "quick" : "full");
-  const Json report = run_serve_bench(options, &diag);
-  const std::string problem = validate_serve_bench_report(report);
-  if (!problem.empty()) {
-    if (report.has("error")) {
-      diag.error("loadtest", report.at("error").as_string());
-    }
-    diag.error("loadtest", problem);
-    return 1;
-  }
-  for (const Json& entry : report.at("entries").as_array()) {
-    std::printf(
-        "  %-10s requests=%lld speedup=%.2fx p99=%.1fms mem_hit=%.2f "
-        "disk_hit=%.2f identical=%s\n",
-        entry.at("circuit").as_string().c_str(),
-        static_cast<long long>(entry.at("requests").as_int()),
-        entry.at("speedup_warm_vs_cold").as_number(),
-        entry.at("p99_ms").as_number(), entry.at("mem_hit_ratio").as_number(),
-        entry.at("disk_hit_ratio").as_number(),
-        entry.at("identical").as_bool() ? "yes" : "NO");
-  }
-  const Json& summary = report.at("summary");
-  std::printf(
-      "  geomean %.2fx, corrupt_served=%lld, restart_disk_hit_ratio=%.2f\n",
-      summary.at("geomean_speedup").as_number(),
-      static_cast<long long>(summary.at("corrupt_served").as_int()),
-      summary.at("restart_disk_hit_ratio").as_number());
-
-  if (!write_bench_file(report, flags, "loadtest", "BENCH_serve.json",
-                        diag)) {
-    return 1;
-  }
-
-  if (flags.baseline_dir.empty()) return 0;
-  if (!gate_against_baseline(report, flags, "loadtest", "BENCH_serve.json",
-                             validate_serve_bench_report, diag)) {
-    return 1;
-  }
-  std::printf("loadtest: no regression vs baseline\n");
-  return 0;
-}
-
-struct ServeFlags {
-  std::string socket_path;    ///< --socket (Unix-domain)
-  std::optional<std::uint16_t> port;  ///< --port (loopback TCP; 0 = ephemeral)
-  std::uint32_t cache_mb = 64;  ///< --cache-mb (0 disables the result cache)
-  std::string disk_cache_dir;       ///< --disk-cache-dir (empty = no tier)
-  std::uint32_t disk_cache_mb = 256;  ///< --disk-cache-mb
-  std::uint64_t disk_cache_ttl_s = 0;  ///< --disk-cache-ttl-s (0 = no aging)
-  std::size_t max_inflight = 0;     ///< --max-inflight (0 = unbounded)
-  int retry_after_ms = 200;         ///< --retry-after-ms (busy frame hint)
-  int retry_base_ms = 50;     ///< client: --retry-base-ms (backoff base)
-  std::string tenant;         ///< client: --tenant (fair-share bucket)
-  bool stats = false;         ///< client: print the daemon's {"stats"} frame
-  bool shutdown = false;      ///< client: stop the daemon when done
-  bool hello = false;         ///< client: print the greeting hello frame
-  bool health = false;        ///< client: print the {"health"} frame
-  bool drain = false;         ///< client: ask the daemon to drain
-};
-
-bool serve_endpoint(const ServeFlags& serve, SocketEndpoint* endpoint,
-                    DiagnosticsSink& diag) {
-  if (serve.socket_path.empty() && !serve.port) {
-    diag.error("serve", "need --socket <path> or --port <n>");
-    return false;
-  }
-  endpoint->unix_path = serve.socket_path;
-  endpoint->tcp_port = serve.port.value_or(0);
-  return true;
-}
-
-int cmd_serve(const ServeFlags& serve, const BulkFlags& bulk,
-              const FlowFlags& flags, StreamDiagnostics& diag) {
-  ServerOptions options;
-  if (!serve_endpoint(serve, &options.endpoint, diag)) return 2;
-  FaultInjector faults;
-  if (!make_fault_injector(flags, faults, diag)) return 2;
-  options.jobs = bulk.jobs;
-  options.cache_bytes = std::size_t{serve.cache_mb} << 20;
-  options.disk_cache_dir = serve.disk_cache_dir;
-  options.disk_cache_bytes = std::size_t{serve.disk_cache_mb} << 20;
-  options.disk_cache_ttl_seconds = serve.disk_cache_ttl_s;
-  options.max_inflight = serve.max_inflight;
-  options.retry_after_ms = serve.retry_after_ms;
-  // Same equivalence effort the flow/bulk commands use, so a request with
-  // verify=true spot-checks exactly like `mcrt bulk --verify`.
-  options.manager = manager_options(flags);
-  options.default_timeout_seconds = flags.timeout_seconds;
-  options.budgets = flags.budgets();
-  if (!flags.fault_spec.empty()) options.faults = &faults;
-  options.log = &diag;
-
-  RetimingServer server(options);
-  std::string error;
-  if (!server.start(&error)) {
-    diag.error("serve", error);
-    return 1;
-  }
-  // The smoke tests (and shell users) wait for this line before dialing.
-  std::printf("mcrt serve: listening on %s\n",
-              server.bound_endpoint().describe().c_str());
-  std::fflush(stdout);
-  server.run(&g_interrupt);
-  const ServerStats stats = server.stats();
-  const CacheStats cache = server.cache_stats();
-  std::printf("mcrt serve: %llu requests (%llu ok, %llu failed, %llu timeout, "
-              "%llu cancelled, %llu busy, %llu coalesced), cache %llu/%llu "
-              "hits\n",
-              static_cast<unsigned long long>(stats.requests),
-              static_cast<unsigned long long>(stats.ok),
-              static_cast<unsigned long long>(stats.failed),
-              static_cast<unsigned long long>(stats.timeout),
-              static_cast<unsigned long long>(stats.cancelled),
-              static_cast<unsigned long long>(stats.busy),
-              static_cast<unsigned long long>(stats.coalesced),
-              static_cast<unsigned long long>(cache.hits),
-              static_cast<unsigned long long>(cache.hits + cache.misses));
-  if (const std::optional<DiskCacheStats> disk = server.disk_cache_stats()) {
-    std::printf("mcrt serve: disk cache %llu/%llu hits, %zu entries, "
-                "%llu quarantined, %llu write failures\n",
-                static_cast<unsigned long long>(disk->hits),
-                static_cast<unsigned long long>(disk->hits + disk->misses),
-                disk->entries,
-                static_cast<unsigned long long>(disk->quarantined),
-                static_cast<unsigned long long>(disk->write_failures));
-  }
-  return 0;
-}
-
-int cmd_client(const std::string& script,
-               const std::vector<std::string>& inputs, const ServeFlags& serve,
-               const BulkFlags& bulk, const FlowFlags& flags,
-               StreamDiagnostics& diag) {
-  namespace fs = std::filesystem;
-  SocketEndpoint endpoint;
-  if (!serve_endpoint(serve, &endpoint, diag)) return 2;
-  if (!bulk.report_path.empty() && !bulk.canonical) {
-    diag.error("client", "--report needs --canonical (the client composes "
-                         "the report from the daemon's canonical records)");
-    return 2;
-  }
-
-  ServeClient client;
-  std::string error;
-  if (!client.connect(endpoint, &error)) {
-    diag.error("client", error);
-    return 1;
-  }
-  if (serve.hello) std::printf("%s\n", client.greeting().write().c_str());
-
-  int exit_code = 0;
-  std::vector<std::string> job_jsons;
-  std::size_t succeeded = 0;
-  if (!inputs.empty()) {
-    const auto jobs = collect_bulk_jobs(inputs, bulk.out_dir, "client", diag);
-    if (!jobs) return 2;
-    std::vector<JobRequest> requests;
-    requests.reserve(jobs->size());
-    for (std::size_t i = 0; i < jobs->size(); ++i) {
-      const BulkJob& job = (*jobs)[i];
-      JobRequest request;
-      request.id = str_format("j%zu", i);
-      request.name = job.name;
-      request.tenant = serve.tenant;
-      // The daemon may run in a different working directory.
-      request.path = fs::absolute(job.input_path).string();
-      if (!job.output_path.empty()) {
-        request.output = fs::absolute(job.output_path).string();
-      }
-      request.script = script;
-      request.options.canonical = bulk.canonical;
-      request.options.timeout_seconds = flags.timeout_seconds;
-      request.options.validate = !flags.no_validate;
-      request.options.verify = flags.verify;
-      request.options.budgets = flags.budgets();
-      if (!client.submit(request)) {
-        diag.error("client", "connection lost while submitting");
-        return 1;
-      }
-      requests.push_back(std::move(request));
-    }
-    std::vector<ClientJobResult> results;
-    if (!client.collect(&results, &error)) {
-      diag.error("client", error);
-      return 1;
-    }
-    // Re-submit transient outcomes — busy frames and the kIoError class
-    // `mcrt bulk` retries — with exponential backoff honoring the daemon's
-    // retry-after hint.
-    RetryPolicy policy;
-    policy.max_attempts = 1 + static_cast<int>(bulk.retries);
-    policy.base_delay_ms = serve.retry_base_ms;
-    for (int attempt = 1; attempt < policy.max_attempts; ++attempt) {
-      int hint_ms = 0;
-      std::vector<std::size_t> redo;
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].retryable()) {
-          hint_ms = std::max(hint_ms, results[i].retry_after_ms);
-          redo.push_back(i);
-        }
-      }
-      if (redo.empty()) break;
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(policy.delay_ms(attempt, hint_ms)));
-      for (const std::size_t i : redo) {
-        if (!client.submit(requests[i])) {
-          diag.error("client", "connection lost while retrying");
-          return 1;
-        }
-      }
-      if (!client.collect(&results, &error)) {
-        diag.error("client", error);
-        return 1;
-      }
-    }
-    for (const ClientJobResult& result : results) {
-      if (result.success) {
-        // Pull the stats line out of the per-job report object.
-        auto parsed = Json::parse(result.job_json);
-        const Json* job = std::get_if<Json>(&parsed);
-        const Json& before = job != nullptr ? job->at("before") : Json();
-        const Json& after = job != nullptr ? job->at("after") : Json();
-        std::printf("%-20s %-9s lut %lld -> %lld  ff %lld -> %lld  period "
-                    "%lld -> %lld%s\n",
-                    result.name.c_str(), "ok",
-                    static_cast<long long>(before.at("luts").as_int()),
-                    static_cast<long long>(after.at("luts").as_int()),
-                    static_cast<long long>(before.at("registers").as_int()),
-                    static_cast<long long>(after.at("registers").as_int()),
-                    static_cast<long long>(before.at("period").as_int()),
-                    static_cast<long long>(after.at("period").as_int()),
-                    result.cached ? "  (cached)" : "");
-        ++succeeded;
-      } else {
-        std::printf("%-20s %-9s %s\n", result.name.c_str(),
-                    result.status.c_str(), result.error.c_str());
-        for (const Diagnostic& d : result.diagnostics) {
-          if (d.severity != DiagSeverity::kNote) diag.report(d);
-        }
-        exit_code = 1;
-      }
-      job_jsons.push_back(result.job_json);
-    }
-    for (const std::string& protocol_error : client.protocol_errors()) {
-      diag.error("client", protocol_error);
-      exit_code = 1;
-    }
-    std::printf("client: %zu/%zu ok\n", succeeded, results.size());
-
-    if (!bulk.report_path.empty() &&
-        !write_report(bulk.report_path,
-                      compose_canonical_report_json(script, job_jsons,
-                                                    succeeded),
-                      diag)) {
-      return 1;
-    }
-  }
-
-  // Control frames, in a fixed order.
-  const std::pair<bool, std::optional<Json> (ServeClient::*)(std::string*)>
-      queries[] = {{serve.stats, &ServeClient::query_stats},
-                   {serve.health, &ServeClient::query_health},
-                   {serve.drain, &ServeClient::send_drain}};
-  for (const auto& [wanted, query] : queries) {
-    if (!wanted) continue;
-    const std::optional<Json> frame = (client.*query)(&error);
-    if (!frame) {
-      diag.error("client", error);
-      return 1;
-    }
-    std::printf("%s\n", frame->write().c_str());
-  }
-  if (serve.shutdown && !client.send_shutdown()) {
-    diag.error("client", "connection lost before shutdown");
-    return 1;
-  }
-  return exit_code;
 }
 
 // ---------------------------------------------------------------------------
@@ -934,8 +623,8 @@ int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
     only = oracle_from_name(fuzz.oracle);
     if (!only.has_value()) {
       diag.error("fuzz", str_format(
-          "unknown oracle '%s' (serial-vs-bulk, bulk-vs-serve, "
-          "mono-vs-windowed, engine-vs-reference, cslow-vs-replicated)",
+          "unknown oracle '%s' (serial-vs-bulk, mono-vs-windowed, "
+          "engine-vs-reference, cslow-vs-replicated)",
           fuzz.oracle.c_str()));
       return 2;
     }
@@ -981,7 +670,7 @@ int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
 
 /// Everything the command line sets. Each command reads the flag groups
 /// its cmd_* function takes.
-struct Options : FlowFlags, BulkFlags, ServeFlags, BenchFlags, FuzzFlags {
+struct Options : FlowFlags, BulkFlags, BenchFlags, FuzzFlags {
   std::vector<std::string> files;  ///< positionals, in order
   /// A shorthand subcommand's pass keys (a repeated flag keeps the last
   /// value); a bare key has an empty value.
@@ -1062,7 +751,7 @@ constexpr CommandSet kShorthands =
 /// Commands that run one flow job.
 constexpr CommandSet kFlows = kShorthands | cmds("flow");
 /// Commands whose flow jobs take the run flags (--verify, budgets, ...).
-constexpr CommandSet kRunners = kFlows | cmds("bulk serve client");
+constexpr CommandSet kRunners = kFlows | cmds("bulk");
 
 /// The characters of a flow-script word (pipeline/flow_script.h).
 constexpr std::string_view kScriptWordChars =
@@ -1096,43 +785,20 @@ constexpr OptionRow kOptions[] = {
     {"--no-validate", false, kRunners, field<&FlowFlags::no_validate>},
     {"--timeout", true, kRunners | cmds("fuzz"),
      field<&FlowFlags::timeout_seconds>},
-    {"--faults", true, kFlows | cmds("bulk serve"),
-     field<&FlowFlags::fault_spec>},
+    {"--faults", true, kRunners, field<&FlowFlags::fault_spec>},
     {"--budget-bdd", true, kRunners, field<&FlowFlags::budget_bdd>},
     {"--budget-bmc", true, kRunners, field<&FlowFlags::budget_bmc>},
     {"--budget-rss-mb", true, kRunners, field<&FlowFlags::budget_rss_mb>},
-    // Batches: bulk, and the batch outputs of client and fuzz.
-    {"--jobs", true, cmds("bulk serve"), field<&BulkFlags::jobs>},
-    {"--out-dir", true, cmds("bulk client fuzz"), field<&BulkFlags::out_dir>},
-    {"--report", true, cmds("bulk client fuzz"),
-     field<&BulkFlags::report_path>},
-    {"--canonical", false, cmds("bulk client fuzz"),
-     field<&BulkFlags::canonical>},
+    // Batches: bulk, and the batch outputs of fuzz.
+    {"--jobs", true, cmds("bulk"), field<&BulkFlags::jobs>},
+    {"--out-dir", true, cmds("bulk fuzz"), field<&BulkFlags::out_dir>},
+    {"--report", true, cmds("bulk fuzz"), field<&BulkFlags::report_path>},
+    {"--canonical", false, cmds("bulk fuzz"), field<&BulkFlags::canonical>},
     {"--manifest", true, cmds("bulk"), field<&BulkFlags::manifest_path>},
     {"--resume", false, cmds("bulk"), field<&BulkFlags::resume>},
-    {"--retries", true, cmds("bulk client"), field<&BulkFlags::retries>},
-    // The daemon and its client.
-    {"--socket", true, cmds("serve client"), field<&ServeFlags::socket_path>},
-    {"--port", true, cmds("serve client"), field<&ServeFlags::port>},
-    {"--cache-mb", true, cmds("serve"), field<&ServeFlags::cache_mb>},
-    {"--disk-cache-dir", true, cmds("serve"),
-     field<&ServeFlags::disk_cache_dir>},
-    {"--disk-cache-mb", true, cmds("serve"), field<&ServeFlags::disk_cache_mb>},
-    {"--disk-cache-ttl-s", true, cmds("serve"),
-     field<&ServeFlags::disk_cache_ttl_s>},
-    {"--max-inflight", true, cmds("serve"), field<&ServeFlags::max_inflight>},
-    {"--retry-after-ms", true, cmds("serve"),
-     field<&ServeFlags::retry_after_ms>},
-    {"--retry-base-ms", true, cmds("client"),
-     field<&ServeFlags::retry_base_ms>},
-    {"--tenant", true, cmds("client"), field<&ServeFlags::tenant>},
-    {"--hello", false, cmds("client"), field<&ServeFlags::hello>},
-    {"--stats", false, cmds("client"), field<&ServeFlags::stats>},
-    {"--health", false, cmds("client"), field<&ServeFlags::health>},
-    {"--drain", false, cmds("client"), field<&ServeFlags::drain>},
-    {"--shutdown", false, cmds("client"), field<&ServeFlags::shutdown>},
+    {"--retries", true, cmds("bulk"), field<&BulkFlags::retries>},
     // Generated workloads.
-    {"--seed", true, cmds("corpus fuzz bench loadtest"), field<&Options::seed>},
+    {"--seed", true, cmds("corpus fuzz bench"), field<&Options::seed>},
     {"--count", true, cmds("corpus"), field<&Options::count>},
     {"--gates", true, cmds("corpus"), field<&Options::gates>},
     {"--budget-s", true, cmds("fuzz"), field<&FuzzFlags::budget_seconds>},
@@ -1141,12 +807,10 @@ constexpr OptionRow kOptions[] = {
     {"--repro", true, cmds("fuzz"), field<&FuzzFlags::repro_path>},
     {"--update", false, cmds("fuzz"), field<&FuzzFlags::update>},
     {"--plant-bug", true, cmds("fuzz"), field<&FuzzFlags::plant_bug>},
-    {"--quick", false, cmds("bench loadtest"), field<&BenchFlags::quick>},
-    {"--out-dir", true, cmds("bench loadtest"), field<&BenchFlags::out_dir>},
-    {"--baseline", true, cmds("bench loadtest"),
-     field<&BenchFlags::baseline_dir>},
-    {"--max-regress", true, cmds("bench loadtest"),
-     field<&BenchFlags::max_regress>},
+    {"--quick", false, cmds("bench"), field<&BenchFlags::quick>},
+    {"--out-dir", true, cmds("bench"), field<&BenchFlags::out_dir>},
+    {"--baseline", true, cmds("bench"), field<&BenchFlags::baseline_dir>},
+    {"--max-regress", true, cmds("bench"), field<&BenchFlags::max_regress>},
     // Circuit inspection.
     {"--formal", false, cmds("check"), field<&Options::formal>},
     {"--bmc", true, cmds("check"), field<&Options::bmc_depth>},
@@ -1267,27 +931,12 @@ int main(int argc, char** argv) {
   // ctrl-C requests a clean cooperative stop: in-flight flows unwind at
   // their next engine poll and report "cancelled" instead of dying mid-write.
   std::signal(SIGINT, handle_sigint);
-  // A dropped client mid-reply must surface as a write error on that
-  // session, not kill the daemon.
+  // A reader that closes stdout early (`mcrt bulk ... | head`) must not
+  // kill a batch midway; the writes to the pipe fail instead.
   std::signal(SIGPIPE, SIG_IGN);
 
-  if (!files.empty() &&
-      (command_bit(command) & cmds("serve bench loadtest fuzz")) != 0) {
+  if (!files.empty() && (command_bit(command) & cmds("bench fuzz")) != 0) {
     return usage();  // these take no positionals
-  }
-  if (command == "serve") return cmd_serve(options, options, options, diag);
-  if (command == "client") {
-    // Positionals are the flow script then circuits; a control-only call
-    // (--hello / --stats / --shutdown) takes none.
-    if (files.size() == 1 ||
-        (files.empty() && !options.hello && !options.stats &&
-         !options.shutdown && !options.health && !options.drain)) {
-      return usage();
-    }
-    const std::string script = files.empty() ? std::string() : files[0];
-    const std::vector<std::string> inputs(
-        files.empty() ? files.end() : files.begin() + 1, files.end());
-    return cmd_client(script, inputs, options, options, options, diag);
   }
 
   // `flow` positionals are script, input, output; everything else starts
@@ -1308,7 +957,6 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t seed = options.seed.value_or(1);
   if (command == "bench") return cmd_bench(options, seed, diag);
-  if (command == "loadtest") return cmd_loadtest(options, seed, diag);
   if (command == "fuzz") {
     return cmd_fuzz(options, options, options, options.seed, diag);
   }

@@ -1,6 +1,6 @@
 #!/bin/sh
 # Regenerates the committed bench documents:
-#   BENCH_paper.json / BENCH_window.json / BENCH_cslow.json / BENCH_serve.json
+#   BENCH_paper.json / BENCH_window.json / BENCH_cslow.json
 #                                        full-suite perf trajectory (repo root;
 #                                        the paper suite is the same in both
 #                                        modes; the window report's headline
@@ -8,7 +8,7 @@
 #                                        monolithic solve and takes a few
 #                                        minutes)
 #   bench/baseline/BENCH_*.json          quick-suite baseline for CI's
-#                                        bench-smoke and serve-chaos gates
+#                                        bench-smoke gate
 #
 # Run from the repo root on a quiet machine. The CI gates compare delays,
 # FF/LUT counts, periods, work counters and speedup *ratios*, never
@@ -27,18 +27,15 @@ cmake --build "$build_dir" -j --target mcrt_cli
 
 echo "== full suite (perf trajectory documents) =="
 "$build_dir/tools/mcrt" bench --out-dir "$repo_root"
-"$build_dir/tools/mcrt" loadtest --out-dir "$repo_root"
 
 echo "== quick suite (CI regression baseline) =="
 mkdir -p "$repo_root/bench/baseline"
 "$build_dir/tools/mcrt" bench --quick --out-dir "$repo_root/bench/baseline"
-"$build_dir/tools/mcrt" loadtest --quick --out-dir "$repo_root/bench/baseline"
 
 echo "Updated:"
-for doc in BENCH_paper.json BENCH_window.json BENCH_cslow.json \
-    BENCH_serve.json; do
+for doc in BENCH_paper.json BENCH_window.json BENCH_cslow.json; do
   echo "  $repo_root/$doc"
   echo "  $repo_root/bench/baseline/$doc"
 done
 echo "Review the delays, counts, periods, counters and speedup columns, then"
-echo "commit all eight files."
+echo "commit all six files."
