@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "base/strings.h"
+#include "base/thread_pool.h"
 #include "cslow/cslow.h"
 #include "cslow/stream_check.h"
 #include "sim/equivalence.h"
@@ -141,7 +142,13 @@ bool RetimePass::configure(const PassArgs& args, std::string* error) {
   std::size_t windows = 0;
   if (!size_arg("windows", &windows)) return false;
   options_.partition.window_count = windows;
-  if (!size_arg("window-jobs", &options_.jobs)) return false;
+  if (const auto jobs = args.int_value_in_range(
+          "window-jobs", 0, static_cast<std::int64_t>(kMaxWorkerThreads),
+          error)) {
+    options_.jobs = static_cast<std::size_t>(*jobs);
+  } else if (args.contains("window-jobs")) {
+    return false;
+  }
   if (!size_arg("refine", &options_.refine_rounds)) return false;
   if (options_.partition.max_window == 0) {
     *error = "retime-windowed: window-size must be positive";

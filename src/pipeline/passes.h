@@ -30,7 +30,8 @@
 //                                 boundaries, stitched and refined.
 //                                 windows=0 derives the count from
 //                                 window-size; window-jobs=0 uses one
-//                                 worker per hardware thread
+//                                 worker per hardware thread, and more
+//                                 than kMaxWorkerThreads is rejected
 //
 // Benches and tools that need the full option structs construct the pass
 // classes directly instead of going through script arguments.

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <cassert>
-#include <map>
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
@@ -14,7 +13,8 @@ namespace {
 /// per (function, fanins) via structural hashing.
 class Decomposer {
  public:
-  explicit Decomposer(const Netlist& input) : input_(input) {}
+  explicit Decomposer(const Netlist& input)
+      : input_(input), net_map_(input.net_count()) {}
 
   Netlist run() {
     for (const NodeId in : input_.inputs()) {
@@ -32,17 +32,17 @@ class Decomposer {
       const Node& node = input_.node(id);
       std::vector<NetId> fanins;
       fanins.reserve(node.fanins.size());
-      for (const NetId f : node.fanins) fanins.push_back(net_map_.at(f));
+      for (const NetId f : node.fanins) fanins.push_back(mapped(f));
       map_net(node.output, build(node.function, fanins));
     }
     for (const Register& ff : input_.registers()) {
       Register spec;
-      spec.d = net_map_.at(ff.d);
-      spec.q = net_map_.at(ff.q);
-      spec.clk = net_map_.at(ff.clk);
-      if (ff.en.valid()) spec.en = net_map_.at(ff.en);
-      if (ff.sync_ctrl.valid()) spec.sync_ctrl = net_map_.at(ff.sync_ctrl);
-      if (ff.async_ctrl.valid()) spec.async_ctrl = net_map_.at(ff.async_ctrl);
+      spec.d = mapped(ff.d);
+      spec.q = mapped(ff.q);
+      spec.clk = mapped(ff.clk);
+      if (ff.en.valid()) spec.en = mapped(ff.en);
+      if (ff.sync_ctrl.valid()) spec.sync_ctrl = mapped(ff.sync_ctrl);
+      if (ff.async_ctrl.valid()) spec.async_ctrl = mapped(ff.async_ctrl);
       spec.sync_val = ff.sync_val;
       spec.async_val = ff.async_val;
       spec.name = ff.name;
@@ -50,14 +50,23 @@ class Decomposer {
     }
     for (const NodeId po : input_.outputs()) {
       const Node& node = input_.node(po);
-      output_.add_output(node.name, net_map_.at(node.fanins[0]));
+      output_.add_output(node.name, mapped(node.fanins[0]));
     }
     return std::move(output_);
   }
 
  private:
   void map_net(NetId old_net, NetId new_net) {
-    net_map_[old_net] = new_net;
+    net_map_[old_net.index()] = new_net;
+  }
+
+  /// The output net of an input net that is already mapped.
+  NetId mapped(NetId old_net) const {
+    const NetId net = net_map_[old_net.index()];
+    if (!net.valid()) {
+      throw std::logic_error("decompose: net read before it is driven");
+    }
+    return net;
   }
 
   NetId const_net(bool value) {
@@ -124,6 +133,15 @@ class Decomposer {
     key[1] = (f0 << 32) | f1;
     return key;
   }
+  /// Mixes both key words (the table compares whole keys, so a hash
+  /// collision costs a probe, never a merge).
+  struct CseKeyHash {
+    std::size_t operator()(const CseKey& key) const noexcept {
+      std::uint64_t h = key[0] * 0x9e3779b97f4a7c15ull ^ key[1];
+      h = (h ^ (h >> 31)) * 0xbf58476d1ce4e5b9ull;
+      return static_cast<std::size_t>(h ^ (h >> 29));
+    }
+  };
 
   /// Recursive Shannon decomposition into INV/AND2/OR2.
   NetId build(const TruthTable& tt, const std::vector<NetId>& fanins) {
@@ -146,8 +164,8 @@ class Decomposer {
 
   const Netlist& input_;
   Netlist output_;
-  std::unordered_map<NetId, NetId> net_map_;
-  std::map<CseKey, NetId> cse_;
+  std::vector<NetId> net_map_;  ///< input net index -> output net
+  std::unordered_map<CseKey, NetId, CseKeyHash> cse_;
   NetId const0_;
   NetId const1_;
 };

@@ -20,13 +20,15 @@ namespace {
 /// of label p collapses into the sink. A unit of flow through u is recorded
 /// as u's successor (`next`, a net or kSink) and predecessor (`prev`), so
 /// the residual arcs are read off the CompactNetlist's CSR spans and that
-/// per-net state - no arc list is built. Scratch is net-indexed and
-/// epoch-stamped, so a label costs O(cone) and, once the scratch vectors
-/// have grown, allocates nothing.
+/// per-net state - no arc list is built, and the cone is never listed.
+/// A label walks the sink cluster, the augmenting paths, the flow paths
+/// back from the sink to their cut nets, and as much of the cone as fixes
+/// the cut's order; scratch is net-indexed and epoch-stamped, so once the
+/// scratch vectors have grown a label allocates nothing.
 ///
-/// The orders that determine the result (cone DFS order, cut extraction
-/// order) are fixed, and every maximum flow leaves the same residual source
-/// side, so the mapped netlist is deterministic.
+/// The orders that determine the result (cluster DFS order, cut order) are
+/// fixed, and every maximum flow leaves the same residual source side, so
+/// the mapped netlist is deterministic.
 class CompactFlowMapper {
  public:
   CompactFlowMapper(const Netlist& input, const FlowMapOptions& options)
@@ -44,11 +46,17 @@ class CompactFlowMapper {
   static constexpr std::uint32_t kSink = 0xfffffffeu;
 
   /// The unit of flow through a net; valid while `flow` equals the current
-  /// cone epoch.
+  /// label epoch.
   struct NetState {
     std::uint32_t flow = 0;
     std::uint32_t next = kNone;  ///< kNone: no flow through the net
     std::uint32_t prev = kNone;
+  };
+
+  /// A node of source_reaches()'s DFS and its next residual arc to try.
+  struct Frame {
+    std::uint32_t node = 0;
+    std::uint32_t arc = 0;
   };
 
   /// Flow nodes of a cuttable net: in(u) = 2u, out(u) = 2u + 1.
@@ -59,12 +67,15 @@ class CompactFlowMapper {
     const std::uint32_t nets = compact_.net_count();
     boundary_.assign(nets, 0);
     driver_.assign(nets, kNone);
+    level_.assign(nets, 0);
     labels_.label.assign(nets, 0);
     labels_.cut_start.assign(nets, 0);
     labels_.cut_size.assign(nets, 0);
-    cone_mark_.assign(nets, 0);
+    net_mark_.assign(nets, 0);
+    cut_mark_.assign(nets, 0);
     state_.assign(nets, NetState{});
     seen_.assign(2 * static_cast<std::size_t>(nets), 0);
+    side_.assign(2 * static_cast<std::size_t>(nets), 0);
     for (const std::uint32_t in : compact_.input_nodes()) {
       boundary_[compact_.node_output(in)] = 1;
     }
@@ -103,20 +114,27 @@ class CompactFlowMapper {
     return net == target_ || labels_.label[net] == p_;
   }
   bool has_flow(std::uint32_t net) const {
-    return state_[net].flow == cone_epoch_ && state_[net].next != kNone;
+    return state_[net].flow == label_epoch_ && state_[net].next != kNone;
   }
   /// Marks a flow node as reached by the current search; false if it was.
   bool reach(std::uint32_t node) {
     if (seen_[node] == search_epoch_) return false;
     seen_[node] = search_epoch_;
+    ++labels_.label_visits;
     return true;
   }
 
   void compute_label(std::uint32_t target) {
     const auto fanins = compact_.fanins(driver_[target]);
-    // p = max label over fanins.
+    // p = max label over fanins; the level is the longest path from a
+    // boundary.
     std::uint32_t p = 0;
-    for (const std::uint32_t f : fanins) p = std::max(p, labels_.label[f]);
+    std::uint32_t level = 0;
+    for (const std::uint32_t f : fanins) {
+      p = std::max(p, labels_.label[f]);
+      level = std::max(level, level_[f]);
+    }
+    level_[target] = level + 1;
     auto& pool = labels_.cut_nets;
     const std::size_t start = pool.size();
     // Max-flow from the cone inputs into the cluster of the target and its
@@ -125,12 +143,12 @@ class CompactFlowMapper {
     if (p > 0) {
       target_ = target;
       p_ = p;
-      collect_cone();
+      collect_cluster();
       while (flow <= options_.k && augment()) ++flow;
     }
     if (p > 0 && flow <= options_.k) {
       labels_.label[target] = p;
-      append_min_cut();
+      append_sink_side_cut();
     } else {
       // p == 0: all fanins are boundaries, and the trivial cut is always
       // k-feasible for a k-bounded node. Flow > k: no cut of depth p.
@@ -150,27 +168,28 @@ class CompactFlowMapper {
     pool.erase(std::unique(first, pool.end()), pool.end());
   }
 
-  /// Transitive fanin cone of target_ up to boundary nets, in DFS order,
-  /// marked with a new cone epoch; collects the cone inputs and the sink
-  /// arcs' tails (non-cluster fanins of cluster nets) on the way.
-  void collect_cone() {
-    ++cone_epoch_;
-    cone_.clear();
-    input_nets_.clear();
+  /// Starts a new label epoch and collects the sink arcs' tails (the
+  /// cluster's fanins outside it) by a DFS from target_ that walks only
+  /// cluster nets. Every net on a path from a label-p net to the target
+  /// has label p, so this DFS finds the whole cluster within the cone, and
+  /// it meets the cluster nets, and so the tails, in the order a DFS of
+  /// the whole cone would.
+  void collect_cluster() {
+    ++label_epoch_;
+    ++mark_epoch_;
     seeds_.clear();
+    path_ends_.clear();
     stack_.assign(1, target_);
-    cone_mark_[target_] = cone_epoch_;
+    net_mark_[target_] = mark_epoch_;
     while (!stack_.empty()) {
       const std::uint32_t net = stack_.back();
       stack_.pop_back();
-      cone_.push_back(net);
-      const bool cluster = in_cluster(net);
+      ++labels_.label_visits;
       for (const std::uint32_t f : compact_.fanins(driver_[net])) {
-        if (cluster && !in_cluster(f)) seeds_.push_back(f);
-        if (boundary_[f]) {
-          input_nets_.push_back(f);
-        } else if (cone_mark_[f] != cone_epoch_) {
-          cone_mark_[f] = cone_epoch_;
+        if (!in_cluster(f)) {
+          seeds_.push_back(f);
+        } else if (net_mark_[f] != mark_epoch_) {
+          net_mark_[f] = mark_epoch_;
           stack_.push_back(f);
         }
       }
@@ -182,8 +201,9 @@ class CompactFlowMapper {
     ++search_epoch_;
     for (const std::uint32_t seed : seeds_) {
       if (find_path(out_node(seed))) {
-        state_[seed].flow = cone_epoch_;
+        state_[seed].flow = label_epoch_;
         state_[seed].next = kSink;
+        path_ends_.push_back(seed);
         return true;
       }
     }
@@ -208,7 +228,7 @@ class CompactFlowMapper {
     if (boundary_[net]) return true;
     for (const std::uint32_t f : compact_.fanins(driver_[net])) {
       if (find_path(out_node(f))) {
-        state_[f].flow = cone_epoch_;
+        state_[f].flow = label_epoch_;
         state_[f].next = net;
         state_[net].prev = f;
         return true;
@@ -221,52 +241,136 @@ class CompactFlowMapper {
     return false;
   }
 
-  /// At maximum flow: marks the residual source side by one forward sweep
-  /// from the cone inputs, then appends the min cut to labels_.cut_nets -
-  /// the cuttable nets whose in-node is reached but whose out-node is not,
-  /// cone inputs ascending first, then the rest in cone order.
-  void append_min_cut() {
+  /// The tail of the `arc`-th residual arc into flow node `node`, in
+  /// find_path's order, or kNone past the last (a boundary in-node's
+  /// source arc is not listed).
+  std::uint32_t residual_tail(std::uint32_t node, std::uint32_t arc) const {
+    const std::uint32_t net = node >> 1;
+    if (node & 1) {
+      if (arc > 0) return kNone;
+      if (!has_flow(net)) return in_node(net);
+      return state_[net].next == kSink ? kNone : in_node(state_[net].next);
+    }
+    const auto fanins = compact_.fanins(driver_[net]);
+    if (arc < fanins.size()) return out_node(fanins[arc]);
+    return arc == fanins.size() && has_flow(net) ? out_node(net) : kNone;
+  }
+
+  /// Memo of source_reaches(), per label: side_[node] is 2 * epoch + 1 on
+  /// the source side, 2 * epoch on the sink side.
+  bool side_known(std::uint32_t node) const {
+    return side_[node] >> 1 == label_epoch_;
+  }
+  void set_side(std::uint32_t node, bool source) {
+    side_[node] = label_epoch_ << 1 | static_cast<std::uint32_t>(source);
+  }
+
+  /// Whether the source reaches flow node `start` in the residual network:
+  /// a DFS backward over residual arcs that stops at a boundary in-node.
+  /// A failed search proves every node it visited on the sink side; a
+  /// successful one proves the nodes of its path on the source side.
+  bool source_reaches(std::uint32_t start) {
     ++search_epoch_;
-    stack_.clear();
-    auto visit = [&](std::uint32_t node) {
-      if (reach(node)) stack_.push_back(node);
-    };
-    for (const std::uint32_t net : input_nets_) visit(in_node(net));
-    while (!stack_.empty()) {
-      const std::uint32_t node = stack_.back();
-      stack_.pop_back();
-      const std::uint32_t net = node >> 1;
-      if (!(node & 1)) {
-        if (!has_flow(net)) {
-          visit(out_node(net));
-        } else if (!boundary_[net]) {
-          visit(out_node(state_[net].prev));
+    visited_.clear();
+    frames_.clear();
+    std::uint32_t node = start;
+    for (;;) {
+      // Enter `node`, unless it is known or already visited.
+      if (side_known(node)) {
+        if (side_[node] & 1) break;
+      } else if (reach(node)) {
+        visited_.push_back(node);
+        if (!(node & 1) && boundary_[node >> 1]) {
+          set_side(node, true);
+          break;
         }
-        continue;
+        frames_.push_back(Frame{node, 0});
       }
-      if (has_flow(net)) visit(in_node(net));
-      for (const std::uint32_t v : compact_.reader_nodes(net)) {
-        if (compact_.node_kind(v) != NodeKind::kLut) continue;
-        const std::uint32_t reader = compact_.node_output(v);
-        if (cone_mark_[reader] != cone_epoch_) continue;
-        assert(!in_cluster(reader));  // the sink is not reachable
-        visit(in_node(reader));
+      // Take the next untried arc of the deepest open node.
+      node = kNone;
+      while (!frames_.empty() && node == kNone) {
+        Frame& top = frames_.back();
+        node = residual_tail(top.node, top.arc++);
+        if (node == kNone) frames_.pop_back();
+      }
+      if (node == kNone) {
+        for (const std::uint32_t v : visited_) set_side(v, false);
+        return false;
       }
     }
-    auto in_cut = [&](std::uint32_t net) {
-      return seen_[in_node(net)] == search_epoch_ &&
-             seen_[out_node(net)] != search_epoch_;
-    };
+    for (const Frame& frame : frames_) set_side(frame.node, true);
+    return true;
+  }
+
+  /// At maximum flow: appends the min cut to labels_.cut_nets - the nets
+  /// whose in-node the source reaches in the residual network but whose
+  /// out-node it does not - boundary nets ascending first, then the rest
+  /// in cone DFS order. Each flow path into the sink crosses the cut once,
+  /// at its cut net, and the source side is a prefix of the path; so,
+  /// walking a path back from its seed, the first net whose in-node the
+  /// source reaches is the path's cut net.
+  void append_sink_side_cut() {
     auto& pool = labels_.cut_nets;
     const std::size_t start = pool.size();
-    for (const std::uint32_t net : input_nets_) {
-      if (in_cut(net)) pool.push_back(net);
+    cut_.clear();
+    for (const std::uint32_t seed : path_ends_) {
+      std::uint32_t net = seed;
+      while (!source_reaches(in_node(net))) net = state_[net].prev;
+      if (boundary_[net]) {
+        pool.push_back(net);
+      } else {
+        cut_.push_back(net);
+      }
     }
+    assert(pool.size() + cut_.size() > start);
     sort_unique_from(start);
-    for (const std::uint32_t net : cone_) {
-      if (!in_cluster(net) && in_cut(net)) pool.push_back(net);
+    append_in_cone_order();
+  }
+
+  /// Appends cut_ to labels_.cut_nets in the order a mark-on-push DFS of
+  /// the whole cone from the target (fanins pushed in order, boundaries
+  /// skipped) pops them. The same DFS runs, with two shortcuts: a popped
+  /// net is expanded only while its level is above the lowest level of a
+  /// cut net not yet pushed (below that no such net can be in its cone),
+  /// and the DFS stops once every cut net is pushed - the ones still on
+  /// the stack then pop in stack order. A skipped expansion pushes no cut
+  /// net, and no net it would have pushed is ever expanded (the lowest
+  /// pending level only rises), so every cut net is pushed, by the same
+  /// net and in the same order, as in the full DFS.
+  void append_in_cone_order() {
+    auto& pool = labels_.cut_nets;
+    if (cut_.empty()) return;
+    for (const std::uint32_t net : cut_) cut_mark_[net] = label_epoch_;
+    const auto lowest_pending = [&] {
+      std::uint32_t low = kNone;
+      for (const std::uint32_t net : cut_) low = std::min(low, level_[net]);
+      return low;
+    };
+    std::uint32_t low = lowest_pending();
+    ++mark_epoch_;
+    stack_.assign(1, target_);
+    net_mark_[target_] = mark_epoch_;
+    while (!cut_.empty() && !stack_.empty()) {
+      const std::uint32_t net = stack_.back();
+      stack_.pop_back();
+      ++labels_.label_visits;
+      if (cut_mark_[net] == label_epoch_) pool.push_back(net);
+      if (level_[net] <= low) continue;
+      for (const std::uint32_t f : compact_.fanins(driver_[net])) {
+        if (boundary_[f] || net_mark_[f] == mark_epoch_) continue;
+        net_mark_[f] = mark_epoch_;
+        stack_.push_back(f);
+        if (cut_mark_[f] != label_epoch_) continue;
+        cut_.erase(std::find(cut_.begin(), cut_.end(), f));
+        low = lowest_pending();
+      }
     }
-    assert(pool.size() > start);
+    if (!cut_.empty()) {
+      throw std::logic_error("flowmap: cut net outside the target's cone");
+    }
+    for (auto it = stack_.rbegin(); it != stack_.rend(); ++it) {
+      if (cut_mark_[*it] == label_epoch_) pool.push_back(*it);
+    }
   }
 
   /// Truth table of `root` over `cut` (cut[i] is input i): each net of the
@@ -455,15 +559,21 @@ class CompactFlowMapper {
   // Persistent scratch, epoch-stamped so per-label resets are O(touched).
   std::uint32_t target_ = kNone;  ///< net being labelled
   std::uint32_t p_ = 0;           ///< its max fanin label
-  std::uint32_t cone_epoch_ = 0;
+  std::uint32_t label_epoch_ = 0;
+  std::uint32_t mark_epoch_ = 0;  ///< one per DFS over nets
   std::uint32_t search_epoch_ = 0;
-  std::vector<std::uint32_t> cone_mark_;
+  std::vector<std::uint32_t> level_;  ///< per net: longest path from a boundary
+  std::vector<std::uint32_t> net_mark_;
+  std::vector<std::uint32_t> cut_mark_;  ///< per net: label whose cut holds it
   std::vector<NetState> state_;
   std::vector<std::uint32_t> seen_;  ///< per flow node: last search to reach it
-  std::vector<std::uint32_t> cone_;
+  std::vector<std::uint32_t> side_;  ///< per flow node: source_reaches() memo
   std::vector<std::uint32_t> stack_;
-  std::vector<std::uint32_t> input_nets_;  ///< cone inputs, repeats allowed
-  std::vector<std::uint32_t> seeds_;       ///< tails of the sink arcs
+  std::vector<Frame> frames_;
+  std::vector<std::uint32_t> visited_;
+  std::vector<std::uint32_t> seeds_;      ///< tails of the sink arcs
+  std::vector<std::uint32_t> path_ends_;  ///< seeds that carry flow
+  std::vector<std::uint32_t> cut_;        ///< non-boundary cut nets
   std::uint32_t eval_epoch_ = 0;
   std::vector<std::uint32_t> eval_mark_;
   std::vector<std::uint64_t> eval_word_;

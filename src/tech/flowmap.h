@@ -4,9 +4,20 @@
 // remaps the combinational part afterwards ("remap" in §6). This module
 // provides both steps: it covers a k-bounded subject graph with k-input
 // LUTs of provably minimum depth, computing for every node a label (its
-// optimal LUT depth) by a unit-capacity augmenting-path search over the
-// node's cone (at most k+1 paths, then one residual sweep for the min
-// cut), then realizes the chosen k-feasible cuts as LUTs.
+// optimal LUT depth) by a unit-capacity max-flow over the node's cone,
+// then realizes the chosen k-feasible cuts as LUTs.
+//
+// A label costs about the size of the LUT it forms, not of the cone:
+// - a DFS from the node walks only the label-p sink cluster (every net on
+//   a path from a label-p net to the node has label p) and collects its
+//   other fanins, the tails of the sink arcs;
+// - at most k+1 augmenting paths run backward from those tails;
+// - the minimal min cut is found from the sink side: each flow path is
+//   walked back to its first net whose in-node a memoized backward
+//   residual search reaches from a boundary;
+// - the cut is ordered as a DFS of the whole cone pops it (boundary nets
+//   first, ascending), by that DFS pruned to nets above the lowest level
+//   of a cut net not yet pushed and stopped once all are pushed.
 //
 // Mapping boundaries: primary inputs and register outputs are sources;
 // primary outputs, register D pins and register control pins (EN, sync,
@@ -38,8 +49,7 @@ struct FlowMapOptions {
   /// otherwise - off by default, measure per design.
   bool area_recovery = false;
   /// Cooperative cancellation: polled once per labeled node (each label is
-  /// one flow search over its cone); a stop request unwinds with
-  /// CancelledError.
+  /// one flow search); a stop request unwinds with CancelledError.
   const CancelToken* cancel = nullptr;
 };
 
@@ -58,6 +68,9 @@ struct FlowMapLabels {
   std::vector<std::uint32_t> cut_start;  ///< per net: offset into cut_nets
   std::vector<std::uint32_t> cut_size;   ///< per net: cut width
   std::vector<std::uint32_t> cut_nets;   ///< every cut, back to back
+  /// Work of the label searches: the nets and flow nodes they touched
+  /// (deterministic; a work bound that does not depend on the machine).
+  std::uint64_t label_visits = 0;
 
   [[nodiscard]] std::span<const std::uint32_t> cut(std::uint32_t net) const {
     return std::span<const std::uint32_t>(cut_nets).subspan(cut_start[net],

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 
 #include "../common/fnv1a.h"
@@ -208,12 +209,16 @@ TEST(FlowMapTest, CoversPinnedToParent) {
       {"C9", 0x53702c550d61f013ull, 0x6f4f6c95a4a050a8ull},
       {"C10", 0xef1eb8ed738e82a4ull, 0x15c28e10eb168dd4ull},
       {"s1000", 0xa1d29e6147026525ull, 0x901ce6488a05c040ull},
+      {"s2000", 0x0971a79df8e4e8b7ull, 0xfe8634064ecae064ull},
+      {"s4000", 0xd4f2400fbe676967ull, 0xaf418461bc51cf85ull},
   };
   std::vector<Netlist> designs;
   for (const CircuitProfile& profile : paper_suite()) {
     designs.push_back(generate_circuit(profile));
   }
   designs.push_back(generate_circuit(scaled_profile(1000, 1)));
+  designs.push_back(generate_circuit(scaled_profile(2000, 1)));
+  designs.push_back(generate_circuit(scaled_profile(4000, 7)));
   ASSERT_EQ(designs.size(), std::size(kPins));
   for (std::size_t i = 0; i < designs.size(); ++i) {
     SCOPED_TRACE(kPins[i].name);
@@ -231,6 +236,49 @@ TEST(FlowMapTest, CoversPinnedToParent) {
           << "recovery=" << recovery << " got " << hex;
     }
   }
+}
+
+TEST(FlowMapWork, LabelSearchesStayWithinTheLut) {
+  // A label's searches cost about the size of the LUT it forms, not of the
+  // node's fanin cone: their work is bounded by a third of the summed cone
+  // sizes, which a search of each whole cone would exceed (it spends 2.6
+  // times that sum). Cone: the non-boundary transitive fanin, the net
+  // included.
+  const Netlist subject =
+      decompose_to_binary(generate_circuit(scaled_profile(2000, 1)));
+  std::vector<std::uint32_t> driver(subject.net_count(), UINT32_MAX);
+  for (std::uint32_t v = 0; v < subject.node_count(); ++v) {
+    const Node& node = subject.node(NodeId{v});
+    if (node.kind == NodeKind::kLut && !node.fanins.empty()) {
+      driver[node.output.index()] = v;
+    }
+  }
+  std::uint64_t cone_sum = 0;
+  std::vector<std::uint32_t> mark(subject.net_count(), UINT32_MAX);
+  std::vector<std::uint32_t> stack;
+  for (std::uint32_t net = 0; net < subject.net_count(); ++net) {
+    if (driver[net] == UINT32_MAX) continue;
+    mark[net] = net;
+    stack.assign(1, net);
+    while (!stack.empty()) {
+      const std::uint32_t u = stack.back();
+      stack.pop_back();
+      ++cone_sum;
+      for (const NetId f : subject.node(NodeId{driver[u]}).fanins) {
+        if (driver[f.index()] == UINT32_MAX || mark[f.index()] == net) {
+          continue;
+        }
+        mark[f.index()] = net;
+        stack.push_back(f.index());
+      }
+    }
+  }
+  FlowMapOptions opt;
+  opt.k = 4;
+  const FlowMapLabels labels = flowmap_label(subject, opt);
+  EXPECT_GT(labels.label_visits, 0u);
+  EXPECT_LE(3 * labels.label_visits, cone_sum)
+      << labels.label_visits << " visits, cones " << cone_sum;
 }
 
 }  // namespace

@@ -26,6 +26,7 @@
 #include "base/fault_injector.h"
 #include "base/json.h"
 #include "base/strings.h"
+#include "base/thread_pool.h"
 #include "base/version.h"
 #include "blif/blif.h"
 #include "netlist/dot_export.h"
@@ -731,6 +732,18 @@ std::string field(Options& options, const std::string& value) {
   }
 }
 
+/// The Setter of bulk's --jobs: a worker count up to kMaxWorkerThreads.
+std::string jobs_field(Options& options, const std::string& value) {
+  std::size_t jobs = 0;
+  std::string expected = parse_value(value, &jobs);
+  if (!expected.empty()) return expected;
+  if (jobs > kMaxWorkerThreads) {
+    return "an integer from 0 to " + std::to_string(kMaxWorkerThreads);
+  }
+  options.jobs = jobs;
+  return {};
+}
+
 /// The set of the space-separated command names in `names`; an unknown
 /// name does not compile.
 consteval CommandSet cmds(std::string_view names) {
@@ -790,7 +803,7 @@ constexpr OptionRow kOptions[] = {
     {"--budget-bmc", true, kRunners, field<&FlowFlags::budget_bmc>},
     {"--budget-rss-mb", true, kRunners, field<&FlowFlags::budget_rss_mb>},
     // Batches: bulk, and the batch outputs of fuzz.
-    {"--jobs", true, cmds("bulk"), field<&BulkFlags::jobs>},
+    {"--jobs", true, cmds("bulk"), jobs_field},
     {"--out-dir", true, cmds("bulk fuzz"), field<&BulkFlags::out_dir>},
     {"--report", true, cmds("bulk fuzz"), field<&BulkFlags::report_path>},
     {"--canonical", false, cmds("bulk fuzz"), field<&BulkFlags::canonical>},
