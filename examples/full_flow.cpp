@@ -1,7 +1,7 @@
 // The whole toolchain on one generated circuit, mirroring the paper's §6
 // script: generate -> decompose sync controls -> sweep -> map ->
 // mc-retime (minarea @ minperiod) -> remap -> verify (simulation + ternary
-// BMC) -> timing report, with BLIF/dot/VCD artifacts written alongside.
+// BMC) -> timing report, with BLIF/dot artifacts written alongside.
 //
 //   $ ./full_flow [outdir]
 #include <cstdio>
@@ -11,8 +11,6 @@
 #include "mcretime/mc_retime.h"
 #include "netlist/dot_export.h"
 #include "sim/equivalence.h"
-#include "sim/simulator.h"
-#include "sim/vcd.h"
 #include "tech/decompose.h"
 #include "tech/flowmap.h"
 #include "tech/sta.h"
@@ -90,26 +88,7 @@ int main(int argc, char** argv) {
   std::printf("[5] three worst paths after retiming:\n%s",
               format_timing_report(after, worst_paths(after, 3)).c_str());
 
-  // 7. A short VCD trace of the retimed circuit for waveform viewers.
-  {
-    Simulator simulator(after);
-    VcdTrace trace(after);
-    for (int cycle = 0; cycle < 8; ++cycle) {
-      for (const NodeId in : after.inputs()) {
-        const NetId net = after.node(in).output;
-        const bool is_reset =
-            after.node(in).name.find("rst") != std::string::npos;
-        simulator.set_input(net, is_reset && cycle < 2 ? Trit::kOne
-                            : (cycle & 1) ? Trit::kOne
-                                          : Trit::kZero);
-      }
-      simulator.settle();
-      trace.sample(simulator);
-      simulator.clock_edge();
-    }
-    trace.write_file(outdir + "/full_flow_after.vcd");
-  }
-  std::printf("[6] artifacts: full_flow_{before,after}.{blif,dot} and "
-              "full_flow_after.vcd in %s\n", outdir.c_str());
+  std::printf("[6] artifacts: full_flow_{before,after}.{blif,dot} in %s\n",
+              outdir.c_str());
   return sim.equivalent ? 0 : 1;
 }

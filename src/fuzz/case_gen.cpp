@@ -137,10 +137,7 @@ Netlist sample_circuit(Rng& rng) {
 /// A random flow script over the registered passes. Always contains
 /// "sweep" (so a sabotaged sweep is always exercised) and exactly one
 /// "retime(" statement (so the mono-vs-windowed oracle always applies).
-/// Only the cslow-vs-replicated oracle draws a cslow=C option: a C-slowed
-/// result is not input-equivalent, so every other oracle's behavioural
-/// legs would misfire on it.
-std::string sample_script(Rng& rng, OracleKind oracle) {
+std::string sample_script(Rng& rng) {
   std::vector<std::string> statements;
   if (rng.chance(0.4)) statements.push_back("decompose-sync");
   if (rng.chance(0.15)) statements.push_back("decompose-en");
@@ -151,9 +148,6 @@ std::string sample_script(Rng& rng, OracleKind oracle) {
   std::string retime = "retime(d=10";
   if (rng.chance(0.5)) retime += ",minperiod";
   if (rng.chance(0.25)) retime += ",no-sharing";
-  if (oracle == OracleKind::kCslowVsReplicated) {
-    retime += rng.chance(0.5) ? ",cslow=2" : ",cslow=3";
-  }
   retime += ")";
   statements.push_back(std::move(retime));
   if (rng.chance(0.2)) statements.push_back("sweep");
@@ -171,7 +165,7 @@ FuzzCase sample_case(std::uint64_t case_seed, OracleKind oracle) {
   c.seed = case_seed;
   c.oracle = oracle;
   c.netlist = sample_circuit(rng);
-  c.script = sample_script(rng, oracle);
+  c.script = sample_script(rng);
   c.name = str_format("fuzz-%s-s%llu", oracle_name(oracle),
                       static_cast<unsigned long long>(case_seed));
   return c;

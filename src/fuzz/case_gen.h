@@ -35,8 +35,7 @@ namespace mcrt {
 /// One register per EN/sync/async class signature chained D -> Q — plus an
 /// enable-chained pair sharing one enable net and an EN+sync-reset combo —
 /// with a randomized combinational tail. Exposed for the register-class
-/// differentials, the bench's zoo circuit and the C-slow replication
-/// tests.
+/// differentials.
 [[nodiscard]] Netlist register_class_zoo(std::uint64_t seed);
 
 /// Two pipelines in separate clock domains converging on one gate — the

@@ -15,7 +15,6 @@ const char* oracle_name(OracleKind kind) noexcept {
     case OracleKind::kSerialVsBulk: return "serial-vs-bulk";
     case OracleKind::kMonoVsWindowed: return "mono-vs-windowed";
     case OracleKind::kEngineVsReference: return "engine-vs-reference";
-    case OracleKind::kCslowVsReplicated: return "cslow-vs-replicated";
   }
   return "serial-vs-bulk";
 }

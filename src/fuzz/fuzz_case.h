@@ -37,19 +37,17 @@
 
 namespace mcrt {
 
-/// The four engine pairs the fuzzer cross-checks: serial vs bulk
+/// The three engine pairs the fuzzer cross-checks: serial vs bulk
 /// execution, monolithic vs windowed retiming, production engines vs
-/// independent references, C-slowed vs replicated stream semantics. The
-/// enum order is the sampling order (case seed modulo kOracleCount).
+/// independent references. The enum order is the sampling order (case
+/// index modulo kOracleCount).
 enum class OracleKind : std::uint8_t {
   kSerialVsBulk,       ///< execute_flow_job vs BulkRunner, byte identity
   kMonoVsWindowed,     ///< retime(...) vs retime-windowed(...) flows
   kEngineVsReference,  ///< word vs scalar sim, FEAS vs W/D + Bellman-Ford,
                        ///< FlowMap depth vs exhaustive cut enumeration
-  kCslowVsReplicated,  ///< retime(cslow=C) vs C independent copies (stream
-                       ///< interleave sim + ternary BMC + period dominance)
 };
-inline constexpr std::size_t kOracleCount = 4;
+inline constexpr std::size_t kOracleCount = 3;
 
 [[nodiscard]] const char* oracle_name(OracleKind kind) noexcept;
 [[nodiscard]] std::optional<OracleKind> oracle_from_name(

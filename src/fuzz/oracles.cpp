@@ -6,8 +6,6 @@
 
 #include "base/strings.h"
 #include "blif/blif.h"
-#include "cslow/cslow.h"
-#include "cslow/stream_check.h"
 #include "mcretime/lower.h"
 #include "mcretime/mc_retime.h"
 #include "pipeline/bulk_runner.h"
@@ -114,12 +112,6 @@ void check_flow_behavior(const FuzzCase& c, const BulkJobResult& result,
                          OracleVerdict& v, const char* leg_prefix) {
   const std::string leg = std::string(leg_prefix) + "sim-equivalence";
   if (!result.success || !result.netlist.has_value()) return;
-  if (c.script.find("cslow=") != std::string::npos) {
-    // Defensive: a C-slowed result interleaves C streams and is *supposed*
-    // to differ from the input; the stream-level oracle owns that check.
-    add_skipped(v, leg, "cslow flow is not input-equivalent");
-    return;
-  }
   if (clock_domain_count(c.netlist) > 1) {
     add_skipped(v, leg, "multi-clock circuit (simulators are single-clock)");
     return;
@@ -387,110 +379,6 @@ OracleVerdict engine_vs_reference(const FuzzCase& c,
   return v;
 }
 
-// --- cslow vs replicated ----------------------------------------------------
-
-/// Extracts C from the script's ",cslow=C" option and writes the
-/// monolithic reference flow into *base: the script with the cslow options
-/// stripped and "decompose-sync; decompose-en" run just before that
-/// statement. cslow_transform() turns sync clears and enables into logic
-/// before it retimes, so the reference retimes the same logic and the two
-/// periods compare. Returns 0 when the script has no cslow option.
-std::uint32_t split_cslow_script(const std::string& script,
-                                 std::string* base) {
-  const std::size_t at = script.find(",cslow=");
-  if (at == std::string::npos) return 0;
-  std::size_t end = at + 7;
-  std::uint32_t factor = 0;
-  while (end < script.size() && script[end] >= '0' && script[end] <= '9') {
-    factor = factor * 10 + static_cast<std::uint32_t>(script[end] - '0');
-    ++end;
-  }
-  std::string stripped = script.substr(0, at) + script.substr(end);
-  const std::size_t verify = stripped.find(",cslow-verify");
-  if (verify != std::string::npos) stripped.erase(verify, 13);
-  const std::size_t previous = script.rfind(';', at);
-  std::size_t statement = previous == std::string::npos ? 0 : previous + 1;
-  while (statement < at && script[statement] == ' ') ++statement;
-  stripped.insert(statement, "decompose-sync; decompose-en; ");
-  if (base != nullptr) *base = std::move(stripped);
-  return factor;
-}
-
-OracleVerdict cslow_vs_replicated(const FuzzCase& c,
-                                  const PassRegistry& registry,
-                                  const OracleOptions& options) {
-  OracleVerdict v;
-  std::string base_script;
-  const std::uint32_t factor = split_cslow_script(c.script, &base_script);
-  if (factor < 2) {
-    // Vacuously true — same shrinker guard as mono-vs-windowed: dropping
-    // the cslow option makes the case pass, so minimization can never
-    // trade a real stream mismatch for this.
-    add_skipped(v, "stream-equivalence", "script has no cslow=C option");
-    return v;
-  }
-  const BulkJobResult mono = run_serial(c, base_script, registry, options);
-  const BulkJobResult cs = run_serial(c, c.script, registry, options);
-  add_leg(v, "success-agreement", mono.success == cs.success,
-          mono.success == cs.success
-              ? std::string{}
-              : str_format("monolithic %s, cslow %s: %s",
-                           mono.success ? "succeeded" : "failed",
-                           cs.success ? "succeeded" : "failed",
-                           (mono.success ? cs.error : mono.error).c_str()));
-  if (!mono.success || !cs.success || !cs.netlist.has_value()) return v;
-
-  check_period_consistency(cs, v, "cslow-");
-  // C-slowing adds register slack everywhere, so the per-stream minimum
-  // period can never exceed the monolithic one on the same logic.
-  add_leg(v, "period-dominance", cs.period_after <= mono.period_after,
-          cs.period_after <= mono.period_after
-              ? std::string{}
-              : str_format("cslow period %lld exceeds monolithic %lld",
-                           static_cast<long long>(cs.period_after),
-                           static_cast<long long>(mono.period_after)));
-
-  // Stream leg: the C-slowed result fed C interleaved streams must match C
-  // independent copies of the original circuit (every non-cslow pass in
-  // the flow is behaviour-preserving).
-  const std::string leg = "stream-equivalence";
-  if (clock_domain_count(c.netlist) > 1) {
-    add_skipped(v, leg, "multi-clock circuit (simulators are single-clock)");
-  } else if (script_restructures(c.script) && keeps_x_alive(c.netlist)) {
-    add_skipped(v, leg, "restructuring flow on X-retentive registers");
-  } else {
-    StreamCheckOptions sim;
-    sim.cycles = 48;
-    sim.runs = 8;
-    sim.warmup = 8;
-    sim.seed = c.seed | 1;
-    const StreamCheckResult eq =
-        check_stream_equivalence(c.netlist, *cs.netlist, factor, sim);
-    if (eq.skipped) {
-      add_skipped(v, leg, eq.reason);
-    } else {
-      add_leg(v, leg, eq.pass, eq.reason);
-    }
-    if (options.enable_bmc && !eq.skipped && c.netlist.stats().luts <= 40 &&
-        c.netlist.inputs().size() <= 12 && !script_restructures(c.script)) {
-      // Exhaustive cross-check against the directly replicated reference:
-      // cslow_transform of the input vs the flow's retimed C-slow result.
-      const CslowResult ref = cslow_transform(c.netlist, factor);
-      if (ref.success) {
-        TernaryBmcOptions bmc;
-        bmc.depth = 4;
-        bmc.x_refinement_ok = true;
-        bmc.cancel = options.cancel;
-        const TernaryBmcResult r =
-            check_ternary_bmc(ref.netlist, *cs.netlist, bmc);
-        add_leg(v, "cslow-ternary-bmc",
-                r.verdict != TernaryBmcResult::Verdict::kMismatch, r.detail);
-      }
-    }
-  }
-  return v;
-}
-
 }  // namespace
 
 bool install_break(PassRegistry& registry, const std::string& spec,
@@ -531,8 +419,6 @@ OracleVerdict run_oracle(const FuzzCase& c, const OracleOptions& options) {
       return mono_vs_windowed(c, registry, options);
     case OracleKind::kEngineVsReference:
       return engine_vs_reference(c, registry, options);
-    case OracleKind::kCslowVsReplicated:
-      return cslow_vs_replicated(c, registry, options);
   }
   OracleVerdict v;
   add_leg(v, "setup", false, "unknown oracle");

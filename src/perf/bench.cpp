@@ -8,9 +8,6 @@
 
 #include "base/cancel.h"
 #include "base/timer.h"
-#include "cslow/cslow.h"
-#include "cslow/stream_check.h"
-#include "fuzz/case_gen.h"
 #include "mcretime/lower.h"
 #include "mcretime/mc_retime.h"
 #include "retime/minperiod.h"
@@ -20,29 +17,6 @@
 
 namespace mcrt {
 namespace {
-
-// The pinned workload circuits of the C-slow suite: Table-1-sized profiles
-// plus the randomized corpus. Quick mode keeps a representative slice so CI
-// smoke stays cheap.
-std::vector<CircuitProfile> bench_suite(const BenchOptions& options) {
-  std::vector<CircuitProfile> suite = paper_suite();
-  if (options.quick && suite.size() > 3) suite.resize(3);
-  const std::vector<CircuitProfile> extra =
-      random_suite(options.quick ? 3 : 6, options.seed);
-  suite.insert(suite.end(), extra.begin(), extra.end());
-  return suite;
-}
-
-// Deterministic string hash (std::hash is implementation-defined); salts
-// the per-circuit stimulus stream.
-std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 double geomean(const std::vector<double>& values) {
   if (values.empty()) return 0;
@@ -199,239 +173,6 @@ Json bench_window_case(const WindowBenchCase& bench_case,
   return entry;
 }
 
-// Feedback kernels: the shapes C-slowing exists for. Each is a ring of
-// `gates` unit-delay LUTs closed through `regs` registers bunched at the
-// ring exit (HDL style, so retiming has real work), with the data input
-// XORed into the ring and the output tapped from a register. Every I/O
-// path crosses a register, so the period is the *loop* bound — and
-// replicating the registers C-fold lets mc-retiming recover ~1/C of it.
-Netlist feedback_kernel(std::size_t gates, std::size_t regs, bool with_en,
-                        bool with_sync) {
-  Netlist n;
-  const NetId clk = n.add_input("clk");
-  const NetId x = n.add_input("x");
-  const NetId en = with_en ? n.add_input("en") : NetId{};
-  const NetId sc = with_sync ? n.add_input("sc") : NetId{};
-  // The ring's D net exists before the gates that drive it (feedback).
-  const NetId loop_d = n.add_net("loop_d");
-  NetId q = loop_d;
-  for (std::size_t r = 0; r < regs; ++r) {
-    Register ff;
-    ff.d = q;
-    ff.clk = clk;
-    ff.name = "ring" + std::to_string(r);
-    // Register classes ride the timed path: every ring register shares the
-    // kernel's EN / sync-clear signature, so the class machinery (and the
-    // C-slow EN/sync decompositions) are part of what is measured.
-    if (with_en) ff.en = en;
-    if (with_sync) {
-      ff.sync_ctrl = sc;
-      ff.sync_val = ResetVal::kZero;
-    }
-    q = n.add_register(std::move(ff));
-  }
-  NetId net = n.add_lut(TruthTable::xor_n(2), {q, x}, "inject");
-  for (std::size_t g = 1; g < gates; ++g) {
-    net = n.add_lut(g % 3 == 0 ? TruthTable::inverter()
-                               : TruthTable::buffer(),
-                    {net}, "ring_g" + std::to_string(g));
-  }
-  n.add_lut_driving(loop_d, TruthTable::xor_n(2), {net, q});
-  n.add_output("o", q);
-  return n;
-}
-
-// The C-slow suite: feedback kernels (the throughput claim), the shared
-// workload circuits (whose combinational control cones document the floor
-// C-slowing cannot cross), and the two fuzz rigs the subsystem is
-// specified against — the register-class zoo (every EN/sync/async
-// signature, including the enable-chained pair) and the dual-clock rig
-// (whose stream check must *skip*, documented, not fail).
-std::vector<std::pair<std::string, Netlist>> cslow_bench_circuits(
-    const BenchOptions& options) {
-  std::vector<std::pair<std::string, Netlist>> circuits;
-  // Kernels are a few dozen gates each — they stay in quick mode; only the
-  // workload slice below is trimmed there.
-  circuits.emplace_back("k_ring", feedback_kernel(12, 2, false, false));
-  circuits.emplace_back("k_deep", feedback_kernel(24, 3, false, false));
-  circuits.emplace_back("k_lfsr", feedback_kernel(16, 4, false, false));
-  circuits.emplace_back("k_en", feedback_kernel(18, 2, true, false));
-  circuits.emplace_back("k_sync", feedback_kernel(18, 2, false, true));
-  circuits.emplace_back("k_wide", feedback_kernel(30, 5, true, true));
-  for (const CircuitProfile& profile : bench_suite(options)) {
-    circuits.emplace_back(profile.name, generate_circuit(profile));
-  }
-  circuits.emplace_back("zoo", register_class_zoo(options.seed + 700));
-  circuits.emplace_back("dualclk", dual_clock_rig(options.seed + 701));
-  for (auto& [name, circuit] : circuits) apply_unit_delays(circuit);
-  return circuits;
-}
-
-// The period floor no retiming — C-slowing included — can beat. Three
-// contributions:
-//  - the slowest single gate;
-//  - the longest register-free PI -> PO path (its register count is
-//    retiming-invariant at zero, so the whole delay fits in one period);
-//  - the longest combinational path *ending at a register control pin*,
-//    measured from the nearest PI or register output. Control cones are
-//    frozen by construction — the mc-graph hangs them off host-adjacent
-//    control taps (mcretime/mcgraph.cpp) because a register retimed into
-//    an EN/sync/async cone would delay the control by a cycle and change
-//    every consumer's class signature.
-// Entries whose monolithic period already sits at this floor are marked
-// floor_bound and excluded from the throughput headline: a 1.00x there is
-// the theorem, not a regression.
-std::int64_t cslow_period_floor(const Netlist& circuit) {
-  std::int64_t floor = 0;
-  // arrival[net] = max register-free delay from a PI; -1 = every path from
-  // the inputs to this net crosses a register. cone[net] = the same with
-  // register outputs also as zero-delay sources (the control-pin floor).
-  std::vector<std::int64_t> arrival(circuit.net_count(), -1);
-  std::vector<std::int64_t> cone(circuit.net_count(), -1);
-  for (const NodeId id : circuit.inputs()) {
-    arrival[circuit.node(id).output.index()] = 0;
-    cone[circuit.node(id).output.index()] = 0;
-  }
-  for (const Register& ff : circuit.registers()) {
-    if (ff.q.valid()) cone[ff.q.index()] = 0;
-  }
-  const auto order = circuit.combinational_order();
-  if (!order) return 0;
-  for (const NodeId id : *order) {
-    const Node& node = circuit.node(id);
-    if (node.kind != NodeKind::kLut) continue;
-    floor = std::max(floor, node.delay);
-    std::int64_t best = -1;
-    std::int64_t cone_best = -1;
-    for (const NetId f : node.fanins) {
-      best = std::max(best, arrival[f.index()]);
-      cone_best = std::max(cone_best, cone[f.index()]);
-    }
-    if (best >= 0) arrival[node.output.index()] = best + node.delay;
-    if (cone_best >= 0) cone[node.output.index()] = cone_best + node.delay;
-  }
-  for (const NodeId po : circuit.outputs()) {
-    floor = std::max(floor, arrival[circuit.node(po).fanins[0].index()]);
-  }
-  for (const Register& ff : circuit.registers()) {
-    for (const NetId ctrl : {ff.en, ff.sync_ctrl, ff.async_ctrl}) {
-      if (ctrl.valid()) floor = std::max(floor, cone[ctrl.index()]);
-    }
-  }
-  return floor;
-}
-
-// Single-class relaxation: strip EN/sync/async controls so every register
-// falls into one class per clock. Any class-respecting retiming is a valid
-// retiming of the relaxed netlist (the §4 constraints only remove moves),
-// so its minperiod is a sound lower bound on the real solve.
-Netlist strip_register_controls(const Netlist& input) {
-  Netlist relaxed = input;
-  for (std::uint32_t r = 0; r < relaxed.register_count(); ++r) {
-    Register& ff = relaxed.reg(RegId{r});
-    ff.en = NetId{};
-    ff.sync_ctrl = NetId{};
-    ff.async_ctrl = NetId{};
-    ff.sync_val = ResetVal::kDontCare;
-    ff.async_val = ResetVal::kDontCare;
-  }
-  return relaxed;
-}
-
-Json bench_cslow_case(const std::string& name, const Netlist& circuit,
-                      std::uint32_t factor, std::uint64_t seed) {
-  PhaseProfile phases;
-  McRetimeOptions ropts;
-  ropts.objective = McRetimeOptions::Objective::kMinPeriod;
-
-  // Monolithic reference: minperiod mc-retiming of the original.
-  Timer mono_timer;
-  const McRetimeResult mono = mc_retime(circuit, ropts);
-  phases.add("monolithic", mono_timer.seconds());
-
-  // C-slow path: replicate, then let mc-retiming spread the chains.
-  Timer cs_timer;
-  const CslowResult transformed = cslow_transform(circuit, factor);
-  McRetimeResult cs;
-  if (transformed.success) cs = mc_retime(transformed.netlist, ropts);
-  phases.add("cslow", cs_timer.seconds());
-
-  const bool solved = mono.success && transformed.success && cs.success;
-  const std::int64_t t_mono = mono.stats.period_after;
-  const std::int64_t t_cs = cs.stats.period_after;
-  const std::int64_t floor = cslow_period_floor(circuit);
-  const bool floor_bound = t_mono <= floor;
-
-  // When a register-bound design recovers nothing, certify why: retime the
-  // control-stripped (single-class) C-slowed netlist. Its optimum is a
-  // sound bound on every class-respecting retiming, so
-  //  - relaxation beats the real solve -> the class structure withheld the
-  //    gain (class_bound);
-  //  - relaxation ties the real solve -> nothing class-free and
-  //    interface-respecting does better either: the design is pinned by
-  //    its PI/PO cones, which only peripheral (interface-crossing)
-  //    retiming could subdivide (interface_bound).
-  // Partially blocked entries (some gain, structure capping it) stay in
-  // the headline and drag it honestly.
-  std::int64_t t_relaxed = t_cs;
-  bool class_bound = false;
-  bool interface_bound = false;
-  if (solved && !floor_bound && t_cs >= t_mono) {
-    Timer relax_timer;
-    const McRetimeResult relaxed =
-        mc_retime(strip_register_controls(transformed.netlist), ropts);
-    phases.add("relaxed", relax_timer.seconds());
-    if (relaxed.success) {
-      t_relaxed = relaxed.stats.period_after;
-      class_bound = t_relaxed < t_cs;
-      interface_bound = t_relaxed == t_cs;
-    }
-  }
-
-  // Stream-level verification of the retimed C-slowed netlist against C
-  // independent copies of the original. Multi-clock and register-fed async
-  // cones report a documented skip; a skip is not a divergence.
-  StreamCheckOptions sopts;
-  sopts.seed = seed ^ fnv1a(name);
-  StreamCheckResult stream;
-  if (solved) {
-    Timer verify_timer;
-    stream = check_stream_equivalence(circuit, cs.netlist, factor, sopts);
-    phases.add("verify", verify_timer.seconds());
-  }
-
-  // Dominance is structural: C-slowing adds register slack on every cycle
-  // and path, so the optimal solver can only do as well or better — and a
-  // floor-bound design can only land exactly on the floor.
-  const bool identical =
-      solved && stream.pass && t_cs <= t_mono && t_cs >= floor &&
-      cs.stats.registers_before == factor * mono.stats.registers_before;
-
-  Json entry = Json::object();
-  entry.set("circuit", name + "_c" + std::to_string(factor));
-  entry.set("factor", static_cast<std::int64_t>(factor));
-  entry.set("registers", mono.stats.registers_before);
-  entry.set("registers_cslow", cs.stats.registers_before);
-  entry.set("period_monolithic", t_mono);
-  entry.set("period_cslow", t_cs);
-  entry.set("period_floor", floor);
-  entry.set("floor_bound", floor_bound);
-  entry.set("period_relaxed", t_relaxed);
-  entry.set("class_bound", class_bound);
-  entry.set("interface_bound", interface_bound);
-  // Aggregate throughput ratio: the C-slowed design completes one
-  // stream-step per tick of T_c vs one step per T_mono monolithically.
-  entry.set("speedup_throughput",
-            static_cast<double>(t_mono) /
-                std::max<double>(static_cast<double>(t_cs), 1e-12));
-  entry.set("stream_verified", stream.pass && !stream.skipped);
-  entry.set("stream_skipped", stream.skipped);
-  if (stream.skipped) entry.set("stream_skip_reason", stream.reason);
-  entry.set("identical", identical);
-  entry.set("phases", phases_json(phases));
-  return entry;
-}
-
 Json options_json(const BenchOptions& options, int reps) {
   Json object = Json::object();
   object.set("quick", options.quick);
@@ -465,7 +206,7 @@ bool ends_with(const std::string& s, std::string_view suffix) {
 }
 
 // How bench_regressions gates one numeric column of a `schema` document.
-enum class Gate { kNone, kExact, kNoRise, kRatio };
+enum class Gate { kNone, kExact, kNoRise };
 
 Gate gate_for(const std::string& schema, const std::string& key) {
   if (schema == kBenchPaperSchema) {
@@ -482,19 +223,15 @@ Gate gate_for(const std::string& schema, const std::string& key) {
     return ends_with(key, "_ff") || ends_with(key, "_lut") ? Gate::kNoRise
                                                            : Gate::kNone;
   }
-  if (schema == kBenchWindowSchema) {
-    // Solver outputs and work counters; the speedups time two engines that
-    // each get faster on their own, so they are reported only.
-    if (key == "period_monolithic" || key == "period_windowed") {
-      return Gate::kExact;
-    }
-    return key.rfind("monolithic_", 0) == 0 && key != "monolithic_seconds"
-               ? Gate::kNoRise
-               : Gate::kNone;
+  if (schema != kBenchWindowSchema) return Gate::kNone;
+  // Window: solver outputs and work counters; the speedups time two engines
+  // that each get faster on their own, so they are reported only.
+  if (key == "period_monolithic" || key == "period_windowed") {
+    return Gate::kExact;
   }
-  // Per-entry columns are "speedup[_*]", the summary's "geomean_speedup".
-  return key.find("speedup") != std::string::npos ? Gate::kRatio
-                                                  : Gate::kNone;
+  return key.rfind("monolithic_", 0) == 0 && key != "monolithic_seconds"
+             ? Gate::kNoRise
+             : Gate::kNone;
 }
 
 }  // namespace
@@ -519,40 +256,6 @@ Json run_window_bench(const BenchOptions& options) {
   }
   return assemble_bench_report(kBenchWindowSchema, options, reps,
                                std::move(entries));
-}
-
-Json run_cslow_bench(const BenchOptions& options) {
-  // Period ratios are deterministic solver outputs; one rep suffices.
-  const int reps = 1;
-  Json::Array entries;
-  for (const auto& [name, circuit] : cslow_bench_circuits(options)) {
-    for (const std::uint32_t factor : {2u, 3u}) {
-      entries.push_back(bench_cslow_case(name, circuit, factor, options.seed));
-    }
-  }
-  // Headline: geomean aggregate-throughput multiplier at C=2 over the
-  // recoverable entries. floor_bound designs sit at their combinational
-  // floor by theorem; class_bound and interface_bound designs carry a
-  // relaxation certificate that the §4 class constraints (resp. the
-  // pinned circuit interface) — not the transform — withheld the gain.
-  // Including them would measure the obstruction, not the subsystem.
-  // The key carries "speedup" so bench_regressions gates it against the
-  // committed baseline, which is what pins the >= 1.5 contract in CI.
-  std::vector<double> c2;
-  for (const Json& entry : entries) {
-    if (entry.at("factor").as_int() == 2 &&
-        !entry.at("floor_bound").as_bool() &&
-        !entry.at("class_bound").as_bool() &&
-        !entry.at("interface_bound").as_bool()) {
-      c2.push_back(entry.at("speedup_throughput").as_number());
-    }
-  }
-  Json report = assemble_bench_report(kBenchCslowSchema, options, reps,
-                                      std::move(entries));
-  Json summary = report.at("summary");
-  summary.set("geomean_speedup_throughput_c2", geomean(c2));
-  report.set("summary", std::move(summary));
-  return report;
 }
 
 std::string validate_bench_report(const Json& report,
@@ -597,8 +300,7 @@ std::string validate_bench_report(const Json& report,
 }
 
 std::vector<std::string> bench_regressions(const Json& current,
-                                           const Json& baseline,
-                                           double max_regress) {
+                                           const Json& baseline) {
   std::vector<std::string> regressions;
   const std::string& schema = baseline.at("schema").as_string();
   if (current.at("schema").as_string() != schema) {
@@ -607,7 +309,6 @@ std::vector<std::string> bench_regressions(const Json& current,
                           schema + "'");
     return regressions;
   }
-  const double floor_ratio = 1.0 - max_regress;
   const auto check = [&](const std::string& label, const Json& cur_obj,
                          const Json& base_obj) {
     for (const auto& [key, base_value] : base_obj.as_object()) {
@@ -629,12 +330,6 @@ std::vector<std::string> bench_regressions(const Json& current,
       } else if (gate == Gate::kNoRise && cur > base) {
         std::snprintf(buf, sizeof(buf), "%s: %s rose %.0f -> %.0f",
                       label.c_str(), key.c_str(), base, cur);
-        regressions.emplace_back(buf);
-      } else if (gate == Gate::kRatio && cur < base * floor_ratio) {
-        std::snprintf(buf, sizeof(buf),
-                      "%s: %s regressed %.2fx -> %.2fx (floor %.2fx)",
-                      label.c_str(), key.c_str(), base, cur,
-                      base * floor_ratio);
         regressions.emplace_back(buf);
       }
     }

@@ -1,10 +1,10 @@
 // Benchmark harness: pinned workload suites emitted as schema-versioned
-// JSON so the perf trajectory is tracked in-repo (BENCH_paper.json,
-// BENCH_window.json and BENCH_cslow.json at the repo root, regenerated by
+// JSON so the perf trajectory is tracked in-repo (BENCH_paper.json and
+// BENCH_window.json at the repo root, regenerated by
 // tools/update_bench_baseline.sh). flowbench/, which BENCHMARK.json runs,
 // times the paper's flow end to end and per layer on scaled designs.
 //
-// Three reports:
+// Two reports:
 //  - paper: the paper's §6 evidence — Tables 1-3, Figs. 1, 4 and 5, the
 //    area/period trade-off and the class-count ablation — on the
 //    paper_suite() circuits and two fixed-netlist sweeps
@@ -20,28 +20,9 @@
 //    with monolithic_capped=true.
 //    Entries also record the period quality gap vs the monolithic optimum
 //    where it is known.
-//  - cslow: retime(cslow=C) throughput on the workload suite plus the
-//    register-class zoo and the dual-clock rig, C in {2, 3}
-//    (BENCH_cslow.json). The speedup column is a *period ratio*, not
-//    wall-clock: aggregate throughput of the C-slowed design is 1/T_c
-//    stream-steps per second vs the monolithic 1/T_mono, so
-//    speedup_throughput = T_mono / T_c (<= C by construction, >= 1 by
-//    register-slack dominance). Period ratios are solver outputs —
-//    deterministic and machine-independent — so the committed baseline
-//    gates them exactly. Each entry is verified by the stream-equivalence
-//    checker (multi-clock entries record the documented skip instead).
-//    Entries that cannot recover throughput are classified by certificate
-//    — floor_bound (combinational PI->PO or control-cone floor),
-//    class_bound (a control-stripped single-class relaxation beats the
-//    real solve: the §4 class constraints withheld the gain) or
-//    interface_bound (the relaxation ties: only interface-crossing
-//    peripheral retiming could do better) — and excluded from the
-//    headline geomean, which measures the recoverable rest.
-//
 // Every entry is also *verified* (equivalence for paper; legal stitched
-// labels and period dominance for window; stream equivalence and the
-// period floor for cslow), so a bench run doubles as a coarse-grained
-// differential — `identical` is part of the schema and
+// labels and period dominance for window), so a bench run doubles as a
+// coarse-grained differential — `identical` is part of the schema and
 // validate_bench_report() rejects documents where any entry failed its
 // check.
 //
@@ -51,8 +32,7 @@
 // relocation attempts, which may not rise either. The window suite
 // is gated on exact periods and on its work counters, which may not rise;
 // its wall-clock speedup is reported only, because it shrinks whenever the
-// monolithic solver gets faster. The cslow ratios are deterministic solver
-// outputs and are gated as ratios.
+// monolithic solver gets faster.
 #pragma once
 
 #include <cstdint>
@@ -65,13 +45,11 @@ namespace mcrt {
 
 inline constexpr const char* kBenchPaperSchema = "mcrt-bench-paper/1";
 inline constexpr const char* kBenchWindowSchema = "mcrt-bench-window/1";
-inline constexpr const char* kBenchCslowSchema = "mcrt-bench-cslow/1";
 
 struct BenchOptions {
   /// Trimmed circuit list and fewer repetitions; the CI smoke setting.
   bool quick = false;
-  /// Seed for workload::random_suite, the scaled designs and the stream
-  /// stimulus.
+  /// Seed for the window suite's scaled designs.
   std::uint64_t seed = 1;
 };
 
@@ -83,11 +61,6 @@ Json run_paper_bench(const BenchOptions& options);
 /// kBenchWindowSchema document. Quick mode keeps the uncapped entries only
 /// (minutes -> seconds); the full run adds the capped 1e5-gate headline.
 Json run_window_bench(const BenchOptions& options);
-
-/// Runs the C-slow throughput benchmark; returns a kBenchCslowSchema
-/// document whose summary carries `geomean_speedup_throughput_c2`, the
-/// headline aggregate-throughput multiplier at C=2 (contract: >= 1.5).
-Json run_cslow_bench(const BenchOptions& options);
 
 /// A bench document: schema, options, `entries` and a summary with the
 /// entry count, the geomean of the speedup columns (if any) and whether
@@ -106,13 +79,11 @@ std::string validate_bench_report(const Json& report,
 /// `current` is a regression. Paper reports: a t1_/t2_/t3_ delay that
 /// differs from the baseline, or such an FF or LUT count above it. Window
 /// reports: a period_monolithic or period_windowed that differs from the
-/// baseline, or a monolithic_* work counter above it. Other reports: any
-/// speedup column (per circuit or in the summary) below
-/// baseline * (1 - max_regress). Returns human-readable descriptions;
-/// empty = no regression.
+/// baseline, or a monolithic_* work counter above it. Summary columns of
+/// the same names are gated the same way. Returns human-readable
+/// descriptions; empty = no regression.
 std::vector<std::string> bench_regressions(const Json& current,
-                                           const Json& baseline,
-                                           double max_regress);
+                                           const Json& baseline);
 
 /// Multi-line serialization (one entry per line) so committed bench files
 /// diff cleanly; Json::parse round-trips it.

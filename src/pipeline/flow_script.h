@@ -56,7 +56,7 @@ std::variant<std::vector<PassSpec>, FlowScriptError> parse_flow_script(
 /// the 1-based line/column and the token at the offset (the word starting
 /// there, the single character, or "end of script"). The parser uses it for
 /// syntax errors; compile_flow_script uses it to attribute configure()-time
-/// failures (e.g. `retime(cslow=x)`) to the offending argument.
+/// failures (e.g. `map(k=x)`) to the offending argument.
 [[nodiscard]] FlowScriptError locate_in_script(std::string_view script,
                                                std::size_t offset,
                                                std::string message);

@@ -29,7 +29,7 @@ class PassArgs {
   /// `key_offset` / `value_offset` are byte positions in the flow script the
   /// argument came from (the parser records them); npos when the args were
   /// built programmatically. They let compile_flow_script() attribute a
-  /// configure()-time failure (`retime(cslow=x)`) to the exact column.
+  /// configure()-time failure (`map(k=x)`) to the exact column.
   static constexpr std::size_t kNoOffset = static_cast<std::size_t>(-1);
 
   void set(std::string key, std::string value,
@@ -51,8 +51,8 @@ class PassArgs {
   /// records the value's script offset in last_error_offset().
   [[nodiscard]] std::optional<std::int64_t> int_value(const std::string& key,
                                                      std::string* error) const;
-  /// int_value() plus an inclusive range check (`cslow=0` and overflow get
-  /// the same located diagnostics as `cslow=x`).
+  /// int_value() plus an inclusive range check (`k=7` and overflow get
+  /// the same located diagnostics as `k=x`).
   [[nodiscard]] std::optional<std::int64_t> int_value_in_range(
       const std::string& key, std::int64_t min, std::int64_t max,
       std::string* error) const;

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <span>
 #include <utility>
 
 #include "base/strings.h"
 #include "base/thread_pool.h"
-#include "cslow/cslow.h"
-#include "cslow/stream_check.h"
+#include "netlist/truth_table.h"
 #include "sim/equivalence.h"
 #include "tech/decompose.h"
 #include "transform/decompose_controls.h"
@@ -72,11 +70,9 @@ bool MapPass::configure(const PassArgs& args, std::string* error) {
   if (!args.expect_keys({"k", "d", "area-recovery"}, name(), error)) {
     return false;
   }
-  if (const auto k = args.int_value("k", error)) {
-    if (*k < 2) {
-      *error = "map: k must be at least 2";
-      return false;
-    }
+  // FlowMap forms LUTs of up to TruthTable::kMaxInputs inputs.
+  if (const auto k = args.int_value_in_range(
+          "k", 2, static_cast<std::int64_t>(TruthTable::kMaxInputs), error)) {
     options_.k = static_cast<std::uint32_t>(*k);
   } else if (args.contains("k")) {
     return false;
@@ -106,24 +102,11 @@ PassResult MapPass::run(FlowContext& context) {
 bool RetimePass::configure(const PassArgs& args, std::string* error) {
   // The window keys lead, so `retime` takes the tail of the list.
   static constexpr std::string_view kKeys[] = {
-      "window-size", "windows", "window-jobs", "refine", "target",
-      "minperiod",   "no-sharing", "d",        "cslow",  "cslow-verify"};
+      "window-size", "windows",   "window-jobs", "refine",
+      "target",      "minperiod", "no-sharing",  "d"};
   const std::span<const std::string_view> keys(kKeys);
   if (!args.expect_keys(windowed_ ? keys : keys.subspan(4), name(), error)) {
     return false;
-  }
-  if (const auto c = args.int_value_in_range(
-          "cslow", 1, static_cast<std::int64_t>(kMaxCslowFactor), error)) {
-    cslow_ = static_cast<std::uint32_t>(*c);
-  } else if (args.contains("cslow")) {
-    return false;
-  }
-  if (args.flag("cslow-verify")) {
-    if (cslow_ == 0) {
-      *error = "argument 'cslow-verify' needs cslow=C";
-      return false;
-    }
-    cslow_verify_ = true;
   }
   const auto size_arg = [&](const char* key, std::size_t* out) {
     if (const auto v = args.int_value(key, error)) {
@@ -172,20 +155,7 @@ bool RetimePass::configure(const PassArgs& args, std::string* error) {
 }
 
 PassResult RetimePass::run(FlowContext& context) {
-  // C-slow first (src/cslow/): every register becomes a chain of C, and
-  // the retiming below rebalances the chains.
-  std::optional<Netlist> cslow_input;  ///< kept only when verifying
-  CslowStats cslow_stats;
-  if (cslow_ > 0) {
-    if (cslow_verify_) cslow_input = context.netlist();
-    CslowResult cs = cslow_transform(context.netlist(), cslow_);
-    if (!cs.success) return PassResult::fail("cslow: " + cs.error);
-    cslow_stats = cs.stats;
-    context.replace_netlist(std::move(cs.netlist));
-  }
   if (default_lut_delay_ > 0) {
-    // This runs after the C-slow transform, so decomposition muxes get the
-    // default delay too.
     set_default_lut_delays(context.netlist(), default_lut_delay_);
   }
   // The paper (§3.1) treats clocks as non-logic: flag clocks computed by
@@ -253,46 +223,20 @@ PassResult RetimePass::run(FlowContext& context) {
     }
   }
 
-  if (cslow_ > 0) {
-    context.set_metric("cslow.factor", static_cast<std::int64_t>(cslow_));
-    context.set_metric("cslow.registers_before",
-                       static_cast<std::int64_t>(cslow_stats.registers_before));
-    context.set_metric("cslow.registers_after",
-                       static_cast<std::int64_t>(cslow_stats.registers_after));
-  }
-  if (cslow_input.has_value()) {
-    CslowVerifyOptions verify_options;
-    verify_options.cancel = context.cancel;
-    const CslowVerifyResult v = verify_cslow(*cslow_input, context.netlist(),
-                                             cslow_, verify_options);
-    if (!v.pass) {
-      return PassResult::fail(str_format(
-          "cslow verification failed: %s%s%s", v.sim.reason.c_str(),
-          v.bmc_detail.empty() ? "" : " / ", v.bmc_detail.c_str()));
-    }
-    if (v.sim.skipped) {
-      context.note("cslow stream simulation skipped: " + v.sim.reason);
-    }
-    if (v.bmc_skipped) context.note("cslow BMC skipped: " + v.bmc_detail);
-    context.set_metric("cslow.verified",
-                       (v.sim.skipped && v.bmc_skipped) ? 0 : 1);
-  }
-  const std::string cslow_note =
-      cslow_ > 0 ? str_format("cslow=%u ", cslow_) : std::string();
   if (windowed_) {
     return PassResult::ok(str_format(
-        "%swindows=%zu classes=%zu period %lld -> %lld ff %zu -> %zu "
+        "windows=%zu classes=%zu period %lld -> %lld ff %zu -> %zu "
         "(cut=%zu refine=%zu/%zu attempts=%zu)",
-        cslow_note.c_str(), w.windows, s.num_classes,
+        w.windows, s.num_classes,
         static_cast<long long>(s.period_before),
         static_cast<long long>(s.period_after), s.registers_before,
         s.registers_after, w.cut_edges, w.refine_accepted,
         w.refine_rounds_run, s.attempts));
   }
   return PassResult::ok(str_format(
-      "%sclasses=%zu steps=%zu/%zu period %lld -> %lld ff %zu -> %zu "
+      "classes=%zu steps=%zu/%zu period %lld -> %lld ff %zu -> %zu "
       "(attempts=%zu)",
-      cslow_note.c_str(), s.num_classes, s.moved_layers, s.possible_steps,
+      s.num_classes, s.moved_layers, s.possible_steps,
       static_cast<long long>(s.period_before),
       static_cast<long long>(s.period_after), s.registers_before,
       s.registers_after, s.attempts));

@@ -8,21 +8,12 @@
 //   decompose-en                  EN -> feedback mux (Table 3 baseline)
 //   decompose-sync                SS/SC -> gates before D (§6 preprocessing)
 //   map(k=4,d=10,area-recovery)   2-bounded decompose + FlowMap k-LUT map
+//                                 (2 <= k <= 6)
 //   retime(target=N,minperiod,no-sharing,d=10)
 //                                 multiple-class retiming (paper §5);
 //                                 d assigns the default delay to LUTs that
 //                                 have none so the period objective is
 //                                 meaningful on delay-less BLIF input
-//   retime(cslow=C[,cslow-verify])
-//                                 C-slow first (src/cslow/): every register
-//                                 becomes a chain of C, then retiming
-//                                 rebalances the chains toward period T/C
-//                                 per stream. cslow-verify re-checks stream
-//                                 equivalence + ternary BMC after the pass.
-//                                 NOTE: a C-slowed netlist is *not*
-//                                 input-equivalent (it interleaves C
-//                                 streams), so flow-level equivalence spot
-//                                 checks and verify() do not apply.
 //   retime-windowed(window-size=1024,windows=0,window-jobs=0,refine=1,...)
 //                                 the same pass and arguments on the
 //                                 windowed driver (src/window/): bounded
@@ -137,8 +128,6 @@ class RetimePass final : public Pass {
   /// `base` drives both names; the window fields only `retime-windowed`.
   WindowedRetimeOptions options_;
   std::int64_t default_lut_delay_ = 10;
-  std::uint32_t cslow_ = 0;  ///< 0 = off; C >= 1 = C-slow before retiming
-  bool cslow_verify_ = false;
 };
 
 /// In-flow verification: checks the current netlist against the flow-input

@@ -18,7 +18,7 @@ namespace {
 TEST(OracleName, RoundTripsAllKinds) {
   const OracleKind kinds[] = {
       OracleKind::kSerialVsBulk, OracleKind::kMonoVsWindowed,
-      OracleKind::kEngineVsReference, OracleKind::kCslowVsReplicated};
+      OracleKind::kEngineVsReference};
   std::set<std::string> names;
   for (OracleKind kind : kinds) {
     const char* name = oracle_name(kind);

@@ -24,12 +24,8 @@ FuzzCase chain_case(OracleKind oracle, const std::string& script) {
 TEST(Oracles, HealthyChainPassesEveryEnginePair) {
   for (OracleKind oracle :
        {OracleKind::kSerialVsBulk, OracleKind::kMonoVsWindowed,
-        OracleKind::kEngineVsReference, OracleKind::kCslowVsReplicated}) {
-    const std::string script =
-        oracle == OracleKind::kCslowVsReplicated
-            ? "sweep; retime(d=10,minperiod,cslow=2)"
-            : "sweep; retime(d=10,minperiod)";
-    const FuzzCase c = chain_case(oracle, script);
+        OracleKind::kEngineVsReference}) {
+    const FuzzCase c = chain_case(oracle, "sweep; retime(d=10,minperiod)");
     const OracleVerdict v = run_oracle(c);
     EXPECT_TRUE(v.pass) << oracle_name(oracle) << ": " << v.first_failure();
     EXPECT_FALSE(v.legs.empty());
@@ -43,57 +39,6 @@ TEST(Oracles, HealthyChainPassesEveryEnginePair) {
   zoo.netlist = register_class_zoo(11);
   const OracleVerdict v = run_oracle(zoo);
   EXPECT_TRUE(v.pass) << "zoo: " << v.first_failure();
-}
-
-TEST(Oracles, CslowOracleHealthyZooPasses) {
-  FuzzCase c;
-  c.name = "cslow-zoo";
-  c.seed = 11;
-  c.oracle = OracleKind::kCslowVsReplicated;
-  c.script = "sweep; retime(d=10,cslow=3)";
-  c.netlist = register_class_zoo(11);
-  const OracleVerdict v = run_oracle(c);
-  EXPECT_TRUE(v.pass) << v.first_failure();
-  // The stream leg must actually run on the single-clock zoo, not skip.
-  bool stream_ran = false;
-  for (const OracleLeg& leg : v.legs) {
-    if (leg.name == "stream-equivalence" &&
-        leg.detail.find("skipped") == std::string::npos) {
-      stream_ran = true;
-    }
-  }
-  EXPECT_TRUE(stream_ran);
-}
-
-TEST(Oracles, CslowOracleCatchesPlantedMiscompile) {
-  // flip-lut sabotages both runs identically, so only the stream leg — the
-  // comparison against the *unsabotaged* input — can convict.
-  FuzzCase c = chain_case(OracleKind::kCslowVsReplicated,
-                          "sweep; retime(d=10,cslow=2)");
-  c.break_spec = "flip-lut";
-  const OracleVerdict v = run_oracle(c);
-  EXPECT_FALSE(v.pass);
-  EXPECT_NE(v.first_failure().find("stream-equivalence"), std::string::npos)
-      << v.first_failure();
-}
-
-TEST(Oracles, CslowOracleSkipsStreamLegOnDualClock) {
-  FuzzCase c;
-  c.name = "cslow-dual";
-  c.seed = 3;
-  c.oracle = OracleKind::kCslowVsReplicated;
-  c.script = "sweep; retime(d=10,cslow=2)";
-  c.netlist = dual_clock_rig(3);
-  const OracleVerdict v = run_oracle(c);
-  EXPECT_TRUE(v.pass) << v.first_failure();
-  bool skipped = false;
-  for (const OracleLeg& leg : v.legs) {
-    if (leg.name == "stream-equivalence" &&
-        leg.detail.find("skipped") != std::string::npos) {
-      skipped = true;
-    }
-  }
-  EXPECT_TRUE(skipped);
 }
 
 TEST(Oracles, InstallBreakRejectsUnknownSpecs) {

@@ -41,7 +41,6 @@
 #include "retime/retime_graph.h"
 #include "sim/equivalence.h"
 #include "sim/simulator.h"
-#include "sim/vcd.h"
 #include "sim/word_simulator.h"
 #include "tech/decompose.h"
 #include "tech/flowmap.h"

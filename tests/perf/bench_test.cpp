@@ -34,16 +34,6 @@ Json window_entry(const char* circuit, double speedup, std::int64_t period,
   return e;
 }
 
-// A C-slow entry: its speedup is a deterministic period ratio, gated as a
-// ratio.
-Json ratio_entry(const char* circuit, double speedup) {
-  Json e = Json::object();
-  e.set("circuit", circuit);
-  e.set("speedup_throughput", speedup);
-  e.set("identical", true);
-  return e;
-}
-
 Json report(std::initializer_list<Json> entries, double geomean,
             const char* schema = kBenchWindowSchema) {
   Json::Array array;
@@ -67,7 +57,7 @@ TEST(BenchReportTest, ValidReportPasses) {
 
 TEST(BenchReportTest, SchemaMismatchRejected) {
   const Json doc = report({entry("C1", 2.5)}, 2.5);
-  EXPECT_NE(validate_bench_report(doc, kBenchCslowSchema), "");
+  EXPECT_NE(validate_bench_report(doc, kBenchPaperSchema), "");
 }
 
 TEST(BenchReportTest, DivergedEnginesRejected) {
@@ -87,54 +77,14 @@ TEST(BenchReportTest, EmptyAndMalformedRejected) {
             "");
 }
 
-// The ratio gate, on C-slow documents (the window suite's speedups are
-// not gated; see the Window* cases below).
-Json ratio_report(std::initializer_list<Json> entries, double geomean) {
-  return report(entries, geomean, kBenchCslowSchema);
-}
-
-TEST(BenchRegressionTest, WithinToleranceIsClean) {
-  const Json baseline =
-      ratio_report({ratio_entry("C1", 2.0), ratio_entry("C2", 4.0)}, 2.8);
-  // 15% below baseline everywhere: inside a 20% gate.
-  const Json current =
-      ratio_report({ratio_entry("C1", 1.7), ratio_entry("C2", 3.4)}, 2.4);
-  EXPECT_TRUE(bench_regressions(current, baseline, 0.20).empty());
-}
-
-TEST(BenchRegressionTest, RegressionBeyondToleranceFlagged) {
-  // C1 falls beyond the 20% floor; the geomean stays inside it so only the
-  // per-circuit column is flagged.
-  const Json baseline =
-      ratio_report({ratio_entry("C1", 2.0), ratio_entry("C2", 4.0)}, 2.8);
-  const Json current =
-      ratio_report({ratio_entry("C1", 1.2), ratio_entry("C2", 4.0)}, 2.4);
-  const auto regressions = bench_regressions(current, baseline, 0.20);
-  ASSERT_EQ(regressions.size(), 1u);
-  EXPECT_NE(regressions[0].find("C1"), std::string::npos);
-}
-
-TEST(BenchRegressionTest, ImprovementNeverFlagged) {
-  const Json baseline = ratio_report({ratio_entry("C1", 2.0)}, 2.0);
-  const Json current = ratio_report({ratio_entry("C1", 20.0)}, 20.0);
-  EXPECT_TRUE(bench_regressions(current, baseline, 0.20).empty());
-}
-
 TEST(BenchRegressionTest, MissingCircuitFlagged) {
-  const Json baseline =
-      ratio_report({ratio_entry("C1", 2.0), ratio_entry("C2", 4.0)}, 2.8);
-  const Json current = ratio_report({ratio_entry("C1", 2.0)}, 2.0);
-  const auto regressions = bench_regressions(current, baseline, 0.20);
+  const Json baseline = report(
+      {window_entry("s2k", 2.0, 170, 40), window_entry("s4k", 4.0, 190, 60)},
+      2.8);
+  const Json current = report({window_entry("s2k", 2.0, 170, 40)}, 2.0);
+  const auto regressions = bench_regressions(current, baseline);
   ASSERT_FALSE(regressions.empty());
-  EXPECT_NE(regressions[0].find("C2"), std::string::npos);
-}
-
-TEST(BenchRegressionTest, SummaryGeomeanGated) {
-  const Json baseline = ratio_report({ratio_entry("C1", 2.0)}, 4.0);
-  const Json current = ratio_report({ratio_entry("C1", 2.0)}, 2.0);
-  const auto regressions = bench_regressions(current, baseline, 0.20);
-  ASSERT_EQ(regressions.size(), 1u);
-  EXPECT_NE(regressions[0].find("summary"), std::string::npos);
+  EXPECT_NE(regressions[0].find("s4k"), std::string::npos);
 }
 
 TEST(BenchRegressionTest, WindowPeriodMismatchFlagged) {
@@ -144,7 +94,7 @@ TEST(BenchRegressionTest, WindowPeriodMismatchFlagged) {
     Json changed = window_entry("s2k", 2.0, 170, 40);
     changed.set("period_windowed", period);
     const auto regressions =
-        bench_regressions(report({changed}, 2.0), baseline, 0.20);
+        bench_regressions(report({changed}, 2.0), baseline);
     ASSERT_EQ(regressions.size(), 1u) << period;
     EXPECT_NE(regressions[0].find("period_windowed"), std::string::npos);
   }
@@ -153,12 +103,12 @@ TEST(BenchRegressionTest, WindowPeriodMismatchFlagged) {
 TEST(BenchRegressionTest, WindowCounterAboveBaselineFlagged) {
   const Json baseline = report({window_entry("s2k", 2.0, 170, 40)}, 2.0);
   const Json current = report({window_entry("s2k", 2.0, 170, 41)}, 2.0);
-  const auto regressions = bench_regressions(current, baseline, 0.20);
+  const auto regressions = bench_regressions(current, baseline);
   ASSERT_EQ(regressions.size(), 1u);
   EXPECT_NE(regressions[0].find("monolithic_feas_rounds"), std::string::npos);
   // Fewer rounds than the baseline is an improvement.
   const Json fewer = report({window_entry("s2k", 2.0, 170, 12)}, 2.0);
-  EXPECT_TRUE(bench_regressions(fewer, baseline, 0.20).empty());
+  EXPECT_TRUE(bench_regressions(fewer, baseline).empty());
 }
 
 TEST(BenchRegressionTest, WindowSpeedupReportedNotGated) {
@@ -166,7 +116,7 @@ TEST(BenchRegressionTest, WindowSpeedupReportedNotGated) {
   // below the baseline, but periods and counters hold, so the gate passes.
   const Json baseline = report({window_entry("s2k", 4.0, 170, 40)}, 4.0);
   const Json current = report({window_entry("s2k", 0.5, 170, 40)}, 0.5);
-  EXPECT_TRUE(bench_regressions(current, baseline, 0.20).empty());
+  EXPECT_TRUE(bench_regressions(current, baseline).empty());
 }
 
 // A paper entry: the gated Table 1-3 columns, both equivalence verdicts and
@@ -202,8 +152,8 @@ TEST(BenchPaperTest, ReportWithoutSpeedupColumnsValidates) {
   EXPECT_EQ(validate_bench_report(doc, kBenchPaperSchema), "");
   // Other suites still require their speedup columns.
   Json other = doc;
-  other.set("schema", kBenchCslowSchema);
-  EXPECT_NE(validate_bench_report(other, kBenchCslowSchema), "");
+  other.set("schema", kBenchWindowSchema);
+  EXPECT_NE(validate_bench_report(other, kBenchWindowSchema), "");
 }
 
 TEST(BenchPaperTest, NonEquivalentRowRejected) {
@@ -223,7 +173,7 @@ TEST(BenchPaperTest, ChangedDelayFlagged) {
   for (const std::int64_t delay : {40, 60}) {
     const Json current =
         paper_report({with(paper_entry("C1"), "t2_delay", delay)});
-    const auto regressions = bench_regressions(current, baseline, 0.20);
+    const auto regressions = bench_regressions(current, baseline);
     ASSERT_EQ(regressions.size(), 1u) << delay;
     EXPECT_NE(regressions[0].find("t2_delay"), std::string::npos);
   }
@@ -234,7 +184,7 @@ TEST(BenchPaperTest, CountAboveBaselineFlagged) {
   for (const char* key : {"t1_ff", "t2_lut", "t3_ff", "t3_lut"}) {
     const Json current =
         paper_report({with(paper_entry("C1"), key, std::size_t{69})});
-    const auto regressions = bench_regressions(current, baseline, 0.20);
+    const auto regressions = bench_regressions(current, baseline);
     ASSERT_EQ(regressions.size(), 1u) << key;
     EXPECT_NE(regressions[0].find(key), std::string::npos);
   }
@@ -247,7 +197,7 @@ TEST(BenchPaperTest, LowerCountAndFigureColumnsNotFlagged) {
   // Figure and ablation columns are reported, not gated.
   current = with(current, "fig4_nosharing_physical", std::size_t{99});
   EXPECT_TRUE(
-      bench_regressions(paper_report({current}), baseline, 0.20).empty());
+      bench_regressions(paper_report({current}), baseline).empty());
 }
 
 TEST(BenchRegressionTest, PaperAttemptsMayNotRise) {
@@ -259,20 +209,20 @@ TEST(BenchRegressionTest, PaperAttemptsMayNotRise) {
         paper_report({with(paper_entry("C6"), key, std::size_t{7})});
     const Json more =
         paper_report({with(paper_entry("C6"), key, std::size_t{8})});
-    const auto regressions = bench_regressions(more, baseline, 0.20);
+    const auto regressions = bench_regressions(more, baseline);
     ASSERT_EQ(regressions.size(), 1u);
     EXPECT_NE(regressions[0].find(key), std::string::npos);
     EXPECT_NE(regressions[0].find("C6"), std::string::npos);
     const Json fewer =
         paper_report({with(paper_entry("C6"), key, std::size_t{1})});
-    EXPECT_TRUE(bench_regressions(fewer, baseline, 0.20).empty());
+    EXPECT_TRUE(bench_regressions(fewer, baseline).empty());
   }
 }
 
 TEST(BenchPaperTest, MissingCircuitFlagged) {
   const Json baseline = paper_report({paper_entry("C1"), paper_entry("C2")});
   const Json current = paper_report({paper_entry("C1")});
-  const auto regressions = bench_regressions(current, baseline, 0.20);
+  const auto regressions = bench_regressions(current, baseline);
   ASSERT_EQ(regressions.size(), 1u);
   EXPECT_NE(regressions[0].find("C2"), std::string::npos);
 }

@@ -161,12 +161,12 @@ TEST(FlowScriptTest, IntValueRejectsOverflow) {
 }
 
 TEST(FlowScriptTest, IntValueInRangeChecksBounds) {
-  const auto specs = parse_ok("retime(cslow=7)");
+  const auto specs = parse_ok("map(k=7)");
   std::string error;
-  EXPECT_EQ(specs[0].args.int_value_in_range("cslow", 1, 64, &error), 7);
-  EXPECT_EQ(specs[0].args.int_value_in_range("cslow", 1, 4, &error),
+  EXPECT_EQ(specs[0].args.int_value_in_range("k", 2, 8, &error), 7);
+  EXPECT_EQ(specs[0].args.int_value_in_range("k", 2, 6, &error),
             std::nullopt);
-  EXPECT_NE(error.find("between 1 and 4"), std::string::npos);
+  EXPECT_NE(error.find("between 2 and 6"), std::string::npos);
   // An absent key is not an error.
   error.clear();
   EXPECT_EQ(specs[0].args.int_value_in_range("missing", 1, 4, &error),
@@ -175,11 +175,11 @@ TEST(FlowScriptTest, IntValueInRangeChecksBounds) {
 }
 
 TEST(FlowScriptTest, ArgOffsetsRecordedForDiagnostics) {
-  const std::string script = "sweep;\nretime(target=24,cslow=0)";
+  const std::string script = "sweep;\nmap(d=10,k=0)";
   const auto specs = parse_ok(script);
   ASSERT_EQ(specs.size(), 2u);
   std::string error;
-  EXPECT_EQ(specs[1].args.int_value_in_range("cslow", 1, 64, &error),
+  EXPECT_EQ(specs[1].args.int_value_in_range("k", 2, 6, &error),
             std::nullopt);
   const auto offset = specs[1].args.last_error_offset();
   ASSERT_TRUE(offset.has_value());
@@ -225,11 +225,11 @@ TEST(FlowScriptCompileTest, EmptyScriptRejected) {
 
 TEST(FlowScriptCompileTest, IntOptionsCompile) {
   PassManager manager;
-  EXPECT_EQ(compile_flow_script("retime(cslow=3)", PassRegistry::standard(),
+  EXPECT_EQ(compile_flow_script("map(k=2); map(k=6)", PassRegistry::standard(),
                                 manager),
             std::nullopt);
   EXPECT_EQ(compile_flow_script(
-                "retime-windowed(window-size=24,cslow=2,cslow-verify)",
+                "retime-windowed(window-size=24,window-jobs=2)",
                 PassRegistry::standard(), manager),
             std::nullopt);
 }
@@ -245,17 +245,22 @@ TEST(FlowScriptCompileTest, MalformedIntOptionTable) {
     const char* near;
   };
   const Row rows[] = {
-      {"retime(cslow=0)", "must be between", "line 1, column 14", "0"},
-      {"retime(cslow=x)", "not an integer", "line 1, column 14", "x"},
-      {"retime(cslow=99999999999999999999)", "overflows", "line 1, column 14",
+      {"map(k=0)", "must be between 2 and 6", "line 1, column 7", "0"},
+      {"map(k=7)", "must be between 2 and 6", "line 1, column 7", "7"},
+      // Above 2^32: must not wrap into range when narrowed to 32 bits.
+      {"map(k=4294967298)", "must be between 2 and 6", "line 1, column 7",
+       "4294967298"},
+      {"map(k=x)", "not an integer", "line 1, column 7", "x"},
+      {"map(k=99999999999999999999)", "overflows", "line 1, column 7",
        "99999999999999999999"},
-      {"retime(cslow=-2)", "must be between", "line 1, column 14", "-2"},
-      {"sweep;\nretime(d=10,cslow=0)", "must be between", "line 2, column 19",
-       "0"},
-      {"retime(cslow)", "needs an integer value", "line 1, column 8", "cslow"},
-      {"retime-windowed(window-size=24,cslow=banana)", "not an integer",
-       "line 1, column 38", "banana"},
-      {"retime(cslow-verify)", "needs cslow=C", "line 1, column 1", "retime"},
+      {"map(k=-2)", "must be between", "line 1, column 7", "-2"},
+      {"sweep;\nmap(d=10,k=0)", "must be between", "line 2, column 12", "0"},
+      {"map(k)", "needs an integer value", "line 1, column 5", "k"},
+      {"map(area-recovery,k=banana)", "not an integer", "line 1, column 21",
+       "banana"},
+      // A failure not tied to one argument points at the pass.
+      {"retime-windowed(window-size=0)", "window-size must be positive",
+       "line 1, column 1", "retime-windowed"},
   };
   for (const Row& row : rows) {
     PassManager manager;

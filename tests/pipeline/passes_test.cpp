@@ -10,7 +10,6 @@
 
 #include "../common/test_circuits.h"
 #include "blif/blif.h"
-#include "cslow/stream_check.h"
 #include "mcretime/mc_retime.h"
 #include "pipeline/diagnostics.h"
 #include "pipeline/flow_context.h"
@@ -216,83 +215,6 @@ TEST(PassesTest, RetimePassHonorsScriptArguments) {
     args.set("k", "1");  // FlowMap needs k >= 2
     EXPECT_FALSE(pass.configure(args, &error));
   }
-}
-
-TEST(PassesTest, RetimeCslowMultipliesRegistersAndVerifies) {
-  for (const std::uint32_t factor : {2u, 3u}) {
-    const Netlist input = testing::chain_circuit(8, 2);
-    FlowContext context(input);
-    PassManager manager;
-    std::string error;
-    auto pass = std::make_unique<RetimePass>();
-    PassArgs args;
-    args.set("cslow", std::to_string(factor));
-    args.set("cslow-verify", "");
-    ASSERT_TRUE(pass->configure(args, &error)) << error;
-    manager.add(std::move(pass));
-    ASSERT_TRUE(manager.run(context).success);
-    EXPECT_EQ(context.metric("cslow.factor"),
-              static_cast<std::int64_t>(factor));
-    EXPECT_EQ(context.metric("cslow.registers_after"),
-              static_cast<std::int64_t>(factor * input.register_count()));
-    EXPECT_EQ(context.metric("cslow.verified"), 1);
-    // Retiming the replicated chains must recover a shorter period than the
-    // chain-at-the-end layout it starts from.
-    ASSERT_TRUE(context.retime_stats.has_value());
-    EXPECT_LT(context.retime_stats->period_after,
-              context.retime_stats->period_before);
-    // Stream equivalence holds against the *flow input*, independently of
-    // the pass's own self-check.
-    const StreamCheckResult eq =
-        check_stream_equivalence(input, context.netlist(), factor);
-    EXPECT_TRUE(eq.pass) << eq.reason;
-    EXPECT_FALSE(eq.skipped);
-  }
-}
-
-TEST(PassesTest, RetimeWindowedCslowComposes) {
-  const Netlist input = testing::chain_circuit(12, 3);
-  FlowContext context(input);
-  PassManager manager;
-  std::string error;
-  ASSERT_EQ(compile_flow_script(
-                "retime-windowed(window-size=16,window-jobs=2,cslow=2,"
-                "cslow-verify)",
-                PassRegistry::standard(), manager),
-            std::nullopt);
-  ASSERT_TRUE(manager.run(context).success);
-  EXPECT_EQ(context.metric("cslow.factor"), 2);
-  const StreamCheckResult eq =
-      check_stream_equivalence(input, context.netlist(), 2);
-  EXPECT_TRUE(eq.pass) << eq.reason;
-}
-
-TEST(PassesTest, RetimeCslowRecoversPerStreamPeriod) {
-  // The headline C-slow property: after retiming, the C-slowed circuit's
-  // period approaches T/C — here the 8-deep unit-delay chain retimes from
-  // period 8 to at most ceil(8/2)+slack with one extra register layer.
-  const Netlist input = testing::chain_circuit(8, 1, /*gate_delay=*/1);
-  FlowContext mono_ctx(input);
-  {
-    RetimePass pass;
-    PassArgs args;
-    std::string error;
-    ASSERT_TRUE(pass.configure(args, &error)) << error;
-    ASSERT_TRUE(pass.run(mono_ctx).success);
-  }
-  FlowContext cs_ctx(input);
-  {
-    RetimePass pass;
-    PassArgs args;
-    std::string error;
-    args.set("cslow", "2");
-    ASSERT_TRUE(pass.configure(args, &error)) << error;
-    ASSERT_TRUE(pass.run(cs_ctx).success);
-  }
-  ASSERT_TRUE(mono_ctx.retime_stats.has_value());
-  ASSERT_TRUE(cs_ctx.retime_stats.has_value());
-  EXPECT_LT(cs_ctx.retime_stats->period_after,
-            mono_ctx.retime_stats->period_after);
 }
 
 Netlist combinational_cycle_circuit() {

@@ -93,9 +93,6 @@ not read is an error.
   retime: -d <lut_delay=10>  --minperiod  --no-sharing  --target <period>
           --windows <n> | --window-size <n=1024> [--window-jobs <n>]
           (any --window* flag selects retime-windowed, the windowed flow)
-          --cslow <C> (replicate registers into chains of C: C interleaved
-          streams at ~T/C each; --verify then becomes the cslow-verify key,
-          the stream-equivalence check)
   timing: -d <lut_delay=10>
   check:  --formal  --bmc <depth>  --bmc-x-ok (treat a defined output
           refining an X as benign)
@@ -116,15 +113,14 @@ not read is an error.
           (--gates adds one ~G-LUT scaled design)
   fuzz:   mcrt fuzz [--budget-s S] [--cases N] [--seed S] [--oracle O]
           [--out-dir D] [--report F] [--canonical]: differential fuzzing of
-          O = serial-vs-bulk|mono-vs-windowed|engine-vs-reference|
-          cslow-vs-replicated (default all); failures become reproducers
-          in --out-dir.
+          O = serial-vs-bulk|mono-vs-windowed|engine-vs-reference
+          (default all); failures become reproducers in --out-dir.
           mcrt fuzz --repro <file> [--update] replays (and re-minimizes) one;
           with an explicit --seed it first regenerates that case into <file>
           --plant-bug <spec> sabotages an engine (fuzzer self-tests only)
-  bench:  mcrt bench [--quick] [--out-dir D] [--seed S] [--baseline <dir>
-          --max-regress <frac=0.20>]: paper tables/figures, windowed and
-          C-slow benchmarks, writes BENCH_{paper,window,cslow}.json
+  bench:  mcrt bench [--quick] [--out-dir D] [--seed S] [--baseline <dir>]:
+          paper tables/figures and the windowed benchmark, writes
+          BENCH_{paper,window}.json
   mcrt --version prints version, build type and sanitizers
 )usage";
 
@@ -418,7 +414,6 @@ struct BenchFlags {
   bool quick = false;          ///< trimmed suite + fewer reps (CI smoke)
   std::string out_dir = ".";   ///< where BENCH_*.json land
   std::string baseline_dir;    ///< committed BENCH_*.json to gate against
-  double max_regress = 0.20;   ///< allowed fractional speedup loss
 };
 
 /// The --baseline gate of `bench`: reads the committed `file_name` from the
@@ -449,7 +444,7 @@ bool gate_against_baseline(const Json& current, const BenchFlags& flags,
     return false;
   }
   const std::vector<std::string> regressions =
-      bench_regressions(current, baseline, flags.max_regress);
+      bench_regressions(current, baseline);
   for (const std::string& regression : regressions) {
     diag.error("bench", std::string(file_name) + ": " + regression);
   }
@@ -484,8 +479,7 @@ int cmd_bench(const BenchFlags& flags, std::uint64_t seed,
   };
   const Suite suites[] = {
       {"paper", kBenchPaperSchema, "BENCH_paper.json", run_paper_bench},
-      {"window", kBenchWindowSchema, "BENCH_window.json", run_window_bench},
-      {"cslow", kBenchCslowSchema, "BENCH_cslow.json", run_cslow_bench}};
+      {"window", kBenchWindowSchema, "BENCH_window.json", run_window_bench}};
   std::vector<Json> reports;
   for (const Suite& suite : suites) {
     std::printf("bench: running %s suite (%s)...\n", suite.label,
@@ -625,7 +619,7 @@ int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
     if (!only.has_value()) {
       diag.error("fuzz", str_format(
           "unknown oracle '%s' (serial-vs-bulk, mono-vs-windowed, "
-          "engine-vs-reference, cslow-vs-replicated)",
+          "engine-vs-reference)",
           fuzz.oracle.c_str()));
       return 2;
     }
@@ -791,7 +785,6 @@ constexpr OptionRow kOptions[] = {
     {"--windows", true, cmds("retime"), "windows"},
     {"--window-size", true, cmds("retime"), "window-size"},
     {"--window-jobs", true, cmds("retime"), "window-jobs"},
-    {"--cslow", true, cmds("retime"), "cslow"},
     // Flow jobs.
     {"--profile", false, kFlows, field<&FlowFlags::profile>},
     {"--verify", false, kRunners, field<&FlowFlags::verify>},
@@ -823,7 +816,6 @@ constexpr OptionRow kOptions[] = {
     {"--quick", false, cmds("bench"), field<&BenchFlags::quick>},
     {"--out-dir", true, cmds("bench"), field<&BenchFlags::out_dir>},
     {"--baseline", true, cmds("bench"), field<&BenchFlags::baseline_dir>},
-    {"--max-regress", true, cmds("bench"), field<&BenchFlags::max_regress>},
     // Circuit inspection.
     {"--formal", false, cmds("check"), field<&Options::formal>},
     {"--bmc", true, cmds("check"), field<&Options::bmc_depth>},
@@ -900,21 +892,15 @@ bool parse_options(int argc, char** argv, const std::string& command,
 /// The flow script a shorthand subcommand runs: `<pass>(key=value,...)`
 /// with its pass keys as typed, so the pass's configure() is their only
 /// validator and `mcrt retime ...` is the job `mcrt flow "retime(...)"` is.
-std::string shorthand_script(const std::string& command, Options& options) {
-  std::map<std::string, std::string>& keys = options.pass_keys;
+std::string shorthand_script(const std::string& command,
+                             const Options& options) {
+  const std::map<std::string, std::string>& keys = options.pass_keys;
   // Any --window* flag selects the windowed pass.
   const auto window = keys.lower_bound("window");
   std::string script =
       window != keys.end() && starts_with(window->first, "window")
           ? "retime-windowed"
           : command;
-  // A C-slowed netlist interleaves C streams, so the flow-level
-  // input-vs-output spot check cannot apply; --verify selects the pass's
-  // stream-equivalence + ternary-BMC self-check instead.
-  if (keys.contains("cslow") && options.verify) {
-    keys.emplace("cslow-verify", "");
-    options.verify = false;
-  }
   char separator = '(';
   for (const auto& [key, value] : keys) {
     script += separator + key + (value.empty() ? "" : "=" + value);

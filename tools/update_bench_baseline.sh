@@ -1,6 +1,6 @@
 #!/bin/sh
 # Regenerates the committed bench documents:
-#   BENCH_paper.json / BENCH_window.json / BENCH_cslow.json
+#   BENCH_paper.json / BENCH_window.json
 #                                        full-suite perf trajectory (repo root;
 #                                        the paper suite is the same in both
 #                                        modes; the window report's headline
@@ -11,8 +11,8 @@
 #                                        bench-smoke gate
 #
 # Run from the repo root on a quiet machine. The CI gates compare delays,
-# FF/LUT counts, periods, work counters and speedup *ratios*, never
-# wall-clock, so the baseline does not need to come from CI hardware — but
+# FF/LUT counts, periods and work counters, never wall-clock, so the
+# baseline does not need to come from CI hardware — but
 # it must come from the default (RelWithDebInfo) build, matching what
 # bench-smoke configures.
 #
@@ -33,9 +33,9 @@ mkdir -p "$repo_root/bench/baseline"
 "$build_dir/tools/mcrt" bench --quick --out-dir "$repo_root/bench/baseline"
 
 echo "Updated:"
-for doc in BENCH_paper.json BENCH_window.json BENCH_cslow.json; do
+for doc in BENCH_paper.json BENCH_window.json; do
   echo "  $repo_root/$doc"
   echo "  $repo_root/bench/baseline/$doc"
 done
 echo "Review the delays, counts, periods, counters and speedup columns, then"
-echo "commit all six files."
+echo "commit all four files."
