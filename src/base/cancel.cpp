@@ -1,11 +1,5 @@
 #include "base/cancel.h"
 
-#include <cstdio>
-
-#if defined(__linux__)
-#include <unistd.h>
-#endif
-
 namespace mcrt {
 
 void CancelToken::set_timeout(double seconds) noexcept {
@@ -36,24 +30,6 @@ StopReason CancelToken::stop_requested() const noexcept {
 void CancelToken::check() const {
   const StopReason reason = stop_requested();
   if (reason != StopReason::kNone) throw CancelledError(reason);
-}
-
-std::size_t current_rss_bytes() noexcept {
-#if defined(__linux__)
-  // /proc/self/statm: size resident shared text lib data dt (pages).
-  std::FILE* statm = std::fopen("/proc/self/statm", "r");
-  if (statm == nullptr) return 0;
-  unsigned long size = 0;
-  unsigned long resident = 0;
-  const int got = std::fscanf(statm, "%lu %lu", &size, &resident);
-  std::fclose(statm);
-  if (got != 2) return 0;
-  const long page = sysconf(_SC_PAGESIZE);
-  return static_cast<std::size_t>(resident) *
-         static_cast<std::size_t>(page > 0 ? page : 4096);
-#else
-  return 0;
-#endif
 }
 
 }  // namespace mcrt

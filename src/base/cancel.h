@@ -12,10 +12,10 @@
 // is set, one steady_clock read when a deadline is armed — so engines can
 // poll every outer iteration without measurable cost.
 //
-// ResourceBudgets carries the per-job caps (BDD nodes, BMC depth, peak-RSS
-// estimate) that the pipeline threads into verification engines; a tripped
-// budget raises ResourceLimitError (or a structured verdict) rather than
-// exhausting memory.
+// ResourceBudgets carries the per-job caps (BDD nodes, BMC depth) that the
+// pipeline threads into verification engines; a tripped budget raises
+// ResourceLimitError (or a structured verdict) rather than exhausting
+// memory.
 #pragma once
 
 #include <atomic>
@@ -119,14 +119,8 @@ inline void poll_cancel(const CancelToken* token) {
 
 /// Per-job resource budgets; 0 always means "unlimited".
 struct ResourceBudgets {
-  std::size_t bdd_node_cap = 0;   ///< max live BDD nodes per manager
-  std::size_t bmc_step_cap = 0;   ///< max ternary-BMC unroll depth
-  std::size_t max_rss_bytes = 0;  ///< peak-RSS estimate for the process
+  std::size_t bdd_node_cap = 0;  ///< max live BDD nodes per manager
+  std::size_t bmc_step_cap = 0;  ///< max ternary-BMC unroll depth
 };
-
-/// Current resident-set size of the process in bytes (Linux /proc; 0 when
-/// unknown). A process-wide estimate: concurrent jobs share it, which is
-/// the honest granularity an in-process budget can offer.
-[[nodiscard]] std::size_t current_rss_bytes() noexcept;
 
 }  // namespace mcrt

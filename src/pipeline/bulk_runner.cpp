@@ -1,8 +1,6 @@
 #include "pipeline/bulk_runner.h"
 
-#include <chrono>
 #include <filesystem>
-#include <thread>
 #include <utility>
 
 #include "base/strings.h"
@@ -37,7 +35,6 @@ void BulkRunner::run_one(const BulkJob& job, BulkJobResult& out) const {
   exec.timeout_seconds = options_.timeout_seconds;
   exec.cancel = options_.cancel;
   exec.budgets = options_.budgets;
-  exec.faults = options_.faults;
   execute_flow_job(job, pipeline_, exec, out);
 }
 
@@ -90,23 +87,9 @@ BulkReport BulkRunner::run(const std::vector<BulkJob>& jobs) const {
       // Distinct result slots: no synchronization beyond the group's join.
       group.run([this, &jobs, &report, &manifest, i] {
         BulkJobResult& slot = report.results[i];
-        for (std::size_t attempt = 0;; ++attempt) {
-          slot = BulkJobResult{};
-          run_one(jobs[i], slot);
-          // Only the transient class retries, and never once the batch has
-          // been asked to stop.
-          if (slot.status == JobStatus::kIoError &&
-              attempt < options_.max_retries &&
-              cancel_requested(options_.cancel) == StopReason::kNone) {
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                options_.retry_backoff_seconds *
-                static_cast<double>(attempt + 1)));
-            continue;
-          }
-          break;
-        }
-        // Journal final outcomes only: a cancelled (or still-transient)
-        // job must re-run on resume.
+        run_one(jobs[i], slot);
+        // Journal final outcomes only: a cancelled job, or one whose output
+        // write failed, must re-run on resume.
         if (slot.status == JobStatus::kOk ||
             slot.status == JobStatus::kFailed ||
             slot.status == JobStatus::kTimeout) {

@@ -33,7 +33,6 @@
 #include <vector>
 
 #include "base/cancel.h"
-#include "base/fault_injector.h"
 #include "base/thread_pool.h"
 #include "base/timer.h"
 #include "pipeline/diagnostics.h"
@@ -70,11 +69,6 @@ struct BulkOptions {
   /// Skip jobs already recorded in the manifest (same script only); their
   /// recorded results are merged into the report unchanged.
   bool resume = false;
-  /// Retries for transient (kIoError) failures, with linear backoff.
-  std::size_t max_retries = 0;
-  double retry_backoff_seconds = 0.05;
-  /// Fault injection hooks (null = the MCRT_FAULT*-configured injector).
-  FaultInjector* faults = nullptr;
   /// Per-job resource budgets, threaded into each job's FlowContext.
   ResourceBudgets budgets;
 };

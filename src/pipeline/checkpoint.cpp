@@ -33,9 +33,17 @@ bool ManifestWriter::open(const std::string& path, const std::string& script,
                           bool append) {
   close();
   const std::lock_guard<std::mutex> lock(mutex_);
-  file_ = std::fopen(path.c_str(), append ? "ab" : "wb");
+  file_ = std::fopen(path.c_str(), append ? "a+b" : "wb");
   if (file_ == nullptr) return false;
-  if (!append) {
+  if (append) {
+    // A batch killed mid-write leaves a trailing fragment without its
+    // newline; end it first, or the next record would be glued onto it
+    // and lost with it.
+    const bool fragment =
+        std::fseek(file_, -1, SEEK_END) == 0 && std::fgetc(file_) != '\n';
+    std::fseek(file_, 0, SEEK_END);  // a read must not run into a write
+    if (fragment) std::fputc('\n', file_);
+  } else {
     Json header = Json::object();
     header.set("schema", kManifestSchema);
     header.set("script", script);

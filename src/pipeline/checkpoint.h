@@ -17,8 +17,9 @@
 // uninterrupted run.
 //
 // Only *final* outcomes are recorded: kOk, kFailed and kTimeout. Jobs
-// cancelled by a batch-wide stop (ctrl-C) are deliberately not recorded —
-// they never ran to a deterministic conclusion and must re-run on resume.
+// cancelled by a batch-wide stop (ctrl-C) and jobs whose output write
+// failed (kIoError) are deliberately not recorded — they must re-run on
+// resume.
 //
 // Format: the first line is the header {"schema":"mcrt-bulk-manifest/2",
 // "script":"<script>"}; every further line is one job record in the shared
@@ -45,8 +46,9 @@ class ManifestWriter {
   ManifestWriter(const ManifestWriter&) = delete;
   ManifestWriter& operator=(const ManifestWriter&) = delete;
 
-  /// Opens `path`. With `append` the file is extended (resume); otherwise
-  /// it is truncated and a fresh header naming `script` is written.
+  /// Opens `path`. With `append` the file is extended (resume), after
+  /// ending a truncated trailing line; otherwise it is truncated and a
+  /// fresh header naming `script` is written.
   bool open(const std::string& path, const std::string& script, bool append);
   [[nodiscard]] bool is_open() const noexcept { return file_ != nullptr; }
 
@@ -61,8 +63,8 @@ class ManifestWriter {
 
 struct ManifestData {
   std::string script;
-  /// Completed jobs by name, last record winning (a retried-after-resume
-  /// job appends a fresh record).
+  /// Completed jobs by name, last record winning (a job re-run on resume
+  /// appends a fresh record).
   std::map<std::string, BulkJobResult> completed;
 };
 

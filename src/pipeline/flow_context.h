@@ -15,7 +15,6 @@
 #include <utility>
 
 #include "base/cancel.h"
-#include "base/fault_injector.h"
 #include "mcretime/mc_retime.h"
 #include "netlist/netlist.h"
 #include "pipeline/diagnostics.h"
@@ -83,11 +82,6 @@ class FlowContext {
     return active_pass_;
   }
 
-  // --- resilience ----------------------------------------------------------
-  [[nodiscard]] FaultInjector& fault_injector() noexcept {
-    return faults != nullptr ? *faults : FaultInjector::global();
-  }
-
   /// Statistics of the most recent retime pass, if one ran in this flow.
   std::optional<McRetimeStats> retime_stats;
 
@@ -97,13 +91,8 @@ class FlowContext {
   const CancelToken* cancel = nullptr;
 
   /// Per-flow resource budgets (each field 0 = unlimited). Verification
-  /// passes degrade gracefully on a budget trip; the PassManager fails the
-  /// flow when the RSS estimate is exceeded.
+  /// passes degrade gracefully on a budget trip.
   ResourceBudgets budgets;
-
-  /// Fault injection hooks for resilience tests (null = the process-wide
-  /// MCRT_FAULT*-configured injector).
-  FaultInjector* faults = nullptr;
 
   /// Snapshot of the flow-input netlist; populated by the PassManager
   /// before the first pass when some pass needs_reference() (e.g. verify).

@@ -196,16 +196,10 @@ namespace {
 /// Writes a result's BLIF `text` to `path` via "<path>.tmp" + rename,
 /// creating missing parent directories, so `path` only ever holds a
 /// complete output. Returns false with *error set, and no temp file left,
-/// on any failure. The "write:<filename>" fault site simulates a failing
-/// filesystem for the retry tests.
+/// on any failure.
 bool store_output_atomically(std::string_view text, const std::string& path,
-                             FaultInjector& faults, const CancelToken* cancel,
                              std::string* error) {
   const fs::path target(path);
-  if (faults.inject("write:" + target.filename().string(), cancel)) {
-    *error = "injected write fault";
-    return false;
-  }
   std::error_code ec;
   if (target.has_parent_path()) {
     fs::create_directories(target.parent_path(), ec);  // best-effort
@@ -242,8 +236,6 @@ void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
   out.input_path = job.input_path;
   out.output_path = job.output_path;
   out.status = JobStatus::kFailed;
-  FaultInjector& faults =
-      options.faults != nullptr ? *options.faults : FaultInjector::global();
   // Per-job token: chains the caller-wide cancel and arms this job's own
   // deadline, so one poll observes ctrl-C and the timeout alike.
   CancelToken job_cancel(options.cancel);
@@ -253,12 +245,7 @@ void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
   // Everything below runs on a worker thread; any escaping exception is
   // this job's failure, never the batch's.
   try {
-    if (faults.inject("job:" + job.name, &job_cancel)) {
-      // Injected environment fault: transient, eligible for retry.
-      out.status = JobStatus::kIoError;
-      out.error = "injected fault at job:" + job.name;
-      diag.error(job.name, out.error);
-    } else if (std::optional<Netlist> input = job.load(diag); !input) {
+    if (std::optional<Netlist> input = job.load(diag); !input) {
       out.error = "cannot load input";
     } else {
       PassManager manager(options.manager);
@@ -269,7 +256,6 @@ void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
         FlowContext context(std::move(*input), &diag);
         context.cancel = &job_cancel;
         context.budgets = options.budgets;
-        context.faults = options.faults;
         out.before = context.netlist().stats();
         out.period_before = compute_period(context.netlist());
         FlowResult flow = manager.run(context);
@@ -294,8 +280,7 @@ void execute_flow_job(const BulkJob& job, const PipelineBuilder& pipeline,
           std::string write_error;
           if (!job.output_path.empty() &&
               !store_output_atomically(write_blif_string(context.netlist()),
-                                       job.output_path, faults, &job_cancel,
-                                       &write_error)) {
+                                       job.output_path, &write_error)) {
             diag.error(job.output_path, write_error);
             out.error = "cannot write output";
             out.status = JobStatus::kIoError;

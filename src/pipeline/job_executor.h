@@ -4,9 +4,9 @@
 // the pass pipeline, run it, collect diagnostics/profile/stats, optionally
 // write the result atomically" with full failure isolation: every outcome —
 // a bad input, a failing or throwing pass, a deadline, a cancelled batch,
-// an injected fault, an unwritable output — lands as a structured
-// BulkJobResult, never as an escaping exception. The parallel bulk engine
-// (pipeline/bulk_runner.h) executes jobs through this entry point.
+// an unwritable output — lands as a structured BulkJobResult, never as an
+// escaping exception. The parallel bulk engine (pipeline/bulk_runner.h)
+// executes jobs through this entry point.
 //
 // A job gets its own CancelToken chained onto the caller's (so one poll
 // observes both the caller's stop request and the per-job deadline), its
@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "base/cancel.h"
-#include "base/fault_injector.h"
 #include "base/json.h"
 #include "base/timer.h"
 #include "mcretime/mc_retime.h"
@@ -58,15 +57,14 @@ BulkJob make_file_job(std::string input_path, std::string output_path);
 /// (JobExecutionOptions::keep_netlist / BulkOptions::keep_netlists).
 BulkJob make_netlist_job(std::string name, Netlist netlist);
 
-/// How one job ended. kIoError (a failed output write or an injected
-/// environment fault) is the transient class retry loops re-attempt;
-/// everything else is final.
+/// How one job ended. kCancelled and kIoError are not recorded in
+/// checkpoint manifests, so a resumed batch re-runs those jobs.
 enum class JobStatus : std::uint8_t {
   kOk,
   kFailed,     ///< deterministic failure (bad input, failing pass, ...)
   kTimeout,    ///< per-job deadline passed
-  kCancelled,  ///< caller-wide cancel (not recorded in manifests: re-run)
-  kIoError,    ///< transient I/O failure, retried up to max_retries
+  kCancelled,  ///< caller-wide cancel
+  kIoError,    ///< the flow succeeded but its output could not be written
 };
 [[nodiscard]] const char* job_status_name(JobStatus status) noexcept;
 [[nodiscard]] std::optional<JobStatus> job_status_from_name(
@@ -128,8 +126,6 @@ struct JobExecutionOptions {
   const CancelToken* cancel = nullptr;
   /// Per-job resource budgets, threaded into the job's FlowContext.
   ResourceBudgets budgets;
-  /// Fault injection hooks (null = the MCRT_FAULT*-configured injector).
-  FaultInjector* faults = nullptr;
 };
 
 /// Runs one job start to finish into `out`. Never throws; safe to call

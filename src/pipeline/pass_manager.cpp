@@ -124,12 +124,7 @@ FlowResult PassManager::run(FlowContext& context) const {
     PassResult pass_result;
     std::optional<StopReason> stopped;
     try {
-      if (context.fault_injector().inject("pass:" + exec.name,
-                                          context.cancel)) {
-        pass_result = PassResult::fail("injected fault at pass:" + exec.name);
-      } else {
-        pass_result = pass->run(context);
-      }
+      pass_result = pass->run(context);
     } catch (const CancelledError& e) {
       stopped = e.reason();
     } catch (const std::exception& e) {
@@ -195,22 +190,6 @@ FlowResult PassManager::run(FlowContext& context) const {
         result.status = FlowStatus::kFailed;
         result.error = exec.name + ": equivalence spot check failed (" +
                        eq.counterexample + ")";
-        result.executed.push_back(std::move(exec));
-        break;
-      }
-    }
-    if (context.budgets.max_rss_bytes != 0) {
-      const std::size_t rss = current_rss_bytes();
-      if (rss > context.budgets.max_rss_bytes) {
-        context.error(str_format(
-            "resource budget exceeded after %s: rss %zu bytes (cap %zu)",
-            exec.name.c_str(), rss, context.budgets.max_rss_bytes));
-        exec.success = false;
-        result.success = false;
-        result.status = FlowStatus::kFailed;
-        result.error = str_format("%s: rss budget exceeded (%zu > %zu bytes)",
-                                  exec.name.c_str(), rss,
-                                  context.budgets.max_rss_bytes);
         result.executed.push_back(std::move(exec));
         break;
       }

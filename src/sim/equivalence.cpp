@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "base/strings.h"
 #include "sim/simulator.h"
@@ -9,6 +10,52 @@
 
 namespace mcrt {
 namespace {
+
+/// Primary inputs and outputs of `a` paired by name with those of `b`.
+struct IoPairing {
+  std::vector<std::pair<NetId, NetId>> inputs;  ///< (a's net, b's net)
+  std::vector<std::string> input_names;
+  std::vector<std::pair<std::size_t, std::size_t>> outputs;  ///< PO indices
+  std::vector<std::string> output_names;
+  /// The first of a's inputs, then outputs, that `b` lacks, as
+  /// "input|output <name> missing in <b_label>"; empty when all pair.
+  std::string error;
+};
+
+IoPairing pair_io_by_name(const Netlist& a, const Netlist& b,
+                          std::string_view b_label) {
+  IoPairing pairing;
+  std::map<std::string, NetId> b_inputs;
+  for (const NodeId in : b.inputs()) {
+    b_inputs[b.node(in).name] = b.node(in).output;
+  }
+  for (const NodeId in : a.inputs()) {
+    const auto it = b_inputs.find(a.node(in).name);
+    if (it == b_inputs.end()) {
+      pairing.error = "input " + a.node(in).name + " missing in ";
+      pairing.error += b_label;
+      return pairing;
+    }
+    pairing.inputs.push_back({a.node(in).output, it->second});
+    pairing.input_names.push_back(a.node(in).name);
+  }
+  std::map<std::string, std::size_t> b_outputs;
+  for (std::size_t i = 0; i < b.outputs().size(); ++i) {
+    b_outputs[b.node(b.outputs()[i]).name] = i;
+  }
+  for (std::size_t i = 0; i < a.outputs().size(); ++i) {
+    const std::string& name = a.node(a.outputs()[i]).name;
+    const auto it = b_outputs.find(name);
+    if (it == b_outputs.end()) {
+      pairing.error = "output " + name + " missing in ";
+      pairing.error += b_label;
+      return pairing;
+    }
+    pairing.outputs.push_back({i, it->second});
+    pairing.output_names.push_back(name);
+  }
+  return pairing;
+}
 
 /// Registers matched by name between the two circuits (for
 /// init_registers_by_name), in original-register order — the order the
@@ -187,41 +234,6 @@ EquivalenceResult check_word(const Netlist& original,
 }
 
 }  // namespace
-
-IoPairing pair_io_by_name(const Netlist& a, const Netlist& b,
-                          std::string_view b_label) {
-  IoPairing pairing;
-  std::map<std::string, NetId> b_inputs;
-  for (const NodeId in : b.inputs()) {
-    b_inputs[b.node(in).name] = b.node(in).output;
-  }
-  for (const NodeId in : a.inputs()) {
-    const auto it = b_inputs.find(a.node(in).name);
-    if (it == b_inputs.end()) {
-      pairing.error = "input " + a.node(in).name + " missing in ";
-      pairing.error += b_label;
-      return pairing;
-    }
-    pairing.inputs.push_back({a.node(in).output, it->second});
-    pairing.input_names.push_back(a.node(in).name);
-  }
-  std::map<std::string, std::size_t> b_outputs;
-  for (std::size_t i = 0; i < b.outputs().size(); ++i) {
-    b_outputs[b.node(b.outputs()[i]).name] = i;
-  }
-  for (std::size_t i = 0; i < a.outputs().size(); ++i) {
-    const std::string& name = a.node(a.outputs()[i]).name;
-    const auto it = b_outputs.find(name);
-    if (it == b_outputs.end()) {
-      pairing.error = "output " + name + " missing in ";
-      pairing.error += b_label;
-      return pairing;
-    }
-    pairing.outputs.push_back({i, it->second});
-    pairing.output_names.push_back(name);
-  }
-  return pairing;
-}
 
 bool looks_like_reset(std::string_view name) {
   return name.find("rst") != std::string_view::npos ||

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -61,19 +60,6 @@ struct EquivalenceResult {
   std::string counterexample;  ///< human-readable mismatch description
   std::size_t compared_defined_outputs = 0;
 };
-
-/// Primary inputs and outputs of `a` paired by name with those of `b`.
-struct IoPairing {
-  std::vector<std::pair<NetId, NetId>> inputs;  ///< (a's net, b's net)
-  std::vector<std::string> input_names;
-  std::vector<std::pair<std::size_t, std::size_t>> outputs;  ///< PO indices
-  std::vector<std::string> output_names;
-  /// The first of a's inputs, then outputs, that `b` lacks, as
-  /// "input|output <name> missing in <b_label>"; empty when all pair.
-  std::string error;
-};
-IoPairing pair_io_by_name(const Netlist& a, const Netlist& b,
-                          std::string_view b_label);
 
 /// The reset-name heuristic: names containing "rst", "reset" or "__por".
 bool looks_like_reset(std::string_view name);

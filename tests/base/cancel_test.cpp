@@ -1,6 +1,5 @@
 // CancelToken semantics (explicit cancel, deadlines, parent chaining),
-// the null-tolerant polling helpers, resource budgets and the
-// deterministic FaultInjector.
+// the null-tolerant polling helpers and resource budgets.
 #include "base/cancel.h"
 
 #include <gtest/gtest.h>
@@ -8,8 +7,6 @@
 #include <chrono>
 #include <string>
 #include <thread>
-
-#include "base/fault_injector.h"
 
 namespace mcrt {
 namespace {
@@ -111,81 +108,6 @@ TEST(ResourceBudgetsTest, DefaultsAreUnlimited) {
   const ResourceBudgets budgets;
   EXPECT_EQ(budgets.bdd_node_cap, 0u);
   EXPECT_EQ(budgets.bmc_step_cap, 0u);
-  EXPECT_EQ(budgets.max_rss_bytes, 0u);
-}
-
-TEST(ResourceBudgetsTest, CurrentRssIsPlausible) {
-  const std::size_t rss = current_rss_bytes();
-  // On Linux /proc is available; a running test binary surely holds at
-  // least a megabyte and less than a terabyte.
-  EXPECT_GT(rss, std::size_t{1} << 20);
-  EXPECT_LT(rss, std::size_t{1} << 40);
-}
-
-// --- FaultInjector ---------------------------------------------------------
-
-TEST(FaultInjectorTest, EmptyInjectorDoesNothing) {
-  FaultInjector faults;
-  EXPECT_TRUE(faults.empty());
-  EXPECT_EQ(faults.fire("pass:retime"), FaultInjector::Action::kNone);
-  EXPECT_FALSE(faults.inject("pass:retime", nullptr));
-}
-
-TEST(FaultInjectorTest, ParsesActionsAndRejectsGarbage) {
-  FaultInjector faults;
-  std::string error;
-  EXPECT_TRUE(faults.configure("pass:a=throw; job:b=fail, write:c=stall",
-                               &error))
-      << error;
-  EXPECT_FALSE(faults.empty());
-  EXPECT_EQ(faults.fire("pass:a"), FaultInjector::Action::kThrow);
-  EXPECT_EQ(faults.fire("job:b"), FaultInjector::Action::kFail);
-  EXPECT_EQ(faults.fire("write:c"), FaultInjector::Action::kStall);
-  EXPECT_EQ(faults.fire("unrelated"), FaultInjector::Action::kNone);
-
-  EXPECT_FALSE(faults.configure("pass:a=explode", &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(faults.configure("justasite", &error));
-  EXPECT_FALSE(faults.configure("pass:a=fail@notanumber", &error));
-}
-
-TEST(FaultInjectorTest, HitCountSelectsOneInvocation) {
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("job:x=fail@3", &error)) << error;
-  EXPECT_EQ(faults.fire("job:x"), FaultInjector::Action::kNone);  // hit 1
-  EXPECT_EQ(faults.fire("job:x"), FaultInjector::Action::kNone);  // hit 2
-  EXPECT_EQ(faults.fire("job:x"), FaultInjector::Action::kFail);  // hit 3
-  EXPECT_EQ(faults.fire("job:x"), FaultInjector::Action::kNone);  // hit 4
-}
-
-TEST(FaultInjectorTest, PrefixWildcardMatches) {
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("write:*=fail", &error)) << error;
-  EXPECT_EQ(faults.fire("write:a.blif"), FaultInjector::Action::kFail);
-  EXPECT_EQ(faults.fire("write:b.blif"), FaultInjector::Action::kFail);
-  EXPECT_EQ(faults.fire("pass:a"), FaultInjector::Action::kNone);
-}
-
-TEST(FaultInjectorTest, InjectThrowsAndFails) {
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("a=throw; b=fail", &error)) << error;
-  EXPECT_THROW(faults.inject("a", nullptr), FaultInjectedError);
-  EXPECT_TRUE(faults.inject("b", nullptr));
-  EXPECT_FALSE(faults.inject("c", nullptr));
-}
-
-TEST(FaultInjectorTest, StallEndsWhenCancelled) {
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("slow=stall", &error)) << error;
-  CancelToken cancel;
-  cancel.set_timeout(0.05);
-  // The stall naps until the token stops; inject() then throws the
-  // token's CancelledError out of the "pass".
-  EXPECT_THROW(faults.inject("slow", &cancel), CancelledError);
 }
 
 }  // namespace

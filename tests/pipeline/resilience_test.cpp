@@ -1,23 +1,24 @@
-// Resilient execution, end to end: per-job deadlines against injected
-// stalls (every job accounted exactly once), pass-failure rollback
-// (sim-equivalent netlist + diagnostics), checkpoint/resume with
-// byte-identical canonical reports, transient-failure retries, and
-// fault-injection isolation.
+// Resilient execution, end to end: per-job deadlines against a stalling
+// pass (every job accounted exactly once), pass-failure rollback
+// (sim-equivalent netlist + diagnostics), unwritable outputs, and
+// checkpoint/resume with byte-identical canonical reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <variant>
 #include <vector>
 
 #include "../common/test_circuits.h"
 #include "base/cancel.h"
-#include "base/fault_injector.h"
 #include "base/json.h"
 #include "pipeline/bulk_runner.h"
 #include "pipeline/checkpoint.h"
@@ -47,19 +48,51 @@ std::vector<BulkJob> small_batch() {
   return jobs;
 }
 
+/// `netlist` marked for StallPass: an unused input named "stall".
+Netlist marked_to_stall(Netlist netlist) {
+  netlist.add_input("stall");
+  return netlist;
+}
+
+/// On circuits marked "stall", naps in 1 ms steps while polling the flow's
+/// cancel token, so it ends only when the flow is stopped; on every other
+/// circuit a no-op. A pass stuck on a pathological input.
+class StallPass final : public Pass {
+ public:
+  [[nodiscard]] std::string_view name() const override { return "stall"; }
+  [[nodiscard]] std::string_view description() const override {
+    return "stalls on circuits marked \"stall\"";
+  }
+  PassResult run(FlowContext& context) override {
+    const Netlist& n = context.netlist();
+    const bool stalls = std::any_of(
+        n.inputs().begin(), n.inputs().end(),
+        [&](NodeId input) { return n.node(input).name == "stall"; });
+    if (!stalls) return PassResult::ok("not marked");
+    for (;;) {
+      poll_cancel(context.cancel);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+};
+
 // --- acceptance: stalled job times out, the rest of the batch completes ---
 
 TEST(ResilienceTest, StalledJobTimesOutOthersSucceed) {
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("job:b=stall", &error)) << error;
+  std::vector<BulkJob> jobs = small_batch();
+  jobs[1] = make_netlist_job("b", marked_to_stall(testing::fig1_circuit()));
 
   BulkOptions options;
   options.jobs = 2;
   options.timeout_seconds = 0.2;
-  options.faults = &faults;
-  BulkRunner runner("sweep", options);
-  const BulkReport report = runner.run(small_batch());
+  BulkRunner runner(
+      [](PassManager& manager, std::string*) {
+        manager.add(std::make_unique<StallPass>());
+        manager.add(std::make_unique<SweepPass>());
+        return true;
+      },
+      options);
+  const BulkReport report = runner.run(jobs);
 
   // Every job accounted exactly once, in input order.
   ASSERT_EQ(report.results.size(), 4u);
@@ -78,24 +111,21 @@ TEST(ResilienceTest, StalledJobTimesOutOthersSucceed) {
 }
 
 TEST(ResilienceTest, StalledPassTimesOutInsidePassManager) {
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("pass:strash=stall", &error)) << error;
-
   CancelToken cancel;
   cancel.set_timeout(0.05);
   CollectingDiagnostics diag;
-  FlowContext context(testing::chain_circuit(4, 2), &diag);
+  FlowContext context(marked_to_stall(testing::chain_circuit(4, 2)), &diag);
   context.cancel = &cancel;
-  context.faults = &faults;
 
   PassManager manager;
   manager.add(std::make_unique<SweepPass>());
+  manager.add(std::make_unique<StallPass>());
   manager.add(std::make_unique<StrashPass>());
   const FlowResult result = manager.run(context);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.status, FlowStatus::kTimeout);
-  // sweep ran; strash stalled and was recorded as the stopping pass.
+  // sweep ran; the stall pass was recorded as the stopping pass and strash
+  // never started.
   ASSERT_EQ(result.executed.size(), 2u);
   EXPECT_TRUE(result.executed[0].success);
   EXPECT_FALSE(result.executed[1].success);
@@ -118,9 +148,11 @@ TEST(ResilienceTest, BatchCancelReportsCancelled) {
 
 // --- rollback --------------------------------------------------------------
 
-/// Mutates the netlist (breaking equivalence), then fails.
+/// Mutates the netlist (breaking equivalence), then fails, or with
+/// `throws` set throws instead.
 class VandalPass final : public Pass {
  public:
+  explicit VandalPass(bool throws = false) : throws_(throws) {}
   [[nodiscard]] std::string_view name() const override { return "vandal"; }
   [[nodiscard]] std::string_view description() const override {
     return "scrambles the netlist, then fails";
@@ -129,8 +161,12 @@ class VandalPass final : public Pass {
     Netlist broken;  // maximally wrong: drop the whole circuit
     broken.add_input("junk");
     context.replace_netlist(std::move(broken));
+    if (throws_) throw std::runtime_error("vandal threw");
     return PassResult::fail("vandalism detected");
   }
+
+ private:
+  bool throws_;
 };
 
 TEST(ResilienceTest, FailingPassRollsBackToPrePassSnapshot) {
@@ -177,21 +213,50 @@ TEST(ResilienceTest, RollbackDisabledKeepsMutatedNetlist) {
 }
 
 TEST(ResilienceTest, ThrowingPassAlsoRollsBack) {
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("pass:strash=throw", &error)) << error;
   const Netlist original = testing::chain_circuit(4, 2);
   CollectingDiagnostics diag;
   FlowContext context(original, &diag);
-  context.faults = &faults;
   PassManager manager;
-  manager.add(std::make_unique<StrashPass>());
+  manager.add(std::make_unique<VandalPass>(/*throws=*/true));
   const FlowResult result = manager.run(context);
   EXPECT_FALSE(result.success);
   EXPECT_EQ(result.status, FlowStatus::kFailed);
+  ASSERT_EQ(result.executed.size(), 1u);
+  EXPECT_TRUE(result.executed[0].rolled_back);
+  EXPECT_NE(result.error.find("vandal threw"), std::string::npos);
   const EquivalenceResult eq =
       check_sequential_equivalence(original, context.netlist(), {});
   EXPECT_TRUE(eq.equivalent) << eq.counterexample;
+}
+
+// --- unwritable outputs ---------------------------------------------------
+
+/// A path no output can be written to: its parent, `<dir>/blocker`, is a
+/// regular file.
+std::string unwritable_path(const fs::path& dir, const std::string& file) {
+  std::ofstream(dir / "blocker").put('\n');
+  return (dir / "blocker" / file).string();
+}
+
+TEST(ResilienceTest, InjectedWriteFailureIsIoError) {
+  const fs::path dir = fresh_dir("resilience_write");
+  std::vector<BulkJob> jobs;
+  BulkJob job = make_netlist_job("a", testing::chain_circuit(3, 1));
+  job.output_path = unwritable_path(dir, "a.blif");
+  jobs.push_back(std::move(job));
+  BulkOptions options;
+  options.jobs = 1;
+  const BulkReport report = BulkRunner("sweep", options).run(jobs);
+  EXPECT_EQ(report.results[0].status, JobStatus::kIoError);
+  EXPECT_FALSE(report.results[0].success);
+  EXPECT_EQ(report.results[0].error, "cannot write output");
+  // Neither the output nor its temp file exists; the blocker is untouched.
+  std::vector<std::string> left;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    left.push_back(entry.path().filename().string());
+  }
+  EXPECT_EQ(left, std::vector<std::string>{"blocker"});
+  EXPECT_TRUE(fs::is_regular_file(dir / "blocker"));
 }
 
 // --- checkpoint/resume -----------------------------------------------------
@@ -310,6 +375,40 @@ TEST(ResilienceTest, TruncatedTrailingRecordAndOldManifestAreDropped) {
   EXPECT_FALSE(load_manifest(path).has_value());
 }
 
+TEST(ResilienceTest, ResumeOverTruncatedManifestJournalsEveryJob) {
+  // A kill mid-write leaves a fragment without a newline; the records a
+  // resumed batch appends must not be glued onto it.
+  const fs::path dir = fresh_dir("resilience_resume_truncated");
+  const std::string path = (dir / "manifest.txt").string();
+  {
+    ManifestWriter writer;
+    ASSERT_TRUE(writer.open(path, "sweep", /*append=*/false));
+  }
+  std::ofstream(path, std::ios::app) << "{\"name\":\"r0";
+
+  BulkOptions options;
+  options.jobs = 1;
+  options.manifest_path = path;
+  options.resume = true;
+  const BulkReport report = BulkRunner("sweep", options).run(small_batch());
+  EXPECT_EQ(report.succeeded(), 4u);
+  const auto manifest = load_manifest(path);
+  ASSERT_TRUE(manifest.has_value());
+  EXPECT_EQ(manifest->completed.size(), 4u);
+  for (const BulkJob& job : small_batch()) {
+    EXPECT_EQ(manifest->completed.count(job.name), 1u) << job.name;
+  }
+}
+
+/// small_batch() with each job writing `<dir>/<name>.blif`.
+std::vector<BulkJob> small_batch_into(const fs::path& dir) {
+  std::vector<BulkJob> jobs = small_batch();
+  for (BulkJob& job : jobs) {
+    job.output_path = (dir / (job.name + ".blif")).string();
+  }
+  return jobs;
+}
+
 TEST(ResilienceTest, ResumeSkipsCompletedJobsAndReportIsByteIdentical) {
   const fs::path dir = fresh_dir("resilience_resume");
   const std::string manifest = (dir / "manifest.txt").string();
@@ -318,31 +417,32 @@ TEST(ResilienceTest, ResumeSkipsCompletedJobsAndReportIsByteIdentical) {
   // Reference: one uninterrupted run, no manifest.
   BulkOptions plain;
   plain.jobs = 2;
-  const BulkReport full = BulkRunner(script, plain).run(small_batch());
+  const BulkReport full =
+      BulkRunner(script, plain).run(small_batch_into(dir / "full"));
 
-  // First run: journal to a manifest, with job "c" failing transiently
-  // (injected environment fault) — it must not be recorded as final.
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("job:c=fail", &error)) << error;
+  // First run: journal to a manifest, with job "c"'s output unwritable —
+  // an io-error is not final, so it must not be recorded.
   BulkOptions first = plain;
   first.manifest_path = manifest;
-  first.faults = &faults;
-  const BulkReport partial = BulkRunner(script, first).run(small_batch());
+  std::vector<BulkJob> blocked = small_batch_into(dir / "out");
+  blocked[2].output_path = unwritable_path(dir, "c.blif");
+  const BulkReport partial = BulkRunner(script, first).run(blocked);
   EXPECT_EQ(partial.results[2].status, JobStatus::kIoError);
   EXPECT_EQ(partial.succeeded(), 3u);
 
-  // Resume: only "c" re-runs (now without the fault) and the merged
-  // canonical report matches the uninterrupted run byte for byte.
+  // Resume: only "c" re-runs (now writable) and the merged canonical
+  // report matches the uninterrupted run byte for byte.
   BulkOptions second = plain;
   second.manifest_path = manifest;
   second.resume = true;
-  const BulkReport resumed = BulkRunner(script, second).run(small_batch());
+  const BulkReport resumed =
+      BulkRunner(script, second).run(small_batch_into(dir / "out"));
   ASSERT_EQ(resumed.results.size(), 4u);
   EXPECT_TRUE(resumed.results[0].resumed);
   EXPECT_TRUE(resumed.results[1].resumed);
-  EXPECT_FALSE(resumed.results[2].resumed);  // re-ran after the transient
+  EXPECT_FALSE(resumed.results[2].resumed);  // re-ran after the io-error
   EXPECT_TRUE(resumed.results[3].resumed);
+  EXPECT_TRUE(fs::exists(dir / "out" / "c.blif"));
   EXPECT_EQ(resumed.succeeded(), 4u);
 
   BulkJsonOptions canonical;
@@ -375,56 +475,6 @@ TEST(ResilienceTest, ManifestScriptMismatchIsIgnored) {
     if (d.message.find("manifest") != std::string::npos) warned = true;
   }
   EXPECT_TRUE(warned);
-}
-
-// --- retries ---------------------------------------------------------------
-
-TEST(ResilienceTest, TransientFaultIsRetriedUntilItClears) {
-  // The injected fault fires only on the site's first hit; with one retry
-  // the second attempt succeeds.
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("job:a=fail@1", &error)) << error;
-  BulkOptions options;
-  options.jobs = 1;
-  options.faults = &faults;
-  options.max_retries = 1;
-  options.retry_backoff_seconds = 0.001;
-  const BulkReport report = BulkRunner("sweep", options).run(small_batch());
-  EXPECT_EQ(report.results[0].status, JobStatus::kOk);
-  EXPECT_EQ(report.succeeded(), 4u);
-}
-
-TEST(ResilienceTest, PersistentFaultExhaustsRetries) {
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("job:a=fail", &error)) << error;
-  BulkOptions options;
-  options.jobs = 1;
-  options.faults = &faults;
-  options.max_retries = 2;
-  options.retry_backoff_seconds = 0.001;
-  const BulkReport report = BulkRunner("sweep", options).run(small_batch());
-  EXPECT_EQ(report.results[0].status, JobStatus::kIoError);
-  EXPECT_FALSE(report.results[0].success);
-  EXPECT_EQ(report.succeeded(), 3u);  // the rest of the batch is untouched
-}
-
-TEST(ResilienceTest, InjectedWriteFailureIsIoError) {
-  const fs::path dir = fresh_dir("resilience_write");
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("write:a.blif=fail", &error)) << error;
-  std::vector<BulkJob> jobs;
-  BulkJob job = make_netlist_job("a", testing::chain_circuit(3, 1));
-  job.output_path = (dir / "a.blif").string();
-  jobs.push_back(std::move(job));
-  BulkOptions options;
-  options.jobs = 1;
-  options.faults = &faults;
-  const BulkReport report = BulkRunner("sweep", options).run(jobs);
-  EXPECT_EQ(report.results[0].status, JobStatus::kIoError);
-  EXPECT_FALSE(fs::exists(dir / "a.blif"));
 }
 
 // --- all-jobs-fail: report stays valid, exit contract holds ---------------
@@ -520,13 +570,17 @@ class JsonChecker {
 };
 
 TEST(ResilienceTest, AllJobsFailingStillYieldsValidCanonicalReport) {
-  FaultInjector faults;
-  std::string error;
-  ASSERT_TRUE(faults.configure("pass:sweep=throw", &error)) << error;
   BulkOptions options;
   options.jobs = 2;
-  options.faults = &faults;
-  const BulkReport report = BulkRunner("sweep", options).run(small_batch());
+  const BulkReport report =
+      BulkRunner(
+          [](PassManager& manager, std::string*) {
+            manager.add(std::make_unique<SweepPass>());
+            manager.add(std::make_unique<VandalPass>(/*throws=*/true));
+            return true;
+          },
+          options)
+          .run(small_batch());
   EXPECT_EQ(report.succeeded(), 0u);
   EXPECT_EQ(report.failed(), report.results.size());
   for (const BulkJobResult& r : report.results) {
@@ -540,24 +594,6 @@ TEST(ResilienceTest, AllJobsFailingStillYieldsValidCanonicalReport) {
   EXPECT_TRUE(JsonChecker(json).valid()) << json;
   EXPECT_NE(json.find("mcrt-bulk-report/3"), std::string::npos);
   EXPECT_NE(json.find("\"status\": \"failed\""), std::string::npos);
-}
-
-// --- fault isolation -------------------------------------------------------
-
-TEST(ResilienceTest, FaultsInOneInjectorDoNotLeakIntoOthers) {
-  FaultInjector poisoned;
-  std::string error;
-  ASSERT_TRUE(poisoned.configure("pass:sweep=throw", &error)) << error;
-  FaultInjector clean;
-
-  BulkOptions bad;
-  bad.jobs = 1;
-  bad.faults = &poisoned;
-  BulkOptions good;
-  good.jobs = 1;
-  good.faults = &clean;
-  EXPECT_EQ(BulkRunner("sweep", bad).run(small_batch()).succeeded(), 0u);
-  EXPECT_EQ(BulkRunner("sweep", good).run(small_batch()).succeeded(), 4u);
 }
 
 // --- budgets ---------------------------------------------------------------

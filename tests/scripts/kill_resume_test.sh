@@ -1,9 +1,9 @@
 #!/bin/sh
 # Kill-and-resume smoke test for `mcrt bulk --manifest/--resume`.
 #
-# A batch is SIGKILLed mid-run (one job pinned in an injected infinite
-# stall so the kill always lands with work in flight), then resumed with
-# --resume. The acceptance bar: the resumed run completes every job and
+# A batch is SIGKILLed mid-run (one job pinned in its BLIF read: its input
+# is a named pipe nothing writes, so the kill always lands with work in
+# flight), then resumed with --resume over the real input. The acceptance bar: the resumed run completes every job and
 # its canonical JSON report is byte-identical to an uninterrupted run's.
 #
 # Usage: kill_resume_test.sh <mcrt-binary> <scratch-dir>
@@ -23,10 +23,12 @@ cd "$WORK"
 "$MCRT" bulk "$SCRIPT" --jobs 2 --canonical \
   --out-dir out_ref --report ref.json circuits
 
-# Interrupted run: job r05 stalls forever; SIGKILL once the manifest
-# shows at least three finished jobs.
+# Interrupted run: job r05 blocks forever opening its input, a FIFO with
+# no writer; SIGKILL once the manifest shows at least three finished jobs.
 rm -rf out_kill
-MCRT_FAULT_STALL='job:r05=stall' "$MCRT" bulk "$SCRIPT" --jobs 2 \
+mv circuits/r05.blif r05.real
+mkfifo circuits/r05.blif
+"$MCRT" bulk "$SCRIPT" --jobs 2 \
   --manifest manifest.txt --out-dir out_kill circuits &
 PID=$!
 TRIES=0
@@ -45,13 +47,15 @@ done
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
-# The stalled job must NOT be in the manifest (it never finished).
+# The blocked job must NOT be in the manifest (it never finished).
 if grep '^{"name":"r05",' manifest.txt > /dev/null 2>&1; then
-  echo "error: stalled job r05 was journaled as finished" >&2
+  echo "error: blocked job r05 was journaled as finished" >&2
   exit 1
 fi
 
-# Resume without the fault: only the missing jobs re-run.
+# Resume over the real input: only the missing jobs re-run.
+rm circuits/r05.blif
+mv r05.real circuits/r05.blif
 "$MCRT" bulk "$SCRIPT" --jobs 2 --canonical --resume \
   --manifest manifest.txt --out-dir out_kill \
   --report resumed.json circuits

@@ -12,7 +12,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -23,7 +22,6 @@
 #include <vector>
 
 #include "base/cancel.h"
-#include "base/fault_injector.h"
 #include "base/json.h"
 #include "base/strings.h"
 #include "base/thread_pool.h"
@@ -104,11 +102,8 @@ not read is an error.
           --timeout <s>       per-flow/per-job deadline (also fuzz)
           --budget-bdd <n>    BDD node cap for verification
           --budget-bmc <n>    BMC unroll depth cap
-          --budget-rss-mb <m> peak-RSS budget per flow
-          --faults "<spec>"   inject faults, e.g.
-          "pass:retime=throw; write:*=fail@2" (also MCRT_FAULT_* variables)
   bulk:   mcrt bulk "<script>" [--jobs N] [--out-dir D] [--report F]
-          [--canonical] [--manifest F] [--resume] [--retries N] <in|dir>...
+          [--canonical] [--manifest F [--resume]] <in|dir>...
   corpus: mcrt corpus <out-dir> [--count N] [--seed S] [--gates G]
           (--gates adds one ~G-LUT scaled design)
   fuzz:   mcrt fuzz [--budget-s S] [--cases N] [--seed S] [--oracle O]
@@ -170,28 +165,13 @@ struct FlowFlags {
   bool verify = false;
   bool no_validate = false;
   double timeout_seconds = 0;  ///< per-flow (or per-bulk-job) deadline
-  std::size_t budget_bdd = 0;     ///< BDD node cap (0 = unlimited)
-  std::size_t budget_bmc = 0;     ///< BMC unroll depth cap
-  std::uint32_t budget_rss_mb = 0;  ///< peak-RSS budget per flow
-  std::string fault_spec;  ///< --faults, merged over MCRT_FAULT_* env
+  std::size_t budget_bdd = 0;  ///< BDD node cap (0 = unlimited)
+  std::size_t budget_bmc = 0;  ///< BMC unroll depth cap
 
   [[nodiscard]] ResourceBudgets budgets() const {
-    return {budget_bdd, budget_bmc, std::size_t{budget_rss_mb} << 20};
+    return {budget_bdd, budget_bmc};
   }
 };
-
-/// Builds the --faults injector (on top of the MCRT_FAULT_* environment
-/// configuration). Returns false on a malformed spec.
-bool make_fault_injector(const FlowFlags& flags, FaultInjector& injector,
-                         DiagnosticsSink& diag) {
-  std::string error;
-  if (flags.fault_spec.empty() ||
-      injector.configure(flags.fault_spec, &error)) {
-    return true;
-  }
-  diag.error("--faults", error);
-  return false;
-}
 
 /// Pass-manager options of the flow and bulk commands: --no-validate,
 /// --verify and one equivalence spot-check effort for both.
@@ -210,15 +190,12 @@ PassManagerOptions manager_options(const FlowFlags& flags) {
 int run_flow(const std::string& script, const std::string& in_path,
              const std::string& out_path, const FlowFlags& flags,
              StreamDiagnostics& diag) {
-  FaultInjector faults;
-  if (!make_fault_injector(flags, faults, diag)) return 2;
   JobExecutionOptions options;
   options.manager = manager_options(flags);
   options.manager.verbose = true;
   options.timeout_seconds = flags.timeout_seconds;
   options.cancel = &g_interrupt;
   options.budgets = flags.budgets();
-  if (!flags.fault_spec.empty()) options.faults = &faults;
 
   const PipelineBuilder compile = script_pipeline(script);
   bool script_error = false;
@@ -253,7 +230,6 @@ struct BulkFlags {
   bool canonical = false;
   std::string manifest_path;
   bool resume = false;
-  std::size_t retries = 0;
 };
 
 /// Expands each input (a .blif file or a directory scanned for *.blif,
@@ -326,11 +302,13 @@ bool write_report(const std::string& path, const std::string& text,
 int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
              const BulkFlags& bulk, const FlowFlags& flags,
              StreamDiagnostics& diag) {
+  if (bulk.resume && bulk.manifest_path.empty()) {
+    diag.error("bulk", "--resume needs --manifest: there is no checkpoint "
+                       "to resume from");
+    return 2;
+  }
   const auto jobs = collect_bulk_jobs(inputs, bulk.out_dir, diag);
   if (!jobs) return 2;
-
-  FaultInjector faults;
-  if (!make_fault_injector(flags, faults, diag)) return 2;
 
   BulkOptions options;
   options.jobs = bulk.jobs;
@@ -339,9 +317,7 @@ int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
   options.cancel = &g_interrupt;
   options.manifest_path = bulk.manifest_path;
   options.resume = bulk.resume;
-  options.max_retries = bulk.retries;
   options.budgets = flags.budgets();
-  if (!flags.fault_spec.empty()) options.faults = &faults;
   BulkRunner runner(script, options);
   if (const auto error = runner.check()) {
     diag.error("bulk", *error);
@@ -680,8 +656,7 @@ struct Options : FlowFlags, BulkFlags, BenchFlags, FuzzFlags {
 };
 
 /// Parses a flag value strictly: the whole token must be the value, and a
-/// number must be non-negative and fit `T` (megabyte counts are 32-bit, so
-/// their byte counts cannot overflow). Returns what it expected when
+/// number must be non-negative and fit `T`. Returns what it expected when
 /// the token is not one, else an empty string.
 template <typename T>
 std::string parse_value(const std::string& text, T* out) {
@@ -700,9 +675,7 @@ std::string parse_value(const std::string& text, T* out) {
     if (ec != std::errc() || stop != end || !(value >= T{}) ||
         (std::is_floating_point_v<T> && value > 1e9)) {
       if (std::is_floating_point_v<T>) return "a number from 0 to 1e9";
-      if (sizeof(T) == 8) return "a non-negative integer";
-      return "an integer from 0 to " +
-             std::to_string(std::numeric_limits<T>::max());
+      return "a non-negative integer";
     }
     *out = value;
   }
@@ -791,10 +764,8 @@ constexpr OptionRow kOptions[] = {
     {"--no-validate", false, kRunners, field<&FlowFlags::no_validate>},
     {"--timeout", true, kRunners | cmds("fuzz"),
      field<&FlowFlags::timeout_seconds>},
-    {"--faults", true, kRunners, field<&FlowFlags::fault_spec>},
     {"--budget-bdd", true, kRunners, field<&FlowFlags::budget_bdd>},
     {"--budget-bmc", true, kRunners, field<&FlowFlags::budget_bmc>},
-    {"--budget-rss-mb", true, kRunners, field<&FlowFlags::budget_rss_mb>},
     // Batches: bulk, and the batch outputs of fuzz.
     {"--jobs", true, cmds("bulk"), jobs_field},
     {"--out-dir", true, cmds("bulk fuzz"), field<&BulkFlags::out_dir>},
@@ -802,7 +773,6 @@ constexpr OptionRow kOptions[] = {
     {"--canonical", false, cmds("bulk fuzz"), field<&BulkFlags::canonical>},
     {"--manifest", true, cmds("bulk"), field<&BulkFlags::manifest_path>},
     {"--resume", false, cmds("bulk"), field<&BulkFlags::resume>},
-    {"--retries", true, cmds("bulk"), field<&BulkFlags::retries>},
     // Generated workloads.
     {"--seed", true, cmds("corpus fuzz bench"), field<&Options::seed>},
     {"--count", true, cmds("corpus"), field<&Options::count>},
