@@ -25,9 +25,9 @@
 
 namespace mcrt {
 
-/// The most workers a user-given count may ask for: `mcrt bulk --jobs` and
-/// `retime-windowed(window-jobs=N)` reject larger counts before any pool
-/// exists, since each worker is an operating-system thread.
+/// The most workers a user-given count may ask for: `mcrt bulk --jobs`
+/// rejects larger counts before any pool exists, since each worker is an
+/// operating-system thread.
 inline constexpr std::size_t kMaxWorkerThreads = 1024;
 
 class ThreadPool {

@@ -136,7 +136,7 @@ Netlist sample_circuit(Rng& rng) {
 
 /// A random flow script over the registered passes. Always contains
 /// "sweep" (so a sabotaged sweep is always exercised) and exactly one
-/// "retime(" statement (so the mono-vs-windowed oracle always applies).
+/// "retime(" statement.
 std::string sample_script(Rng& rng) {
   std::vector<std::string> statements;
   if (rng.chance(0.4)) statements.push_back("decompose-sync");

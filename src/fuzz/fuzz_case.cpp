@@ -13,7 +13,6 @@ namespace mcrt {
 const char* oracle_name(OracleKind kind) noexcept {
   switch (kind) {
     case OracleKind::kSerialVsBulk: return "serial-vs-bulk";
-    case OracleKind::kMonoVsWindowed: return "mono-vs-windowed";
     case OracleKind::kEngineVsReference: return "engine-vs-reference";
   }
   return "serial-vs-bulk";

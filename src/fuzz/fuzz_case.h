@@ -37,17 +37,15 @@
 
 namespace mcrt {
 
-/// The three engine pairs the fuzzer cross-checks: serial vs bulk
-/// execution, monolithic vs windowed retiming, production engines vs
-/// independent references. The enum order is the sampling order (case
-/// index modulo kOracleCount).
+/// The two engine pairs the fuzzer cross-checks: serial vs bulk execution,
+/// production engines vs independent references. The enum order is the
+/// sampling order (case index modulo kOracleCount).
 enum class OracleKind : std::uint8_t {
   kSerialVsBulk,       ///< execute_flow_job vs BulkRunner, byte identity
-  kMonoVsWindowed,     ///< retime(...) vs retime-windowed(...) flows
   kEngineVsReference,  ///< word vs scalar sim, FEAS vs W/D + Bellman-Ford,
                        ///< FlowMap depth vs exhaustive cut enumeration
 };
-inline constexpr std::size_t kOracleCount = 3;
+inline constexpr std::size_t kOracleCount = 2;
 
 [[nodiscard]] const char* oracle_name(OracleKind kind) noexcept;
 [[nodiscard]] std::optional<OracleKind> oracle_from_name(

@@ -17,7 +17,6 @@
 #include "tech/flowmap.h"
 #include "tech/sta.h"
 #include "verify/cut_depth.h"
-#include "verify/ternary_bmc.h"
 
 namespace mcrt {
 
@@ -134,19 +133,26 @@ void check_flow_behavior(const FuzzCase& c, const BulkJobResult& result,
   add_leg(v, leg, eq.equivalent, eq.counterexample);
 }
 
-/// Recomputed-period leg: the reported period_after must match static
-/// timing analysis of the result the engine actually handed back.
-void check_period_consistency(const BulkJobResult& result, OracleVerdict& v,
-                              const char* leg_prefix) {
+/// Reported-period leg: when the script ends with its retime pass, static
+/// timing of the result may not exceed the period the pass reports. STA may
+/// be lower: it skips fanout-free cones the lowered graph still times.
+void check_reported_period(const FuzzCase& c, const BulkJobResult& result,
+                           OracleVerdict& v) {
   if (!result.success || !result.netlist.has_value()) return;
+  const std::size_t semicolon = c.script.rfind(';');
+  const std::string_view last = trim(std::string_view(c.script).substr(
+      semicolon == std::string::npos ? 0 : semicolon + 1));
+  if (!starts_with(last, "retime") || !result.retime_stats.has_value()) {
+    add_skipped(v, "period-bound", "script does not end with its retime pass");
+    return;
+  }
   const std::int64_t sta = compute_period(*result.netlist);
-  add_leg(v, std::string(leg_prefix) + "period-consistency",
-          sta == result.period_after,
-          sta == result.period_after
-              ? std::string{}
-              : str_format("reported %lld, STA says %lld",
-                           static_cast<long long>(result.period_after),
-                           static_cast<long long>(sta)));
+  const std::int64_t phi = result.retime_stats->period_after;
+  add_leg(v, "period-bound", sta <= phi,
+          sta <= phi ? std::string{}
+                     : str_format("retime reported %lld, STA says %lld",
+                                  static_cast<long long>(phi),
+                                  static_cast<long long>(sta)));
 }
 
 // --- serial vs bulk ---------------------------------------------------------
@@ -190,76 +196,7 @@ OracleVerdict serial_vs_bulk(const FuzzCase& c, const PassRegistry& registry,
                        bulk.success ? "succeeded" : "failed"));
   }
   check_flow_behavior(c, serial, v, "");
-  check_period_consistency(serial, v, "");
-  return v;
-}
-
-// --- monolithic vs windowed -------------------------------------------------
-
-std::string windowed_script(const std::string& script) {
-  // The grammar guarantees exactly one "retime(" statement; substitute the
-  // windowed pass with a window size small enough that even the fuzzer's
-  // circuits get partitioned.
-  const std::size_t at = script.find("retime(");
-  if (at == std::string::npos) return script;
-  std::string out = script;
-  out.replace(at, 7, "retime-windowed(window-size=24,window-jobs=2,");
-  return out;
-}
-
-OracleVerdict mono_vs_windowed(const FuzzCase& c,
-                               const PassRegistry& registry,
-                               const OracleOptions& options) {
-  OracleVerdict v;
-  const std::string win_script = windowed_script(c.script);
-  if (win_script == c.script) {
-    // Vacuously true — nothing to window means nothing to disagree about.
-    // Important for the shrinker: dropping the retime statement makes the
-    // case pass, so minimization can never trade a real mismatch for this.
-    add_skipped(v, "windowed-agreement", "script has no retime( statement");
-    return v;
-  }
-  const BulkJobResult mono = run_serial(c, c.script, registry, options);
-  const BulkJobResult win = run_serial(c, win_script, registry, options);
-
-  add_leg(v, "success-agreement", mono.success == win.success,
-          mono.success == win.success
-              ? std::string{}
-              : str_format("monolithic %s, windowed %s: %s",
-                           mono.success ? "succeeded" : "failed",
-                           win.success ? "succeeded" : "failed",
-                           (mono.success ? win.error : mono.error).c_str()));
-  if (mono.success && win.success) {
-    // Windowed retiming explores a subset of the monolithic solution
-    // space, so it can never beat the optimal minimum period.
-    add_leg(v, "period-dominance", win.period_after >= mono.period_after,
-            win.period_after >= mono.period_after
-                ? std::string{}
-                : str_format("windowed period %lld beats monolithic %lld",
-                             static_cast<long long>(win.period_after),
-                             static_cast<long long>(mono.period_after)));
-    check_period_consistency(mono, v, "mono-");
-    check_period_consistency(win, v, "windowed-");
-    check_flow_behavior(c, mono, v, "mono-");
-    FuzzCase wc;
-    wc.netlist = c.netlist;
-    wc.script = win_script;
-    wc.seed = c.seed;
-    check_flow_behavior(wc, win, v, "windowed-");
-
-    if (options.enable_bmc && clock_domain_count(c.netlist) <= 1 &&
-        c.netlist.stats().luts <= 40 && c.netlist.inputs().size() <= 12 &&
-        !script_restructures(c.script)) {
-      TernaryBmcOptions bmc;
-      bmc.depth = 4;
-      bmc.x_refinement_ok = true;
-      bmc.cancel = options.cancel;
-      const TernaryBmcResult r =
-          check_ternary_bmc(c.netlist, *win.netlist, bmc);
-      add_leg(v, "ternary-bmc",
-              r.verdict != TernaryBmcResult::Verdict::kMismatch, r.detail);
-    }
-  }
+  check_reported_period(c, serial, v);
   return v;
 }
 
@@ -415,8 +352,6 @@ OracleVerdict run_oracle(const FuzzCase& c, const OracleOptions& options) {
   switch (c.oracle) {
     case OracleKind::kSerialVsBulk:
       return serial_vs_bulk(c, registry, options);
-    case OracleKind::kMonoVsWindowed:
-      return mono_vs_windowed(c, registry, options);
     case OracleKind::kEngineVsReference:
       return engine_vs_reference(c, registry, options);
   }

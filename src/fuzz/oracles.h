@@ -30,9 +30,6 @@ struct OracleOptions {
   /// a handful of flows, so the whole check is bounded by a small multiple.
   double timeout_seconds = 30.0;
   const CancelToken* cancel = nullptr;
-  /// Allow the (slower) exhaustive ternary-BMC leg on small single-clock
-  /// cases. Off for shrinking, where the oracle runs hundreds of times.
-  bool enable_bmc = true;
 };
 
 /// One executed check inside an oracle.

@@ -47,9 +47,7 @@ class Shrinker {
                       std::chrono::steady_clock::duration>(
                       std::chrono::duration<double>(
                           options.budget_seconds > 0 ? options.budget_seconds
-                                                     : 1e9))) {
-    options_.oracle.enable_bmc = false;
-  }
+                                                     : 1e9))) {}
 
   ShrinkResult run() {
     ShrinkResult result;

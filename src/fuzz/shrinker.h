@@ -30,7 +30,7 @@ struct ShrinkOptions {
   std::size_t max_rounds = 8;
   std::size_t max_oracle_runs = 250;
   double budget_seconds = 120.0;  ///< 0 = unbounded
-  OracleOptions oracle;           ///< enable_bmc is forced off while shrinking
+  OracleOptions oracle;
 };
 
 struct ShrinkResult {

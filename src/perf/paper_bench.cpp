@@ -442,8 +442,7 @@ Json run_paper_bench(const BenchOptions& options) {
   }
   const std::vector<Json> circuits = entries;
   for (Json& entry : fixed) entries.push_back(std::move(entry));
-  Json report = assemble_bench_report(kBenchPaperSchema, options, 1,
-                                      std::move(entries));
+  Json report = assemble_bench_report(options, 1, std::move(entries));
   Json summary = report.at("summary");
   add_summary(summary, circuits, profile);
   summary.set("wall_seconds", wall.seconds());

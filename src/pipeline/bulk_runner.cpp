@@ -60,23 +60,20 @@ BulkReport BulkRunner::run(const std::vector<BulkJob>& jobs) const {
           report.results[i] = it->second;
           skip[i] = true;
         }
-      } else if (options_.sink != nullptr) {
-        options_.sink->warning(
-            "bulk", "manifest " + options_.manifest_path +
-                        " was written by a different script; re-running "
-                        "every job");
+      } else {
+        report.warnings.push_back("manifest " + options_.manifest_path +
+                                  " was written by a different script; "
+                                  "re-running every job");
       }
     }
   }
   ManifestWriter manifest;
-  if (!options_.manifest_path.empty()) {
-    if (!manifest.open(options_.manifest_path, report.script,
-                       append_manifest) &&
-        options_.sink != nullptr) {
-      options_.sink->warning(
-          "bulk", "cannot open manifest " + options_.manifest_path +
-                      "; running without checkpoints");
-    }
+  if (!options_.manifest_path.empty() &&
+      !manifest.open(options_.manifest_path, report.script,
+                     append_manifest)) {
+    report.results.clear();
+    report.error = "cannot open manifest " + options_.manifest_path;
+    return report;
   }
 
   Timer wall;
@@ -105,13 +102,6 @@ BulkReport BulkRunner::run(const std::vector<BulkJob>& jobs) const {
   for (const BulkJobResult& result : report.results) {
     report.cpu_seconds += result.seconds;
     report.profile.merge(result.profile);
-  }
-  if (options_.sink != nullptr) {
-    for (const BulkJobResult& result : report.results) {
-      for (const Diagnostic& diagnostic : result.diagnostics) {
-        options_.sink->report(diagnostic);
-      }
-    }
   }
   return report;
 }

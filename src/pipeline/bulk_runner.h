@@ -50,9 +50,6 @@ struct BulkOptions {
   bool keep_netlists = false;
   /// Pass registry for script compilation; nullptr = standard().
   const PassRegistry* registry = nullptr;
-  /// Optional aggregate sink. Every job's diagnostics are forwarded here
-  /// in job order after the batch completes (no cross-job interleaving).
-  DiagnosticsSink* sink = nullptr;
 
   // --- resilience ----------------------------------------------------------
   /// Per-job wall-clock deadline in seconds (0 = none). A job over its
@@ -90,6 +87,12 @@ struct BulkReport {
   double cpu_seconds = 0;
   std::vector<BulkJobResult> results;  ///< input order
   PhaseProfile profile;  ///< per-pass time merged over jobs, in job order
+  /// Why the batch did not start (the manifest cannot be opened); no job
+  /// ran and `results` is empty. Empty when the batch ran.
+  std::string error;
+  /// Batch-level warnings, e.g. a --resume manifest written by another
+  /// script (every job then re-runs).
+  std::vector<std::string> warnings;
 
   [[nodiscard]] std::size_t succeeded() const;
   [[nodiscard]] std::size_t failed() const;
@@ -119,7 +122,8 @@ class BulkRunner {
   /// manager without running anything; std::nullopt when well-formed.
   [[nodiscard]] std::optional<std::string> check() const;
 
-  /// Runs the batch on an internal pool of options.jobs workers.
+  /// Runs the batch on an internal pool of options.jobs workers, or sets
+  /// BulkReport::error and runs nothing when the manifest cannot be opened.
   [[nodiscard]] BulkReport run(const std::vector<BulkJob>& jobs) const;
 
  private:

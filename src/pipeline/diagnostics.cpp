@@ -44,11 +44,6 @@ std::vector<std::string> CollectingDiagnostics::messages(
   return out;
 }
 
-void ThreadSafeDiagnostics::report(const Diagnostic& diagnostic) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  wrapped_.report(diagnostic);
-}
-
 DiagnosticsSink& default_diagnostics() {
   static StreamDiagnostics sink(stderr);
   return sink;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdio>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -72,21 +71,6 @@ class CollectingDiagnostics final : public DiagnosticsSink {
 
  private:
   std::vector<Diagnostic> diagnostics_;
-};
-
-/// Serializes report() calls onto an underlying sink, so concurrent flows
-/// (pipeline/bulk_runner.h) can stream into one StreamDiagnostics or
-/// CollectingDiagnostics without racing. Interleaving across jobs is
-/// arbitrary; BulkRunner's per-job collected diagnostics stay ordered.
-class ThreadSafeDiagnostics final : public DiagnosticsSink {
- public:
-  explicit ThreadSafeDiagnostics(DiagnosticsSink& wrapped) noexcept
-      : wrapped_(wrapped) {}
-  void report(const Diagnostic& diagnostic) override;
-
- private:
-  DiagnosticsSink& wrapped_;
-  std::mutex mutex_;
 };
 
 /// Process-wide stderr sink used when a FlowContext is built without one.

@@ -1,11 +1,10 @@
 // Mutable state threaded through a pass pipeline.
 //
 // A FlowContext owns the netlist being transformed plus everything passes
-// share around it: a string key/value option store (flow-level knobs that
-// individual passes may consult), numeric metrics recorded by passes (so
-// drivers can report "removed 3 nodes" without parsing text), the typed
-// statistics of the most recent retime pass, and the diagnostics sink that
-// replaces scattered fprintf(stderr, ...) calls.
+// share around it: numeric metrics recorded by passes (so callers can
+// report "removed 3 nodes" without parsing text), the typed statistics of
+// the most recent retime pass, and the diagnostics sink that replaces
+// scattered fprintf(stderr, ...) calls.
 #pragma once
 
 #include <cstdint>
@@ -33,17 +32,6 @@ class FlowContext {
   void replace_netlist(Netlist netlist) { netlist_ = std::move(netlist); }
   /// Moves the netlist out (the context is done after a flow completes).
   [[nodiscard]] Netlist take_netlist() { return std::move(netlist_); }
-
-  // --- options -------------------------------------------------------------
-  void set_option(std::string key, std::string value) {
-    options_[std::move(key)] = std::move(value);
-  }
-  [[nodiscard]] std::optional<std::string> option(
-      const std::string& key) const {
-    const auto it = options_.find(key);
-    if (it == options_.end()) return std::nullopt;
-    return it->second;
-  }
 
   // --- metrics -------------------------------------------------------------
   void set_metric(const std::string& key, std::int64_t value) {
@@ -102,7 +90,6 @@ class FlowContext {
   Netlist netlist_;
   DiagnosticsSink* sink_ = nullptr;
   std::string active_pass_ = "flow";
-  std::map<std::string, std::string> options_;
   std::map<std::string, std::int64_t> metrics_;
 };
 

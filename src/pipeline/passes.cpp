@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <memory>
-#include <span>
 #include <utility>
 
 #include "base/strings.h"
-#include "base/thread_pool.h"
 #include "netlist/truth_table.h"
 #include "sim/equivalence.h"
 #include "tech/decompose.h"
@@ -100,52 +98,19 @@ PassResult MapPass::run(FlowContext& context) {
 }
 
 bool RetimePass::configure(const PassArgs& args, std::string* error) {
-  // The window keys lead, so `retime` takes the tail of the list.
-  static constexpr std::string_view kKeys[] = {
-      "window-size", "windows",   "window-jobs", "refine",
-      "target",      "minperiod", "no-sharing",  "d"};
-  const std::span<const std::string_view> keys(kKeys);
-  if (!args.expect_keys(windowed_ ? keys : keys.subspan(4), name(), error)) {
-    return false;
-  }
-  const auto size_arg = [&](const char* key, std::size_t* out) {
-    if (const auto v = args.int_value(key, error)) {
-      if (*v < 0) {
-        *error = std::string("retime-windowed: ") + key +
-                 " must be non-negative";
-        return false;
-      }
-      *out = static_cast<std::size_t>(*v);
-    } else if (args.contains(key)) {
-      return false;
-    }
-    return true;
-  };
-  if (!size_arg("window-size", &options_.partition.max_window)) return false;
-  std::size_t windows = 0;
-  if (!size_arg("windows", &windows)) return false;
-  options_.partition.window_count = windows;
-  if (const auto jobs = args.int_value_in_range(
-          "window-jobs", 0, static_cast<std::int64_t>(kMaxWorkerThreads),
-          error)) {
-    options_.jobs = static_cast<std::size_t>(*jobs);
-  } else if (args.contains("window-jobs")) {
-    return false;
-  }
-  if (!size_arg("refine", &options_.refine_rounds)) return false;
-  if (options_.partition.max_window == 0) {
-    *error = "retime-windowed: window-size must be positive";
+  if (!args.expect_keys({"target", "minperiod", "no-sharing", "d"}, name(),
+                        error)) {
     return false;
   }
   if (const auto target = args.int_value("target", error)) {
-    options_.base.target_period = *target;
+    options_.target_period = *target;
   } else if (args.contains("target")) {
     return false;
   }
   if (args.flag("minperiod")) {
-    options_.base.objective = McRetimeOptions::Objective::kMinPeriod;
+    options_.objective = McRetimeOptions::Objective::kMinPeriod;
   }
-  if (args.flag("no-sharing")) options_.base.sharing_modification = false;
+  if (args.flag("no-sharing")) options_.sharing_modification = false;
   if (const auto d = args.int_value("d", error)) {
     default_lut_delay_ = *d;
   } else if (args.contains("d")) {
@@ -170,29 +135,14 @@ PassResult RetimePass::run(FlowContext& context) {
     }
   }
 
-  WindowedRetimeOptions options = options_;
-  options.base.cancel = context.cancel;
-  McRetimeStats s;
-  WindowedRetimeStats w;
-  if (windowed_) {
-    options.progress = [&context](const std::string& line) {
-      context.note(line);
-    };
-    WindowedRetimeResult result = retime_windowed(netlist, options);
-    if (!result.success) {
-      return PassResult::fail("windowed retiming failed: " + result.error);
-    }
-    context.replace_netlist(std::move(result.netlist));
-    s = result.stats;
-    w = result.window_stats;
-  } else {
-    McRetimeResult result = mc_retime(netlist, options.base);
-    if (!result.success) {
-      return PassResult::fail("retiming failed: " + result.error);
-    }
-    context.replace_netlist(std::move(result.netlist));
-    s = result.stats;
+  McRetimeOptions options = options_;
+  options.cancel = context.cancel;
+  McRetimeResult result = mc_retime(netlist, options);
+  if (!result.success) {
+    return PassResult::fail("retiming failed: " + result.error);
   }
+  context.replace_netlist(std::move(result.netlist));
+  const McRetimeStats& s = result.stats;
   context.retime_stats = s;
   context.set_metric("retime.classes",
                      static_cast<std::int64_t>(s.num_classes));
@@ -207,31 +157,9 @@ PassResult RetimePass::run(FlowContext& context) {
   context.set_metric("retime.attempts", static_cast<std::int64_t>(s.attempts));
   context.set_metric("retime.justification_reuses",
                      static_cast<std::int64_t>(s.justification_reuses));
-  if (windowed_) {
-    context.set_metric("retime.windows",
-                       static_cast<std::int64_t>(w.windows));
-    context.set_metric("retime.cut_edges",
-                       static_cast<std::int64_t>(w.cut_edges));
-    context.set_metric("retime.window_timeouts",
-                       static_cast<std::int64_t>(w.window_timeouts));
-    context.set_metric("retime.refine_accepted",
-                       static_cast<std::int64_t>(w.refine_accepted));
-  } else {
-    for (const auto& [name, counter] : kRetimeWorkCounters) {
-      context.set_metric("retime." + std::string(name),
-                         static_cast<std::int64_t>(s.work.*counter));
-    }
-  }
-
-  if (windowed_) {
-    return PassResult::ok(str_format(
-        "windows=%zu classes=%zu period %lld -> %lld ff %zu -> %zu "
-        "(cut=%zu refine=%zu/%zu attempts=%zu)",
-        w.windows, s.num_classes,
-        static_cast<long long>(s.period_before),
-        static_cast<long long>(s.period_after), s.registers_before,
-        s.registers_after, w.cut_edges, w.refine_accepted,
-        w.refine_rounds_run, s.attempts));
+  for (const auto& [name, counter] : kRetimeWorkCounters) {
+    context.set_metric("retime." + std::string(name),
+                       static_cast<std::int64_t>(s.work.*counter));
   }
   return PassResult::ok(str_format(
       "classes=%zu steps=%zu/%zu period %lld -> %lld ff %zu -> %zu "
@@ -357,9 +285,6 @@ void register_standard_passes(PassRegistry& registry) {
   registry.register_pass("map", [] { return std::make_unique<MapPass>(); });
   registry.register_pass("retime",
                          [] { return std::make_unique<RetimePass>(); });
-  registry.register_pass("retime-windowed", [] {
-    return std::make_unique<RetimePass>(/*windowed=*/true);
-  });
   registry.register_pass("verify",
                          [] { return std::make_unique<VerifyPass>(); });
 }

@@ -14,15 +14,6 @@
 //                                 d assigns the default delay to LUTs that
 //                                 have none so the period objective is
 //                                 meaningful on delay-less BLIF input
-//   retime-windowed(window-size=1024,windows=0,window-jobs=0,refine=1,...)
-//                                 the same pass and arguments on the
-//                                 windowed driver (src/window/): bounded
-//                                 regions solved in parallel with frozen
-//                                 boundaries, stitched and refined.
-//                                 windows=0 derives the count from
-//                                 window-size; window-jobs=0 uses one
-//                                 worker per hardware thread, and more
-//                                 than kMaxWorkerThreads is rejected
 //
 // Benches and tools that need the full option structs construct the pass
 // classes directly instead of going through script arguments.
@@ -35,7 +26,6 @@
 #include "pipeline/pass.h"
 #include "pipeline/pass_manager.h"
 #include "tech/flowmap.h"
-#include "window/windowed_retime.h"
 
 namespace mcrt {
 
@@ -103,30 +93,20 @@ class MapPass final : public Pass {
   FlowMapOptions options_;
 };
 
-/// One pass for both retime script names: `retime` calls mc_retime(),
-/// `retime-windowed` calls retime_windowed() and alone accepts the window
-/// arguments.
+/// `retime`: mc_retime() on the current netlist.
 class RetimePass final : public Pass {
  public:
   /// Script defaults: minarea at minimum period, sharing on, delay-less
   /// LUTs given delay 10 (matching the legacy `mcrt retime` subcommand).
-  /// `windowed` selects the `retime-windowed` driver.
-  explicit RetimePass(bool windowed = false) : windowed_(windowed) {}
-  [[nodiscard]] std::string_view name() const override {
-    return windowed_ ? "retime-windowed" : "retime";
-  }
+  [[nodiscard]] std::string_view name() const override { return "retime"; }
   [[nodiscard]] std::string_view description() const override {
-    return windowed_
-               ? "windowed multiple-class retiming (parallel bounded regions)"
-               : "multiple-class retiming (minarea at minimum feasible period)";
+    return "multiple-class retiming (minarea at minimum feasible period)";
   }
   bool configure(const PassArgs& args, std::string* error) override;
   PassResult run(FlowContext& context) override;
 
  private:
-  bool windowed_ = false;
-  /// `base` drives both names; the window fields only `retime-windowed`.
-  WindowedRetimeOptions options_;
+  McRetimeOptions options_;
   std::int64_t default_lut_delay_ = 10;
 };
 

@@ -33,9 +33,8 @@ namespace mcrt {
 /// bounds admit 0 and no period below the current one is feasible, the
 /// labels are all 0. `feasible` is false only when no legal labeling meets
 /// the bounds. `impl` names the FEAS engine (see FeasImpl). `cancel` (may
-/// be null) is polled per probe, so one oversized monolithic solve cannot
-/// stall a batch or a window deadline. Probes and rounds are counted in
-/// retime_work_counters().
+/// be null) is polled per probe, so one oversized solve cannot stall a
+/// batch. Probes and rounds are counted in retime_work_counters().
 RetimeSolution minperiod_retime(const RetimeGraph& graph,
                                 FeasImpl impl = FeasImpl::kCsr,
                                 const CancelToken* cancel = nullptr);

@@ -61,7 +61,6 @@ class RetimeGraph {
   [[nodiscard]] std::int64_t weight(EdgeId e) const {
     return weight_[e.index()];
   }
-  void set_weight(EdgeId e, std::int64_t w) { weight_[e.index()] = w; }
   [[nodiscard]] const std::string& name(VertexId v) const {
     return names_[v.index()];
   }
@@ -86,9 +85,9 @@ class RetimeGraph {
   /// Flat CSR snapshot of the topology for hot solver loops (FEAS probes,
   /// period evaluation): parallel (neighbor, edge-id) arrays per direction,
   /// indexed by the same VertexId/EdgeId values as the Digraph. Built
-  /// lazily and cached; add_vertex/add_edge invalidate it, while
-  /// set_weight/apply only change weights and keep it valid (solvers read
-  /// weights through weights(), not the view).
+  /// lazily and cached; add_vertex/add_edge invalidate it, while apply()
+  /// only changes weights and keeps it valid (solvers read weights through
+  /// weights(), not the view).
   struct CsrView {
     std::uint32_t n = 0;
     std::vector<std::uint32_t> out_offsets;  ///< n + 1

@@ -27,9 +27,6 @@ class NetlistCopier {
   void set_mapped(NetId old_net, NetId new_net) {
     map_[old_net.value()] = new_net;
   }
-  [[nodiscard]] bool has_mapping(NetId old_net) const {
-    return map_.count(old_net.value()) != 0;
-  }
 
   Netlist& output() noexcept { return output_; }
   const Netlist& input() const noexcept { return input_; }

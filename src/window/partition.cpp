@@ -28,11 +28,9 @@ struct FrontierEntry {
 /// pushes, the standard lazy-heap trick, so total work is O(E log E).
 class Growth {
  public:
-  Growth(const McGraph& graph, std::size_t window_count, std::size_t cap,
-         bool class_aware)
+  Growth(const McGraph& graph, std::size_t window_count, std::size_t cap)
       : graph_(graph),
         cap_(cap),
-        class_aware_(class_aware),
         owner_(graph.vertex_count(), WindowPartition::kUnassigned),
         frontiers_(window_count),
         members_(window_count),
@@ -93,7 +91,6 @@ class Growth {
   }
 
   void absorb_classes(std::size_t window, std::uint32_t vertex) {
-    if (!class_aware_) return;
     auto& present = has_class_[window];
     const Digraph& g = graph_.digraph();
     const VertexId vid{vertex};
@@ -139,7 +136,6 @@ class Growth {
     const auto tally = [&](EdgeId e, std::uint32_t other) {
       if (owner_[other] != window) return;
       total += 2;
-      if (!class_aware_) return;
       for (const McReg& reg : graph_.regs(e)) {
         if (has_class_[window][reg.cls.index()]) total += 3;
       }
@@ -151,7 +147,6 @@ class Growth {
 
   const McGraph& graph_;
   std::size_t cap_;
-  bool class_aware_;
   std::vector<std::uint32_t> owner_;
   std::vector<std::priority_queue<FrontierEntry>> frontiers_;
   std::vector<std::vector<std::uint32_t>> members_;
@@ -175,21 +170,8 @@ WindowPartition partition_mc_graph(const McGraph& graph,
   if (movable.empty()) return result;
 
   const std::size_t cap = std::max<std::size_t>(options.max_window, 1);
-  std::size_t window_count =
-      options.window_count > 0
-          ? static_cast<std::size_t>(options.window_count)
-          : (movable.size() + cap - 1) / cap;
-  window_count = std::min(window_count, movable.size());
-  window_count = std::max<std::size_t>(window_count, 1);
-  // With a fixed window count, capacity follows from the count (plus slack
-  // so the last claims are not forced into far-away windows).
-  const std::size_t effective_cap =
-      options.window_count > 0
-          ? ((movable.size() + window_count - 1) / window_count) +
-                std::max<std::size_t>(movable.size() / (8 * window_count), 1)
-          : cap;
-
-  Growth growth(graph, window_count, effective_cap, options.class_aware);
+  const std::size_t window_count = (movable.size() + cap - 1) / cap;
+  Growth growth(graph, window_count, cap);
 
   // Evenly spaced seeds over the movable list (which follows netlist
   // construction order, a strong locality signal), rotated by the seed so

@@ -12,10 +12,10 @@
 //    straddle round-(k-1) cuts);
 //  - regions grow one claim per round-robin turn, popping the
 //    best-scoring frontier vertex: score rewards edges into the region
-//    and, when `class_aware`, additionally rewards registers whose class
-//    (EN / reset combination) is already present inside, so register
-//    chains of one class — exactly the structures multiple-class steps
-//    move together — are absorbed whole instead of being cut;
+//    and registers whose class (EN / reset combination) is already
+//    present inside, so register chains of one class — exactly the
+//    structures multiple-class steps move together — are absorbed whole
+//    instead of being cut;
 //  - pinned vertices (host, I/O, control taps) stay unassigned: they are
 //    frozen at r = 0 by the §4.1 bounds and belong to every boundary.
 #pragma once
@@ -31,14 +31,9 @@ struct PartitionOptions {
   /// Movable-vertex capacity per window; min-area runs one W/D sweep per
   /// window.
   std::size_t max_window = 1024;
-  /// Fixed window count; 0 derives ceil(movable / max_window).
-  std::uint64_t window_count = 0;
   /// Deterministic seed; distinct seeds rotate the evenly-spaced BFS seed
   /// positions, yielding shifted-but-equivalent partitions.
   std::uint64_t seed = 1;
-  /// Score frontier vertices by register-class affinity (off = pure edge
-  /// locality; the ablation knob for the class-aware cut scoring).
-  bool class_aware = true;
 };
 
 struct WindowPartition {

@@ -1,9 +1,8 @@
 #include "window/windowed_retime.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 
+#include "base/thread_pool.h"
 #include "mcretime/lower.h"
 #include "retime/minarea.h"
 #include "retime/minperiod.h"
@@ -43,9 +42,6 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
   WindowedRetimeResult result;
   McRetimeStats& stats = result.stats;
   WindowedRetimeStats& wstats = result.window_stats;
-  const auto say = [&](const std::string& line) {
-    if (options.progress) options.progress(line);
-  };
 
   // --- Steps 1-3 (shared with the monolithic flow) -------------------------
   McGraph mcg;
@@ -60,12 +56,7 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
   stats.period_before = global.period();
   const std::size_t n = global.vertex_count();
 
-  std::unique_ptr<ThreadPool> owned_pool;
-  ThreadPool* pool = options.pool;
-  if (pool == nullptr) {
-    owned_pool = std::make_unique<ThreadPool>(options.jobs);
-    pool = owned_pool.get();
-  }
+  ThreadPool pool(options.jobs);
 
   // --- Partition -----------------------------------------------------------
   WindowPartition part;
@@ -75,56 +66,36 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
   }
   wstats.windows = part.window_count();
   wstats.cut_edges = part.cut_edges;
-  wstats.cut_registers = part.cut_registers;
-  wstats.split_class_edges = part.split_class_edges;
-  say("windows: " + std::to_string(part.window_count()) + " (cut edges " +
-      std::to_string(part.cut_edges) + ", cut registers " +
-      std::to_string(part.cut_registers) + ", split-class edges " +
-      std::to_string(part.split_class_edges) + ")");
 
   // Runs one parallel sweep over `sweep_part`'s windows of `g` (a graph in
   // delta space), accumulating per-window labels into `delta` (disjoint
-  // slices, so concurrent writes are race-free). Timed-out or infeasible
-  // windows keep delta = 0, which `g`'s bounds admit outside retries.
-  std::atomic<std::size_t> stage_timeouts{0};
+  // slices, so concurrent writes are race-free). Infeasible windows keep
+  // delta = 0, which `g`'s bounds admit outside retries.
   const auto run_windows = [&](const RetimeGraph& g,
                                const WindowPartition& sweep_part,
                                std::vector<std::int64_t>& delta,
                                bool minarea_mode, std::int64_t phi_target) {
     const BoundaryTiming timing = compute_boundary_timing(g);
-    TaskGroup group(*pool);
+    TaskGroup group(pool);
     for (std::size_t w = 0; w < sweep_part.window_count(); ++w) {
       group.run([&, w] {
-        CancelToken token(options.base.cancel);
-        if (options.window_timeout_seconds > 0) {
-          token.set_timeout(options.window_timeout_seconds);
-        }
-        try {
-          const WindowProblem prob = extract_window(g, sweep_part, w, timing);
-          if (minarea_mode) {
-            // The proxy approximation can push the local period above the
-            // global target; relaxing to the local current period keeps
-            // the solve feasible (delta 0 qualifies) and the global
-            // acceptance check below still gates on the real phi.
-            const std::int64_t phi_local =
-                std::max(phi_target, prob.graph.period());
-            const MinAreaResult ma =
-                minarea_retime(prob.graph, phi_local, nullptr, &token);
-            if (ma.feasible && prob.graph.check_legal(ma.r).empty()) {
-              stitch_window_labels(prob, ma.r, delta);
-            }
-          } else if (const RetimeSolution sol = minperiod_retime(
-                         prob.graph, FeasImpl::kCsr, &token);
-                     sol.feasible) {
-            stitch_window_labels(prob, sol.r, delta);
+        const WindowProblem prob = extract_window(g, sweep_part, w, timing);
+        if (minarea_mode) {
+          // The proxy approximation can push the local period above the
+          // global target; relaxing to the local current period keeps the
+          // solve feasible (delta 0 qualifies) and the global acceptance
+          // check below still gates on the real phi.
+          const std::int64_t phi_local =
+              std::max(phi_target, prob.graph.period());
+          const MinAreaResult ma = minarea_retime(prob.graph, phi_local,
+                                                  nullptr, options.base.cancel);
+          if (ma.feasible && prob.graph.check_legal(ma.r).empty()) {
+            stitch_window_labels(prob, ma.r, delta);
           }
-        } catch (const CancelledError&) {
-          // A per-window deadline degrades that window to delta = 0; an
-          // outer cancellation aborts the whole flow.
-          if (cancel_requested(options.base.cancel) != StopReason::kNone) {
-            throw;
-          }
-          stage_timeouts.fetch_add(1, std::memory_order_relaxed);
+        } else if (const RetimeSolution sol = minperiod_retime(
+                       prob.graph, FeasImpl::kCsr, options.base.cancel);
+                   sol.feasible) {
+          stitch_window_labels(prob, sol.r, delta);
         }
       });
     }
@@ -143,16 +114,13 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
       return result;
     }
     phi = global.period(labels);
-    say("stage 1: period " + std::to_string(stats.period_before) + " -> " +
-        std::to_string(phi));
 
     // --- Boundary refinement: shifted windows over the reweighted graph ---
-    for (std::size_t round = 1; round <= options.refine_rounds; ++round) {
+    {
       poll_cancel(options.base.cancel);
-      ++wstats.refine_rounds_run;
       const RetimeGraph rg = reweighted(global, labels, global);
       PartitionOptions shifted = options.partition;
-      shifted.seed = options.partition.seed + round;
+      shifted.seed = options.partition.seed + 1;
       const WindowPartition repart = partition_mc_graph(mcg, shifted);
       std::vector<std::int64_t> delta(n, 0);
       run_windows(rg, repart, delta, /*minarea_mode=*/false, 0);
@@ -166,8 +134,6 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
           ++wstats.refine_accepted;
         }
       }
-      say("refine round " + std::to_string(round) + ": period " +
-          std::to_string(phi));
     }
 
     // --- Per-window min-area at the achieved period ------------------------
@@ -185,20 +151,10 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
           global.shared_register_area(candidate) <
               global.shared_register_area(labels)) {
         labels = std::move(candidate);
-        wstats.minarea_applied = true;
       }
-      say(std::string("min-area sweep: ") +
-          (wstats.minarea_applied ? "applied" : "kept prior labels"));
     }
   }
-  wstats.window_timeouts = stage_timeouts.load(std::memory_order_relaxed);
   stats.period_after = phi;
-  if (options.solve_only) {
-    result.labels = std::move(labels);
-    stats.register_estimate = global.shared_register_area(result.labels);
-    result.success = true;
-    return result;
-  }
 
   // --- Implement, with windowed justification-failure retries --------------
   // Re-solves only the window owning the failing vertex, in delta space
@@ -241,8 +197,6 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
       labels = sol.r;
     }
     stats.period_after = global.period(labels);
-    say("retry " + std::to_string(stats.attempts) + ": period " +
-        std::to_string(stats.period_after));
     return std::string();
   };
   result.error = implement_retiming(mcg, input, options.base, labels, resolve,

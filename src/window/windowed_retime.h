@@ -10,11 +10,12 @@
 // still re-checks legality and re-measures the period on the full graph
 // before trusting them.
 //
-// Quality is recovered in two optional sweeps: boundary refinement
-// re-partitions with rotated seeds on the reweighted graph (windows now
-// straddle the previous cuts) and keeps a round's delta only when the
-// *global* period improves; per-window min-area then reduces registers at
-// the achieved period, again accepted only if the global period holds.
+// Quality is recovered in two sweeps: one boundary-refinement round
+// re-partitions with a rotated seed on the reweighted graph (windows now
+// straddle the previous cuts) and keeps its delta only when the *global*
+// period improves; under the min-area objective, per-window min-area then
+// reduces registers at the achieved period, again accepted only if the
+// global period holds.
 //
 // Implementation (register relocation with reset-state justification and
 // its retry loop, implement_retiming() in mcretime/mc_retime.h) is shared
@@ -26,10 +27,8 @@
 // above the current period too, or reports the window infeasible.
 #pragma once
 
-#include <functional>
 #include <string>
 
-#include "base/thread_pool.h"
 #include "mcretime/mc_retime.h"
 #include "window/partition.h"
 
@@ -44,33 +43,12 @@ struct WindowedRetimeOptions {
   /// thread. Results are deterministic in `jobs` (windows write disjoint
   /// label slices; stitching order is fixed).
   std::size_t jobs = 0;
-  /// Optional external pool (bulk flows share one); owns its own when null.
-  ThreadPool* pool = nullptr;
-  /// Boundary-refinement sweeps after the first stitch. Each re-partitions
-  /// with a rotated seed and keeps its delta only on global improvement.
-  std::size_t refine_rounds = 1;
-  /// Per-window wall-clock cap in seconds; 0 = none. A timed-out window
-  /// falls back to r = 0 (always legal) and is counted in the stats.
-  double window_timeout_seconds = 0.0;
-  /// Progress callback (may be empty): one line per stage, suitable for a
-  /// diagnostics sink. Called from the coordinating thread only.
-  std::function<void(const std::string&)> progress;
-  /// Stop after the label solve (stage 1, refinement, min-area sweep):
-  /// `labels` and the solve-side stats are filled but relocation and the
-  /// netlist rebuild are skipped. Benches use this to compare the solver
-  /// against the monolithic one without the shared implementation cost.
-  bool solve_only = false;
 };
 
 struct WindowedRetimeStats {
   std::size_t windows = 0;
   std::size_t cut_edges = 0;
-  std::size_t cut_registers = 0;
-  std::size_t split_class_edges = 0;
-  std::size_t window_timeouts = 0;
-  std::size_t refine_rounds_run = 0;
-  std::size_t refine_accepted = 0;   ///< rounds whose delta improved phi
-  bool minarea_applied = false;      ///< min-area sweep kept (phi held)
+  std::size_t refine_accepted = 0;   ///< 1 when the refinement improved phi
   std::size_t window_resolves = 0;   ///< single-window justification retries
   std::size_t global_fallbacks = 0;  ///< retries escalated to full graph
 };
@@ -78,7 +56,7 @@ struct WindowedRetimeStats {
 struct WindowedRetimeResult {
   bool success = false;
   std::string error;
-  Netlist netlist;  ///< empty when options.solve_only is set
+  Netlist netlist;
   /// Final per-vertex labels on the lowered global graph (index = mc-graph
   /// vertex id, [0] = host). Legal by construction; callers can re-check
   /// with lower_to_retime_graph(...).check_legal(labels).

@@ -449,15 +449,6 @@ CircuitProfile scaled_profile(std::size_t target_gates, std::uint64_t seed) {
   return p;
 }
 
-std::vector<CircuitProfile> scaled_suite() {
-  return {
-      scaled_profile(100000, 201),
-      scaled_profile(250000, 202),
-      scaled_profile(500000, 203),
-      scaled_profile(1000000, 204),
-  };
-}
-
 std::vector<CircuitProfile> random_suite(std::size_t count,
                                          std::uint64_t seed) {
   std::vector<CircuitProfile> suite;

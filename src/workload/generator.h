@@ -70,13 +70,9 @@ std::vector<CircuitProfile> paper_suite();
 /// *count* scales, plus proportional accumulator/shift structure and the
 /// usual control section. Construction streams block by block and the
 /// builder pre-reserves every netlist vector from the profile's closed-form
-/// counts, so generating 1e5..1e6-gate designs (the windowed-retiming
-/// bench range) stays allocation-cheap and linear.
+/// counts, so generating 1e5..1e6-gate designs stays allocation-cheap and
+/// linear.
 CircuitProfile scaled_profile(std::size_t target_gates, std::uint64_t seed);
-
-/// The large-design suite used by the windowed-retiming benches:
-/// s100k / s250k / s500k / s1m (approximate LUT counts).
-std::vector<CircuitProfile> scaled_suite();
 
 /// `count` small randomized profiles ("r00", "r01", ...), fully determined
 /// by `seed`: block mix, widths/depths and register-class structure are

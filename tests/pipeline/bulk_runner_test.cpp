@@ -186,11 +186,9 @@ TEST(BulkRunnerTest, RecordsStatsDeltasAndProfile) {
   EXPECT_GE(report.cpu_seconds, r.profile.total());
 }
 
-TEST(BulkRunnerTest, AggregateSinkSeesJobDiagnosticsInJobOrder) {
-  CollectingDiagnostics aggregate;
+TEST(BulkRunnerTest, JobDiagnosticsStayWithTheirJob) {
   BulkOptions options = quiet_options();
   options.manager.verbose = true;
-  options.sink = &aggregate;
   std::vector<BulkJob> jobs;
   jobs.push_back(make_netlist_job("first", testing::chain_circuit(2, 1)));
   jobs.push_back(make_netlist_job("second", testing::chain_circuit(3, 1)));
@@ -198,9 +196,14 @@ TEST(BulkRunnerTest, AggregateSinkSeesJobDiagnosticsInJobOrder) {
   BulkRunner runner("sweep", options);
   const BulkReport report = runner.run(jobs);
   ASSERT_EQ(report.succeeded(), 2u);
-  // Per-job notes forwarded after the batch, grouped per job in order.
-  ASSERT_FALSE(aggregate.diagnostics().empty());
-  EXPECT_FALSE(aggregate.has_errors());
+  // Each job's notes land in its own result, in input order.
+  for (const BulkJobResult& r : report.results) {
+    ASSERT_FALSE(r.diagnostics.empty()) << r.name;
+    for (const Diagnostic& d : r.diagnostics) {
+      EXPECT_NE(d.severity, DiagSeverity::kError) << r.name << ": "
+                                                  << d.message;
+    }
+  }
 }
 
 TEST(BulkRunnerTest, CanonicalJsonIdenticalAcrossJobCounts) {

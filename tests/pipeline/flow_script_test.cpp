@@ -228,9 +228,8 @@ TEST(FlowScriptCompileTest, IntOptionsCompile) {
   EXPECT_EQ(compile_flow_script("map(k=2); map(k=6)", PassRegistry::standard(),
                                 manager),
             std::nullopt);
-  EXPECT_EQ(compile_flow_script(
-                "retime-windowed(window-size=24,window-jobs=2)",
-                PassRegistry::standard(), manager),
+  EXPECT_EQ(compile_flow_script("retime(target=24,d=10)",
+                                PassRegistry::standard(), manager),
             std::nullopt);
 }
 
@@ -259,8 +258,8 @@ TEST(FlowScriptCompileTest, MalformedIntOptionTable) {
       {"map(area-recovery,k=banana)", "not an integer", "line 1, column 21",
        "banana"},
       // A failure not tied to one argument points at the pass.
-      {"retime-windowed(window-size=0)", "window-size must be positive",
-       "line 1, column 1", "retime-windowed"},
+      {"verify(bmc,formal)", "pick one of bmc, formal, sim",
+       "line 1, column 1", "verify"},
   };
   for (const Row& row : rows) {
     PassManager manager;

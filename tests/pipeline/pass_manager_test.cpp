@@ -199,9 +199,6 @@ TEST(PassRegistryTest, DuplicateRegistrationIsRejected) {
 
 TEST(FlowContextTest, MetricsAndOptionsRoundTrip) {
   FlowContext context(testing::fig1_circuit());
-  context.set_option("k", "4");
-  EXPECT_EQ(context.option("k"), "4");
-  EXPECT_EQ(context.option("missing"), std::nullopt);
   context.set_metric("m", 3);
   context.add_metric("m", 4);
   EXPECT_EQ(context.metric("m"), 7);

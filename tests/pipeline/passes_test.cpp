@@ -168,19 +168,16 @@ TEST(PassesTest, RetimePassWarnsOncePerDerivedClockRegister) {
   gate_clocked.d = n.add_lut(TruthTable::inverter(), {q1}, "y");
   gate_clocked.clk = gclk;
   n.add_output("out", n.add_register(std::move(gate_clocked)));
-  for (const bool windowed : {false, true}) {
-    CollectingDiagnostics diagnostics;
-    FlowContext context(n, &diagnostics);
-    RetimePass pass(windowed);
-    const PassResult result = pass.run(context);
-    ASSERT_TRUE(result.success) << result.error;
-    const auto eq = check_sequential_equivalence(n, context.netlist(), {});
-    EXPECT_TRUE(eq.equivalent) << eq.counterexample;
-    EXPECT_EQ(diagnostics.messages(DiagSeverity::kWarning),
-              std::vector<std::string>{
-                  "register r_gated: clock is not a primary input"})
-        << pass.name();
-  }
+  CollectingDiagnostics diagnostics;
+  FlowContext context(n, &diagnostics);
+  RetimePass pass;
+  const PassResult result = pass.run(context);
+  ASSERT_TRUE(result.success) << result.error;
+  const auto eq = check_sequential_equivalence(n, context.netlist(), {});
+  EXPECT_TRUE(eq.equivalent) << eq.counterexample;
+  EXPECT_EQ(diagnostics.messages(DiagSeverity::kWarning),
+            std::vector<std::string>{
+                "register r_gated: clock is not a primary input"});
 }
 
 TEST(PassesTest, RetimePassHonorsScriptArguments) {
@@ -199,17 +196,14 @@ TEST(PassesTest, RetimePassHonorsScriptArguments) {
     EXPECT_FALSE(pass.configure(args, &error));
     EXPECT_NE(error.find("bogus"), std::string::npos);
   }
-  for (const bool windowed : {false, true}) {
-    // Window arguments belong to `retime-windowed` only.
-    RetimePass pass(windowed);
+  {
+    // Windowed retiming has no script entry point.
+    RetimePass pass;
     PassArgs args;
     args.set("window-size", "16");
     args.set("d", "10");
-    EXPECT_EQ(pass.configure(args, &error), windowed) << error;
-    EXPECT_EQ(pass.name(), windowed ? "retime-windowed" : "retime");
-    if (!windowed) {
-      EXPECT_EQ(error, "pass 'retime' does not take argument 'window-size'");
-    }
+    EXPECT_FALSE(pass.configure(args, &error));
+    EXPECT_EQ(error, "pass 'retime' does not take argument 'window-size'");
   }
   {
     MapPass pass;

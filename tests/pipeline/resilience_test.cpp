@@ -459,22 +459,30 @@ TEST(ResilienceTest, ManifestScriptMismatchIsIgnored) {
   first.manifest_path = manifest;
   (void)BulkRunner("sweep", first).run(small_batch());
 
-  // Same manifest, different script: nothing may be skipped.
-  CollectingDiagnostics sink;
+  // Same manifest, different script: nothing may be skipped, and the
+  // report says why.
   BulkOptions second;
   second.jobs = 1;
   second.manifest_path = manifest;
   second.resume = true;
-  second.sink = &sink;
   const BulkReport report = BulkRunner("strash", second).run(small_batch());
   for (const BulkJobResult& r : report.results) {
     EXPECT_FALSE(r.resumed) << r.name;
   }
-  bool warned = false;
-  for (const Diagnostic& d : sink.diagnostics()) {
-    if (d.message.find("manifest") != std::string::npos) warned = true;
-  }
-  EXPECT_TRUE(warned);
+  ASSERT_EQ(report.warnings.size(), 1u);
+  EXPECT_NE(report.warnings[0].find("different script"), std::string::npos)
+      << report.warnings[0];
+}
+
+TEST(ResilienceTest, UnopenableManifestRunsNoJob) {
+  const fs::path dir = fresh_dir("resilience_no_manifest");
+  BulkOptions options;
+  options.jobs = 1;
+  options.manifest_path = (dir / "missing" / "manifest.txt").string();
+  const BulkReport report = BulkRunner("sweep", options).run(small_batch());
+  EXPECT_NE(report.error.find("cannot open manifest"), std::string::npos)
+      << report.error;
+  EXPECT_TRUE(report.results.empty());
 }
 
 // --- all-jobs-fail: report stays valid, exit contract holds ---------------

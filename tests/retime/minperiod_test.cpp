@@ -9,8 +9,11 @@
 
 #include "../common/wd_reference.h"
 #include "base/rng.h"
+#include "mcretime/lower.h"
+#include "mcretime/mc_retime.h"
 #include "retime/feas.h"
 #include "retime/period_constraints.h"
+#include "workload/generator.h"
 
 namespace mcrt {
 namespace {
@@ -414,6 +417,37 @@ TEST_P(PeriodTableProperty, SharedTableMatchesFreshCallAndReference) {
     EXPECT_EQ(minperiod_retime(current).r, solution.r);
     expect_reference_solution(current, "seed " + std::to_string(seed) +
                                            " round " + std::to_string(round));
+  }
+}
+
+// The work gate of the quick bench designs: the scaled 2k and 4k designs,
+// every LUT at delay 10, prepared for the min-period objective and lowered.
+// FEAS settles them in a few probes with no W/D sweep; a change that needs
+// more probes, rounds or any difference-constraint relaxation shows here.
+TEST(MinPeriodWorkTest, ScaledDesignsStayWithinTheirProbeBudget) {
+  for (const std::size_t gates : {2000, 4000}) {
+    SCOPED_TRACE("s" + std::to_string(gates));
+    Netlist circuit = generate_circuit(scaled_profile(gates, gates + 301));
+    for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
+      if (circuit.node(NodeId{v}).kind == NodeKind::kLut) {
+        circuit.set_node_delay(NodeId{v}, 10);
+      }
+    }
+    McRetimeOptions options;
+    options.objective = McRetimeOptions::Objective::kMinPeriod;
+    const McPrepared prepared = prepare_mc_graph(circuit, options);
+    const RetimeGraph graph =
+        lower_to_retime_graph(prepared.graph, prepared.bounds);
+
+    const RetimeWorkCounters before = retime_work_counters();
+    const RetimeSolution solution = minperiod_retime(graph);
+    const RetimeWorkCounters work = retime_work_counters() - before;
+    ASSERT_TRUE(solution.feasible);
+    EXPECT_EQ(solution.period, 170);
+    EXPECT_LE(work.feas_probes, 4u);
+    EXPECT_LE(work.feas_rounds, 4u);
+    EXPECT_EQ(work.dc_relaxations, 0u);
+    EXPECT_EQ(work.wd_sweeps, 0u);
   }
 }
 

@@ -98,15 +98,5 @@ TEST(PartitionTest, DeterministicInSeed) {
   EXPECT_EQ(a.cut_edges, b.cut_edges);
 }
 
-TEST(PartitionTest, FixedWindowCountIsHonored) {
-  const McGraph g = test_graph(19);
-  PartitionOptions options;
-  options.window_count = 3;
-  const WindowPartition part = partition_mc_graph(g, options);
-  // Empty windows are dropped, so <= the request; on a 120-gate graph all
-  // three should survive.
-  EXPECT_EQ(part.window_count(), 3u);
-}
-
 }  // namespace
 }  // namespace mcrt

@@ -89,8 +89,6 @@ not read is an error.
           "retime(target=24,no-sharing)"
   map:    -k <lut_inputs=4>  -d <lut_delay=10>
   retime: -d <lut_delay=10>  --minperiod  --no-sharing  --target <period>
-          --windows <n> | --window-size <n=1024> [--window-jobs <n>]
-          (any --window* flag selects retime-windowed, the windowed flow)
   timing: -d <lut_delay=10>
   check:  --formal  --bmc <depth>  --bmc-x-ok (treat a defined output
           refining an X as benign)
@@ -108,14 +106,13 @@ not read is an error.
           (--gates adds one ~G-LUT scaled design)
   fuzz:   mcrt fuzz [--budget-s S] [--cases N] [--seed S] [--oracle O]
           [--out-dir D] [--report F] [--canonical]: differential fuzzing of
-          O = serial-vs-bulk|mono-vs-windowed|engine-vs-reference
+          O = serial-vs-bulk|engine-vs-reference
           (default all); failures become reproducers in --out-dir.
           mcrt fuzz --repro <file> [--update] replays (and re-minimizes) one;
           with an explicit --seed it first regenerates that case into <file>
           --plant-bug <spec> sabotages an engine (fuzzer self-tests only)
-  bench:  mcrt bench [--quick] [--out-dir D] [--seed S] [--baseline <dir>]:
-          paper tables/figures and the windowed benchmark, writes
-          BENCH_{paper,window}.json
+  bench:  mcrt bench [--quick] [--out-dir D] [--baseline <dir>]:
+          paper tables/figures, writes BENCH_paper.json
   mcrt --version prints version, build type and sanitizers
 )usage";
 
@@ -324,6 +321,13 @@ int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
     return 2;
   }
   const BulkReport report = runner.run(*jobs);
+  for (const std::string& warning : report.warnings) {
+    diag.warning("bulk", warning);
+  }
+  if (!report.error.empty()) {
+    diag.error("bulk", report.error);
+    return 2;
+  }
 
   for (const BulkJobResult& r : report.results) {
     if (r.success) {
@@ -386,21 +390,22 @@ int cmd_corpus(const std::string& out_dir, std::size_t count,
   return 0;
 }
 
+constexpr const char* kBenchPaperFile = "BENCH_paper.json";
+
 struct BenchFlags {
   bool quick = false;          ///< trimmed suite + fewer reps (CI smoke)
-  std::string out_dir = ".";   ///< where BENCH_*.json land
-  std::string baseline_dir;    ///< committed BENCH_*.json to gate against
+  std::string out_dir = ".";   ///< where BENCH_paper.json lands
+  std::string baseline_dir;    ///< committed BENCH_paper.json to gate against
 };
 
-/// The --baseline gate of `bench`: reads the committed `file_name` from the
-/// baseline directory, validates it against `schema`, and reports every
-/// bench_regressions() finding of `current`. Returns true when the
-/// baseline is readable, valid and not regressed.
+/// The --baseline gate of `bench`: reads the committed BENCH_paper.json from
+/// the baseline directory, validates it, and reports every
+/// bench_regressions() finding of `current`. Returns true when the baseline
+/// is readable, valid and not regressed.
 bool gate_against_baseline(const Json& current, const BenchFlags& flags,
-                           const char* file_name, const char* schema,
                            DiagnosticsSink& diag) {
   const std::string path =
-      (std::filesystem::path(flags.baseline_dir) / file_name).string();
+      (std::filesystem::path(flags.baseline_dir) / kBenchPaperFile).string();
   std::ifstream in(path, std::ios::binary);
   if (!in.good()) {
     diag.error("bench", "cannot read baseline " + path);
@@ -414,7 +419,7 @@ bool gate_against_baseline(const Json& current, const BenchFlags& flags,
     return false;
   }
   const Json& baseline = std::get<Json>(parsed);
-  const std::string problem = validate_bench_report(baseline, schema);
+  const std::string problem = validate_bench_report(baseline);
   if (!problem.empty()) {
     diag.error("bench", path + ": " + problem);
     return false;
@@ -422,87 +427,51 @@ bool gate_against_baseline(const Json& current, const BenchFlags& flags,
   const std::vector<std::string> regressions =
       bench_regressions(current, baseline);
   for (const std::string& regression : regressions) {
-    diag.error("bench", std::string(file_name) + ": " + regression);
+    diag.error("bench", std::string(kBenchPaperFile) + ": " + regression);
   }
   return regressions.empty();
 }
 
-/// Writes `report` as `file_name` into --out-dir (created if missing) and
-/// prints its path; reports and returns false on failure.
-bool write_bench_file(const Json& report, const BenchFlags& flags,
-                      const char* file_name, DiagnosticsSink& diag) {
+int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
+  std::printf("bench: running paper suite (%s)...\n",
+              flags.quick ? "quick" : "full");
+  const Json report = run_paper_bench({flags.quick});
+  const std::string problem = validate_bench_report(report);
+  if (!problem.empty()) {
+    diag.error("bench", "paper: " + problem);
+    return 1;
+  }
+  // The Table 2 columns, on the entries that have them.
+  for (const Json& entry : report.at("entries").as_array()) {
+    std::string line =
+        str_format("  %-11s", entry.at("circuit").as_string().c_str());
+    for (const auto& [key, value] : entry.as_object()) {
+      if (key == "t2_ff" || key == "t2_lut" || key == "t2_delay") {
+        line += str_format(" %s=%lld", key.c_str(),
+                           static_cast<long long>(value.as_int()));
+      }
+    }
+    std::printf("%s\n", line.c_str());
+  }
+  const Json& summary = report.at("summary");
+  std::printf("  Table 2 vs Table 1: Rlut %.2f, Rdelay %.2f\n",
+              summary.at("rlut").as_number(), summary.at("rdelay").as_number());
+
   std::error_code ec;
   std::filesystem::create_directories(flags.out_dir, ec);
   const std::string path =
-      (std::filesystem::path(flags.out_dir) / file_name).string();
+      (std::filesystem::path(flags.out_dir) / kBenchPaperFile).string();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << write_bench_report(report);
   if (!out.good()) {
     diag.error("bench", "cannot write " + path);
-    return false;
+    return 1;
   }
   std::printf("  wrote %s\n", path.c_str());
-  return true;
-}
-
-int cmd_bench(const BenchFlags& flags, std::uint64_t seed,
-              StreamDiagnostics& diag) {
-  struct Suite {
-    const char* label;
-    const char* schema;
-    const char* file_name;
-    Json (*run)(const BenchOptions&);
-  };
-  const Suite suites[] = {
-      {"paper", kBenchPaperSchema, "BENCH_paper.json", run_paper_bench},
-      {"window", kBenchWindowSchema, "BENCH_window.json", run_window_bench}};
-  std::vector<Json> reports;
-  for (const Suite& suite : suites) {
-    std::printf("bench: running %s suite (%s)...\n", suite.label,
-                flags.quick ? "quick" : "full");
-    Json report = suite.run({flags.quick, seed});
-    const std::string problem = validate_bench_report(report, suite.schema);
-    if (!problem.empty()) {
-      diag.error("bench", std::string(suite.label) + ": " + problem);
-      return 1;
-    }
-    // Speedup columns, or the Table 2 columns of the paper suite.
-    for (const Json& entry : report.at("entries").as_array()) {
-      std::string line =
-          str_format("  %-11s", entry.at("circuit").as_string().c_str());
-      for (const auto& [key, value] : entry.as_object()) {
-        if (key.rfind("speedup", 0) == 0) {
-          line += str_format(" %s=%.2fx", key.c_str(), value.as_number());
-        } else if (key == "t2_ff" || key == "t2_lut" || key == "t2_delay") {
-          line += str_format(" %s=%lld", key.c_str(),
-                             static_cast<long long>(value.as_int()));
-        }
-      }
-      std::printf("%s\n", line.c_str());
-    }
-    const Json& summary = report.at("summary");
-    if (const Json* geomean = summary.find("geomean_speedup")) {
-      std::printf("  geomean %.2fx over %lld circuits\n", geomean->as_number(),
-                  static_cast<long long>(summary.at("circuits").as_int()));
-    } else {
-      std::printf("  Table 2 vs Table 1: Rlut %.2f, Rdelay %.2f\n",
-                  summary.at("rlut").as_number(),
-                  summary.at("rdelay").as_number());
-    }
-    if (!write_bench_file(report, flags, suite.file_name, diag)) {
-      return 1;
-    }
-    reports.push_back(std::move(report));
-  }
   if (flags.baseline_dir.empty()) return 0;
 
-  // Regression gate vs the committed baseline documents (bench_regressions).
-  bool ok = true;
-  for (std::size_t i = 0; i < reports.size(); ++i) {
-    ok &= gate_against_baseline(reports[i], flags, suites[i].file_name,
-                                suites[i].schema, diag);
-  }
-  if (!ok) return 1;
+  // Regression gate vs the committed baseline document (bench_regressions).
+  if (!gate_against_baseline(report, flags, diag)) return 1;
   std::printf("bench: no regression vs baseline\n");
   return 0;
 }
@@ -514,7 +483,7 @@ int cmd_bench(const BenchFlags& flags, std::uint64_t seed,
 struct FuzzFlags {
   std::size_t cases = 0;      ///< --cases (0 = run until the budget expires)
   double budget_seconds = 0;  ///< --budget-s (both zero => 60s default)
-  std::string oracle;         ///< --oracle (empty = round-robin over all four)
+  std::string oracle;         ///< --oracle (empty = round-robin over all)
   std::string repro_path;     ///< --repro: replay (or materialize) one case
   bool update = false;        ///< --update: re-minimize + rewrite a failing repro
   std::string plant_bug;      ///< --plant-bug: sabotage spec (self-tests only)
@@ -594,8 +563,7 @@ int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
     only = oracle_from_name(fuzz.oracle);
     if (!only.has_value()) {
       diag.error("fuzz", str_format(
-          "unknown oracle '%s' (serial-vs-bulk, mono-vs-windowed, "
-          "engine-vs-reference)",
+          "unknown oracle '%s' (serial-vs-bulk, engine-vs-reference)",
           fuzz.oracle.c_str()));
       return 2;
     }
@@ -755,9 +723,6 @@ constexpr OptionRow kOptions[] = {
     {"--target", true, cmds("retime"), "target"},
     {"--minperiod", false, cmds("retime"), "minperiod"},
     {"--no-sharing", false, cmds("retime"), "no-sharing"},
-    {"--windows", true, cmds("retime"), "windows"},
-    {"--window-size", true, cmds("retime"), "window-size"},
-    {"--window-jobs", true, cmds("retime"), "window-jobs"},
     // Flow jobs.
     {"--profile", false, kFlows, field<&FlowFlags::profile>},
     {"--verify", false, kRunners, field<&FlowFlags::verify>},
@@ -774,7 +739,7 @@ constexpr OptionRow kOptions[] = {
     {"--manifest", true, cmds("bulk"), field<&BulkFlags::manifest_path>},
     {"--resume", false, cmds("bulk"), field<&BulkFlags::resume>},
     // Generated workloads.
-    {"--seed", true, cmds("corpus fuzz bench"), field<&Options::seed>},
+    {"--seed", true, cmds("corpus fuzz"), field<&Options::seed>},
     {"--count", true, cmds("corpus"), field<&Options::count>},
     {"--gates", true, cmds("corpus"), field<&Options::gates>},
     {"--budget-s", true, cmds("fuzz"), field<&FuzzFlags::budget_seconds>},
@@ -865,12 +830,7 @@ bool parse_options(int argc, char** argv, const std::string& command,
 std::string shorthand_script(const std::string& command,
                              const Options& options) {
   const std::map<std::string, std::string>& keys = options.pass_keys;
-  // Any --window* flag selects the windowed pass.
-  const auto window = keys.lower_bound("window");
-  std::string script =
-      window != keys.end() && starts_with(window->first, "window")
-          ? "retime-windowed"
-          : command;
+  std::string script = command;
   char separator = '(';
   for (const auto& [key, value] : keys) {
     script += separator + key + (value.empty() ? "" : "=" + value);
@@ -924,8 +884,7 @@ int main(int argc, char** argv) {
     const std::vector<std::string> inputs(files.begin() + 1, files.end());
     return cmd_bulk(files[0], inputs, options, options, diag);
   }
-  const std::uint64_t seed = options.seed.value_or(1);
-  if (command == "bench") return cmd_bench(options, seed, diag);
+  if (command == "bench") return cmd_bench(options, diag);
   if (command == "fuzz") {
     return cmd_fuzz(options, options, options, options.seed, diag);
   }
@@ -933,7 +892,8 @@ int main(int argc, char** argv) {
   // The rest take an input file (corpus: the output directory).
   if (files.empty()) return usage();
   if (command == "corpus") {
-    return cmd_corpus(files[0], options.count, options.gates, seed, diag);
+    return cmd_corpus(files[0], options.count, options.gates,
+                      options.seed.value_or(1), diag);
   }
   const auto input = load_blif_netlist(files[0], diag);
   if (!input) return 1;
